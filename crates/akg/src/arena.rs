@@ -93,33 +93,14 @@ impl UbArena {
     }
 
     /// Allocate a band-cycled region under a [`BandMode`]:
-    /// [`BandMode::PingPong`] gets the A/B pair, everything else one
-    /// slot. [`BandMode::Versioned`] deliberately stays single-slotted —
-    /// the extra version lives in headroom the *renamer* rotates into at
-    /// issue time (see [`UbArena::reserve_headroom`]), not in a second
-    /// software-addressed slot.
+    /// [`BandMode::PingPong`] gets the A/B pair, [`BandMode::Single`] one
+    /// slot.
     pub fn alloc_band_mode(
         &mut self,
         bytes: usize,
         mode: BandMode,
     ) -> Result<BandSlots, UbOverflow> {
         self.alloc_band(bytes, mode == BandMode::PingPong)
-    }
-
-    /// Reserve `bytes` of physical headroom for the dual-pipe renamer's
-    /// rotated slot versions and return its offset. The reservation must
-    /// be the plan's **final** allocation: the scoreboard's capacity
-    /// check measures a buffer's high-water mark of *written* bytes, so
-    /// headroom interleaved below still-to-be-written regions would be
-    /// counted as used and every rotation would be refused. Nothing is
-    /// ever emitted against the returned offset — a granted rotation is
-    /// a scheduling fiction (functional writes stay in the base slot in
-    /// program order) — but reserving it keeps the plan honest: a kernel
-    /// that banks on renaming proves at lowering time that two versions
-    /// of every band-cycled region physically fit, and overflow is a
-    /// typed [`UbOverflow`] instead of a silent scheduling no-op.
-    pub fn reserve_headroom(&mut self, bytes: usize) -> Result<usize, UbOverflow> {
-        self.alloc(bytes)
     }
 }
 
@@ -129,20 +110,9 @@ pub enum BandMode {
     /// One slot; consecutive bands serialise on WAR/WAW slot reuse.
     Single,
     /// Two software-addressed slots (A/B) cycled by band parity; the
-    /// instruction stream itself alternates addresses.
+    /// instruction stream itself alternates addresses, so band `i + 1`'s
+    /// loads overlap band `i`'s compute.
     PingPong,
-    /// One software-addressed slot plus reserved headroom: every band
-    /// uses the same addresses and the dual-pipe renamer rotates the
-    /// next band's writes past the previous band's in-flight reads.
-    Versioned,
-}
-
-impl BandMode {
-    /// Whether this mode overlaps band `i + 1`'s loads with band `i`'s
-    /// compute (by either mechanism).
-    pub fn overlaps(self) -> bool {
-        self != BandMode::Single
-    }
 }
 
 /// The slot offsets of a band-cycled region (see [`UbArena::alloc_band`]).
@@ -264,29 +234,6 @@ mod tests {
             .alloc_band_mode(100, BandMode::PingPong)
             .unwrap()
             .is_double());
-        let v = a.alloc_band_mode(100, BandMode::Versioned).unwrap();
-        assert!(
-            !v.is_double(),
-            "versioned regions are single-slotted; the renamer provides the second version"
-        );
-        assert_eq!(v.of(0), v.of(1));
-        assert!(!BandMode::Single.overlaps());
-        assert!(BandMode::PingPong.overlaps());
-        assert!(BandMode::Versioned.overlaps());
-    }
-
-    #[test]
-    fn reserve_headroom_is_a_real_allocation() {
-        let mut a = UbArena::new(256);
-        let base = a.alloc_band_mode(96, BandMode::Versioned).unwrap();
-        assert_eq!(base.a, 0);
-        let top = a.reserve_headroom(a.used()).unwrap();
-        assert_eq!(top, 96, "headroom sits above every base slot");
-        assert_eq!(a.used(), 192);
-        // Insufficient capacity is a typed overflow, not a silent shrink.
-        let err = a.reserve_headroom(128).unwrap_err();
-        assert_eq!(err.capacity, 256);
-        assert_eq!(err.requested, 128);
     }
 
     #[test]

@@ -11,25 +11,12 @@
 //! [`TOLERANCE`] worse than the baseline fails the gate (the simulator is
 //! deterministic, so honest changes show up as exact deltas).
 //!
-//! Every metric carries **both issue models**. The headline columns are
-//! the dual-pipe makespans; the `*_single` columns are the legacy serial
-//! timing — derived from the same run via
-//! [`HwCounters::busy_cycles`](dv_sim::HwCounters::busy_cycles) plus the
-//! per-core dispatch overhead, which reproduces the single-issue model
-//! cycle-for-cycle because per-instruction charges are identical in both
-//! models (the `single_issue_derivation_matches_real_runs` test in
-//! `tests/perf_gate.rs` pins this against actual
-//! `CostModel::single_issue()` executions). Buffer peaks (`ub_peak`,
-//! `l1_peak`) come from [`ChipRun::peaks`], so a lowering change that
-//! silently grows scratchpad footprints fails the gate alongside cycle
-//! regressions.
-//!
-//! The `*_norename` columns rerun the default (double-buffered)
-//! schedule under [`CostModel::dual_pipe_no_rename`] — the scoreboard
-//! never rotates scratchpad slots and the planner falls back to the
-//! pre-renaming single/ping-pong band layouts. [`collect`] asserts on
-//! every row that the renamed makespan never exceeds this control's;
-//! the per-row `rename_gain` in the JSON is what renaming buys.
+//! Every cycle column is a dual-pipe makespan; the serial single-issue
+//! machine is a test oracle (`tests/perf_gate.rs` pins real
+//! `CostModel::single_issue()` runs), not a gate column. Buffer peaks
+//! (`ub_peak`, `l1_peak`) come from [`ChipRun::peaks`], so a lowering
+//! change that silently grows scratchpad footprints fails the gate
+//! alongside cycle regressions.
 //!
 //! The `scaling` section tracks the chip-sharding path: every Fig. 7
 //! shape's Im2col forward under [`PoolingEngine::with_sharding`] at
@@ -82,8 +69,8 @@ pub const TOLERANCE: f64 = 0.05;
 pub const COMMITTED_BASELINE: &str = include_str!("../baselines/pooling.json");
 
 /// One tracked workload: cycles for the baseline implementation and for
-/// the paper's accelerated implementation, under both issue models, plus
-/// scratchpad occupancy ceilings.
+/// the paper's accelerated implementation, single- and double-buffered,
+/// plus scratchpad occupancy ceilings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Metric {
     /// Stable identifier, e.g. `fig7a/147x147x64` or `fig8s2/24x24`.
@@ -92,10 +79,6 @@ pub struct Metric {
     pub standard_cycles: u64,
     /// Dual-pipe cycles of the Im2col/Col2Im-accelerated implementation.
     pub accelerated_cycles: u64,
-    /// Single-issue (legacy serial) cycles of the standard implementation.
-    pub standard_cycles_single: u64,
-    /// Single-issue cycles of the accelerated implementation.
-    pub accelerated_cycles_single: u64,
     /// Dual-pipe cycles of the standard implementation with
     /// double-buffered row-band prefetch (equals `standard_cycles` when
     /// the workload fits a single band).
@@ -113,14 +96,6 @@ pub struct Metric {
     pub ub_peak_db: u64,
     /// Peak L1 occupancy of the double-buffered runs.
     pub l1_peak_db: u64,
-    /// Dual-pipe cycles of the standard implementation with scratchpad
-    /// renaming disabled ([`CostModel::dual_pipe_no_rename`]) but
-    /// otherwise default scheduling — the no-rename control for
-    /// `standard_cycles_db`. The gate asserts the renamed column never
-    /// exceeds this one on any row.
-    pub standard_cycles_norename: u64,
-    /// No-rename control for `accelerated_cycles_db`.
-    pub accelerated_cycles_norename: u64,
 }
 
 impl Metric {
@@ -130,37 +105,10 @@ impl Metric {
         self.standard_cycles as f64 / self.accelerated_cycles as f64
     }
 
-    /// Single-issue speedup — the PR 1 headline numbers.
-    pub fn speedup_single(&self) -> f64 {
-        self.standard_cycles_single as f64 / self.accelerated_cycles_single as f64
-    }
-
     /// Dual-pipe speedup with double-buffered row-band prefetch.
     pub fn speedup_db(&self) -> f64 {
         self.standard_cycles_db as f64 / self.accelerated_cycles_db as f64
     }
-
-    /// What scratchpad renaming buys on the accelerated implementation:
-    /// the no-rename control's cycles over the renamed cycles (1.0 =
-    /// renaming changed nothing; >1.0 = renaming is a measured win).
-    pub fn rename_gain(&self) -> f64 {
-        self.accelerated_cycles_norename as f64 / self.accelerated_cycles_db as f64
-    }
-}
-
-/// The serial (single-issue) chip cycles of a run that may have executed
-/// under the dual-pipe model: per core, the unit-busy total plus whatever
-/// dispatch overhead the chip charged on top of the core's makespan; the
-/// chip-level count is the max over cores, mirroring [`ChipRun::cycles`].
-/// Exact because per-instruction charges do not depend on the issue
-/// model.
-pub fn single_issue_cycles(run: &ChipRun) -> u64 {
-    run.per_core
-        .iter()
-        .zip(&run.core_cycles)
-        .map(|(c, total)| c.busy_cycles() + (total - c.cycles))
-        .max()
-        .unwrap_or(0)
 }
 
 /// Core counts the scaling gate sweeps — serial (1), under-subscribed
@@ -993,21 +941,11 @@ pub fn compare_model(
     regressions
 }
 
-fn metric(
-    key: String,
-    std: &ChipRun,
-    acc: &ChipRun,
-    std_db: &ChipRun,
-    acc_db: &ChipRun,
-    std_nr: &ChipRun,
-    acc_nr: &ChipRun,
-) -> Metric {
+fn metric(key: String, std: &ChipRun, acc: &ChipRun, std_db: &ChipRun, acc_db: &ChipRun) -> Metric {
     let m = Metric {
         key,
         standard_cycles: std.cycles,
         accelerated_cycles: acc.cycles,
-        standard_cycles_single: single_issue_cycles(std),
-        accelerated_cycles_single: single_issue_cycles(acc),
         standard_cycles_db: std_db.cycles,
         accelerated_cycles_db: acc_db.cycles,
         ub_peak: std.peaks.of(BufferId::Ub).max(acc.peaks.of(BufferId::Ub)) as u64,
@@ -1020,8 +958,6 @@ fn metric(
             .peaks
             .of(BufferId::L1)
             .max(acc_db.peaks.of(BufferId::L1)) as u64,
-        standard_cycles_norename: std_nr.cycles,
-        accelerated_cycles_norename: acc_nr.cycles,
     };
     // The ping-pong layout may double the band-cycled regions but never
     // more: the planner sizes bands so 2x the footprint fits.
@@ -1034,22 +970,6 @@ fn metric(
         m.ub_peak,
         m.l1_peak_db,
         m.l1_peak
-    );
-    // Renaming's makespan contract, enforced on every tracked row: the
-    // cost-aware planner only schedules a versioned layout when its
-    // overlap model says it wins, and scoreboard renaming on an
-    // unchanged program can only relax waits — so the renamed makespan
-    // never exceeds the no-rename control's.
-    assert!(
-        m.standard_cycles_db <= m.standard_cycles_norename
-            && m.accelerated_cycles_db <= m.accelerated_cycles_norename,
-        "{}: renaming may never cost dual-pipe cycles \
-         (standard {} vs no-rename {}, accelerated {} vs no-rename {})",
-        m.key,
-        m.standard_cycles_db,
-        m.standard_cycles_norename,
-        m.accelerated_cycles_db,
-        m.accelerated_cycles_norename
     );
     m
 }
@@ -1071,13 +991,6 @@ pub fn collect() -> Vec<Metric> {
     // double-buffered row-band prefetch and must be bit-identical.
     let eng = PoolingEngine::ascend910().with_double_buffering(false);
     let eng_db = PoolingEngine::ascend910();
-    // No-rename control: the same 32-core chip under
-    // `CostModel::dual_pipe_no_rename()` with default scheduling — the
-    // scoreboard never rotates slots and the planner (which derives its
-    // rotation decision from the cost model) falls back to the
-    // single/ping-pong band layouts, i.e. exactly the pre-renaming
-    // schedule. The `*_norename` columns measure what renaming buys.
-    let eng_nr = PoolingEngine::new(Chip::new(32, CostModel::dual_pipe_no_rename()));
 
     for w in fig7_workloads() {
         let shape = format!("{}x{}x{}", w.h, w.w, w.c);
@@ -1096,25 +1009,15 @@ pub fn collect() -> Vec<Metric> {
         let (o_ad, acc_db) = eng_db
             .maxpool_forward(&input, w.params, ForwardImpl::Im2col)
             .expect("fig7a im2col db");
-        let (o_sn, std_nr) = eng_nr
-            .maxpool_forward(&input, w.params, ForwardImpl::Standard)
-            .expect("fig7a standard no-rename");
-        let (o_an, acc_nr) = eng_nr
-            .maxpool_forward(&input, w.params, ForwardImpl::Im2col)
-            .expect("fig7a im2col no-rename");
         assert_eq!(o_s.data(), o_a.data(), "fig7a implementations disagree");
         assert_eq!(o_s.data(), o_sd.data(), "fig7a db changed standard output");
         assert_eq!(o_a.data(), o_ad.data(), "fig7a db changed im2col output");
-        assert_eq!(o_s.data(), o_sn.data(), "fig7a no-rename changed standard");
-        assert_eq!(o_a.data(), o_an.data(), "fig7a no-rename changed im2col");
         out.push(metric(
             format!("fig7a/{shape}"),
             &std,
             &acc,
             &std_db,
             &acc_db,
-            &std_nr,
-            &acc_nr,
         ));
 
         // Fig. 7b — forward with the argmax mask.
@@ -1131,24 +1034,8 @@ pub fn collect() -> Vec<Metric> {
         let (o_ad, m_ad, acc_db) = eng_db
             .maxpool_forward_with_argmax(&input, w.params, ForwardImpl::Im2col)
             .expect("fig7b im2col db");
-        let (o_sn, m_sn, std_nr) = eng_nr
-            .maxpool_forward_with_argmax(&input, w.params, ForwardImpl::Standard)
-            .expect("fig7b standard no-rename");
-        let (o_an, m_an, acc_nr) = eng_nr
-            .maxpool_forward_with_argmax(&input, w.params, ForwardImpl::Im2col)
-            .expect("fig7b im2col no-rename");
         assert_eq!(o_s.data(), o_a.data(), "fig7b implementations disagree");
         assert_eq!(m_s.data(), m_a.data(), "fig7b masks disagree");
-        assert_eq!(
-            (o_sn.data(), m_sn.data()),
-            (o_s.data(), m_s.data()),
-            "fig7b no-rename changed standard output"
-        );
-        assert_eq!(
-            (o_an.data(), m_an.data()),
-            (o_a.data(), m_a.data()),
-            "fig7b no-rename changed im2col output"
-        );
         assert_eq!(
             (o_sd.data(), m_sd.data()),
             (o_s.data(), m_s.data()),
@@ -1165,8 +1052,6 @@ pub fn collect() -> Vec<Metric> {
             &acc,
             &std_db,
             &acc_db,
-            &std_nr,
-            &acc_nr,
         ));
 
         // Fig. 7c — backward.
@@ -1186,25 +1071,15 @@ pub fn collect() -> Vec<Metric> {
         let (dx_ad, acc_db) = eng_db
             .maxpool_backward(&mask, &grads, w.params, w.h, w.w, MergeImpl::Col2Im)
             .expect("fig7c col2im db");
-        let (dx_sn, std_nr) = eng_nr
-            .maxpool_backward(&mask, &grads, w.params, w.h, w.w, MergeImpl::VAdd)
-            .expect("fig7c vadd no-rename");
-        let (dx_an, acc_nr) = eng_nr
-            .maxpool_backward(&mask, &grads, w.params, w.h, w.w, MergeImpl::Col2Im)
-            .expect("fig7c col2im no-rename");
         assert_eq!(dx_s.data(), dx_a.data(), "fig7c merges disagree");
         assert_eq!(dx_s.data(), dx_sd.data(), "fig7c db changed vadd output");
         assert_eq!(dx_a.data(), dx_ad.data(), "fig7c db changed col2im output");
-        assert_eq!(dx_s.data(), dx_sn.data(), "fig7c no-rename changed vadd");
-        assert_eq!(dx_a.data(), dx_an.data(), "fig7c no-rename changed col2im");
         out.push(metric(
             format!("fig7c/{shape}"),
             &std,
             &acc,
             &std_db,
             &acc_db,
-            &std_nr,
-            &acc_nr,
         ));
     }
 
@@ -1217,14 +1092,10 @@ pub fn collect() -> Vec<Metric> {
     // isolates exactly what the fold buys.
     let mut chip = Chip::new(1, CostModel::ascend910_like());
     chip.caps.ub = 64 * 1024;
-    let mut chip_nr = Chip::new(1, CostModel::dual_pipe_no_rename());
-    chip_nr.caps.ub = 64 * 1024;
     let bat = PoolingEngine::new(chip.clone()).with_double_buffering(false);
     let per = bat.clone().with_batching(false);
     let bat_db = PoolingEngine::new(chip);
     let per_db = bat_db.clone().with_batching(false);
-    let bat_nr = PoolingEngine::new(chip_nr);
-    let per_nr = bat_nr.clone().with_batching(false);
     for w in fig7_workloads() {
         let shape = format!("{}x{}x{}", w.h, w.w, w.c);
         let input = feature_map(4, w.c, w.h, w.w, 76);
@@ -1240,21 +1111,9 @@ pub fn collect() -> Vec<Metric> {
         let (o_bd, acc_db) = bat_db
             .maxpool_forward(&input, w.params, ForwardImpl::Im2col)
             .expect("fig7n4 batched db");
-        let (o_pn, std_nr) = per_nr
-            .maxpool_forward(&input, w.params, ForwardImpl::Im2col)
-            .expect("fig7n4 per-plane no-rename");
-        let (o_bn, acc_nr) = bat_nr
-            .maxpool_forward(&input, w.params, ForwardImpl::Im2col)
-            .expect("fig7n4 batched no-rename");
         assert_eq!(o_p.data(), o_b.data(), "fig7n4 fold changed the output");
         assert_eq!(o_p.data(), o_pd.data(), "fig7n4 db changed per-plane");
         assert_eq!(o_b.data(), o_bd.data(), "fig7n4 db changed batched");
-        assert_eq!(
-            o_p.data(),
-            o_pn.data(),
-            "fig7n4 no-rename changed per-plane"
-        );
-        assert_eq!(o_b.data(), o_bn.data(), "fig7n4 no-rename changed batched");
         // The fold's whole claim: strictly fewer Im2Col issues than N
         // per-plane passes, at no dual-pipe cycle cost. Cycles are held
         // on the double-buffered schedules (the engine default): those
@@ -1281,8 +1140,6 @@ pub fn collect() -> Vec<Metric> {
             &acc,
             &std_db,
             &acc_db,
-            &std_nr,
-            &acc_nr,
         ));
     }
 
@@ -1292,7 +1149,6 @@ pub fn collect() -> Vec<Metric> {
         let eng1 = PoolingEngine::new(Chip::new(1, CostModel::ascend910_like()))
             .with_double_buffering(false);
         let eng1_db = PoolingEngine::new(Chip::new(1, CostModel::ascend910_like()));
-        let eng1_nr = PoolingEngine::new(Chip::new(1, CostModel::dual_pipe_no_rename()));
         let threshold = [ForwardImpl::Standard, ForwardImpl::Im2col]
             .iter()
             .map(|i| tiling_threshold(&params, *i, eng1.chip.caps))
@@ -1315,25 +1171,15 @@ pub fn collect() -> Vec<Metric> {
             let (o_ad, acc_db) = eng1_db
                 .maxpool_forward(&input, params, ForwardImpl::Im2col)
                 .expect("fig8 im2col db");
-            let (o_sn, std_nr) = eng1_nr
-                .maxpool_forward(&input, params, ForwardImpl::Standard)
-                .expect("fig8 standard no-rename");
-            let (o_an, acc_nr) = eng1_nr
-                .maxpool_forward(&input, params, ForwardImpl::Im2col)
-                .expect("fig8 im2col no-rename");
             assert_eq!(o_s.data(), o_a.data(), "fig8 implementations disagree");
             assert_eq!(o_s.data(), o_sd.data(), "fig8 db changed standard output");
             assert_eq!(o_a.data(), o_ad.data(), "fig8 db changed im2col output");
-            assert_eq!(o_s.data(), o_sn.data(), "fig8 no-rename changed standard");
-            assert_eq!(o_a.data(), o_an.data(), "fig8 no-rename changed im2col");
             out.push(metric(
                 format!("fig8s{stride}/{hw}x{hw}"),
                 &std,
                 &acc,
                 &std_db,
                 &acc_db,
-                &std_nr,
-                &acc_nr,
             ));
         }
     }
@@ -1359,25 +1205,15 @@ pub fn collect() -> Vec<Metric> {
         let (o_ad, acc_db) = eng_db
             .maxpool_forward(&input, w.params, ForwardImpl::Im2col)
             .expect("table1 im2col db");
-        let (o_sn, std_nr) = eng_nr
-            .maxpool_forward(&input, w.params, ForwardImpl::Standard)
-            .expect("table1 standard no-rename");
-        let (o_an, acc_nr) = eng_nr
-            .maxpool_forward(&input, w.params, ForwardImpl::Im2col)
-            .expect("table1 im2col no-rename");
         assert_eq!(o_s.data(), o_a.data(), "table1 implementations disagree");
         assert_eq!(o_s.data(), o_sd.data(), "table1 db changed standard output");
         assert_eq!(o_a.data(), o_ad.data(), "table1 db changed im2col output");
-        assert_eq!(o_s.data(), o_sn.data(), "table1 no-rename changed standard");
-        assert_eq!(o_a.data(), o_an.data(), "table1 no-rename changed im2col");
         out.push(metric(
             format!("table1/{}-{}/{shape}", w.cnn, w.input_idx),
             &std,
             &acc,
             &std_db,
             &acc_db,
-            &std_nr,
-            &acc_nr,
         ));
     }
 
@@ -1401,35 +1237,22 @@ pub fn to_json(
 ) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"pooling\",\n");
     let _ = writeln!(out, "  \"tolerance\": {TOLERANCE},");
-    let _ = writeln!(
-        out,
-        "  \"issue_models\": [\"dual_pipe\", \"single_issue\"],"
-    );
     out.push_str("  \"metrics\": [\n");
     for (i, m) in metrics.iter().enumerate() {
         let _ = write!(
             out,
             "    {{\"key\": \"{}\", \"standard_cycles\": {}, \"accelerated_cycles\": {}, \
-             \"speedup\": {:.4}, \"standard_cycles_single\": {}, \
-             \"accelerated_cycles_single\": {}, \"speedup_single\": {:.4}, \
-             \"standard_cycles_db\": {}, \"accelerated_cycles_db\": {}, \
-             \"speedup_db\": {:.4}, \"standard_cycles_norename\": {}, \
-             \"accelerated_cycles_norename\": {}, \"rename_gain\": {:.4}, \
+             \"speedup\": {:.4}, \"standard_cycles_db\": {}, \
+             \"accelerated_cycles_db\": {}, \"speedup_db\": {:.4}, \
              \"ub_peak\": {}, \"l1_peak\": {}, \
              \"ub_peak_db\": {}, \"l1_peak_db\": {}",
             m.key,
             m.standard_cycles,
             m.accelerated_cycles,
             m.speedup(),
-            m.standard_cycles_single,
-            m.accelerated_cycles_single,
-            m.speedup_single(),
             m.standard_cycles_db,
             m.accelerated_cycles_db,
             m.speedup_db(),
-            m.standard_cycles_norename,
-            m.accelerated_cycles_norename,
-            m.rename_gain(),
             m.ub_peak,
             m.l1_peak,
             m.ub_peak_db,
@@ -1538,11 +1361,6 @@ pub fn parse_metrics(doc: &str) -> Result<Vec<Metric>, String> {
             .and_then(|c| c.as_u64())
             .ok_or(format!("metric missing \"{name}\""))
     };
-    // Columns added after a baseline was committed parse as 0 so the
-    // gate can regenerate across a schema change; `compare` treats a
-    // zero baseline as "new ceiling", not a regression.
-    let optional =
-        |m: &json::Value, name: &'static str| m.get(name).and_then(|c| c.as_u64()).unwrap_or(0);
     arr.iter()
         .map(|m| {
             Ok(Metric {
@@ -1553,16 +1371,12 @@ pub fn parse_metrics(doc: &str) -> Result<Vec<Metric>, String> {
                     .to_string(),
                 standard_cycles: field(m, "standard_cycles")?,
                 accelerated_cycles: field(m, "accelerated_cycles")?,
-                standard_cycles_single: field(m, "standard_cycles_single")?,
-                accelerated_cycles_single: field(m, "accelerated_cycles_single")?,
                 standard_cycles_db: field(m, "standard_cycles_db")?,
                 accelerated_cycles_db: field(m, "accelerated_cycles_db")?,
                 ub_peak: field(m, "ub_peak")?,
                 l1_peak: field(m, "l1_peak")?,
                 ub_peak_db: field(m, "ub_peak_db")?,
                 l1_peak_db: field(m, "l1_peak_db")?,
-                standard_cycles_norename: optional(m, "standard_cycles_norename"),
-                accelerated_cycles_norename: optional(m, "accelerated_cycles_norename"),
             })
         })
         .collect::<Result<Vec<_>, String>>()
@@ -1799,8 +1613,8 @@ pub fn compare_tuner(
 
 /// Compare current metrics against a baseline. Returns the list of
 /// regressions — a baseline metric that disappeared, or one whose cycle
-/// count (either implementation, either issue model) or buffer peak grew
-/// by more than `tolerance`. An empty list means the gate passes;
+/// count (either implementation, single- or double-buffered) or buffer
+/// peak grew by more than `tolerance`. An empty list means the gate passes;
 /// improvements and new metrics pass.
 pub fn compare(current: &[Metric], baseline: &[Metric], tolerance: f64) -> Vec<String> {
     let mut regressions = Vec::new();
@@ -1813,16 +1627,6 @@ pub fn compare(current: &[Metric], baseline: &[Metric], tolerance: f64) -> Vec<S
             ("standard", c.standard_cycles, b.standard_cycles),
             ("accelerated", c.accelerated_cycles, b.accelerated_cycles),
             (
-                "standard single-issue",
-                c.standard_cycles_single,
-                b.standard_cycles_single,
-            ),
-            (
-                "accelerated single-issue",
-                c.accelerated_cycles_single,
-                b.accelerated_cycles_single,
-            ),
-            (
                 "standard double-buffered",
                 c.standard_cycles_db,
                 b.standard_cycles_db,
@@ -1831,16 +1635,6 @@ pub fn compare(current: &[Metric], baseline: &[Metric], tolerance: f64) -> Vec<S
                 "accelerated double-buffered",
                 c.accelerated_cycles_db,
                 b.accelerated_cycles_db,
-            ),
-            (
-                "standard no-rename",
-                c.standard_cycles_norename,
-                b.standard_cycles_norename,
-            ),
-            (
-                "accelerated no-rename",
-                c.accelerated_cycles_norename,
-                b.accelerated_cycles_norename,
             ),
             ("UB peak", c.ub_peak, b.ub_peak),
             ("L1 peak", c.l1_peak, b.l1_peak),
@@ -1916,16 +1710,12 @@ mod tests {
             key: key.into(),
             standard_cycles: s,
             accelerated_cycles: a,
-            standard_cycles_single: s + s / 2,
-            accelerated_cycles_single: a + a / 2,
             standard_cycles_db: s.saturating_sub(s / 10),
             accelerated_cycles_db: a.saturating_sub(a / 10),
             ub_peak: 4096,
             l1_peak: 0,
             ub_peak_db: 8192,
             l1_peak_db: 0,
-            standard_cycles_norename: s,
-            accelerated_cycles_norename: a,
         }
     }
 
@@ -1955,19 +1745,8 @@ mod tests {
         let ms = vec![m("fig7a/1x1x16", 1000, 250), m("fig8s2/16x16", 77, 33)];
         let doc = to_json(&ms, &[], &[], &[], &[], None);
         assert_eq!(parse_metrics(&doc).unwrap(), ms);
-        assert!(doc.contains("\"speedup_single\""));
-        assert!(doc.contains("\"rename_gain\""));
+        assert!(doc.contains("\"speedup_db\""));
         assert!(doc.contains("\"ub_peak\": 4096"));
-        // A pre-renaming baseline (no norename columns) still parses —
-        // the missing columns come back as 0 and compare() skips them.
-        let legacy = doc
-            .replace(", \"standard_cycles_norename\": 1000", "")
-            .replace(", \"standard_cycles_norename\": 77", "")
-            .replace(", \"accelerated_cycles_norename\": 250", "")
-            .replace(", \"accelerated_cycles_norename\": 33", "");
-        let parsed = parse_metrics(&legacy).unwrap();
-        assert_eq!(parsed[0].standard_cycles_norename, 0);
-        assert!(compare(&ms, &parsed, TOLERANCE).is_empty());
         // with-baseline rendering stays parseable
         let doc2 = to_json(&ms, &[], &[], &[], &[], Some(&ms));
         assert!(doc2.contains("\"vs_baseline_standard\": 1.0000"));
@@ -2212,10 +1991,7 @@ mod tests {
         assert!(compare(&ok, &base, TOLERANCE).is_empty());
         // 6% regression on the accelerated dual-pipe column only → fail
         let mut slow = vec![m("a", 1000, 106), m("b", 1000, 100)];
-        slow[0].standard_cycles_single = 1500;
-        slow[0].accelerated_cycles_single = 150;
         slow[0].accelerated_cycles_db = 90;
-        slow[0].accelerated_cycles_norename = 100;
         let regs = compare(&slow, &base, TOLERANCE);
         assert_eq!(regs.len(), 1);
         assert!(regs[0].contains("a (accelerated)"));
@@ -2225,14 +2001,14 @@ mod tests {
     }
 
     #[test]
-    fn compare_flags_single_issue_and_peak_regressions() {
+    fn compare_flags_double_buffered_and_peak_regressions() {
         let base = vec![m("a", 1000, 100)];
-        // regression only in the single-issue column
-        let mut single_slow = vec![m("a", 1000, 100)];
-        single_slow[0].accelerated_cycles_single = 200;
-        let regs = compare(&single_slow, &base, TOLERANCE);
+        // regression only in the double-buffered column
+        let mut db_slow = vec![m("a", 1000, 100)];
+        db_slow[0].accelerated_cycles_db = 200;
+        let regs = compare(&db_slow, &base, TOLERANCE);
         assert_eq!(regs.len(), 1);
-        assert!(regs[0].contains("accelerated single-issue"));
+        assert!(regs[0].contains("accelerated double-buffered"));
         // UB footprint grew 2x → fail even though cycles are unchanged
         let mut fat = vec![m("a", 1000, 100)];
         fat[0].ub_peak = 8192;
@@ -2264,32 +2040,7 @@ mod tests {
         );
         for m in &base {
             assert!(m.ub_peak > 0, "{}: UB peak must be tracked", m.key);
-            assert!(
-                m.accelerated_cycles <= m.accelerated_cycles_single,
-                "{}: dual-pipe cannot be slower than serial",
-                m.key
-            );
-            // The renaming columns are tracked on every row, and the
-            // committed numbers already honour the makespan contract.
-            assert!(
-                m.standard_cycles_norename > 0 && m.accelerated_cycles_norename > 0,
-                "{}: no-rename control must be tracked",
-                m.key
-            );
-            assert!(
-                m.standard_cycles_db <= m.standard_cycles_norename
-                    && m.accelerated_cycles_db <= m.accelerated_cycles_norename,
-                "{}: committed baseline shows renaming costing cycles",
-                m.key
-            );
         }
-        // The tentpole's measured flip: at least one tracked row where
-        // the cost-aware planner turned a formerly hardcoded decline
-        // into a strict renaming win.
-        assert!(
-            base.iter().any(|m| m.rename_gain() > 1.0),
-            "baseline records no strict renaming win on any tracked row"
-        );
         // The scaling section is committed: every Fig. 7 shape at every
         // swept core count, with the committed numbers already honouring
         // monotone speedup and contended >= independent.

@@ -590,8 +590,8 @@ fn build_implicit(
 
         for c1i in 0..pl.c1 {
             // Stage ONE c1 slice of this band's rows (the slot is reused
-            // per slice — slot renaming overlaps the next slice's DMA
-            // with this slice's SCU walk when headroom allows).
+            // per slice, so the next slice's DMA waits out this slice's
+            // SCU walk).
             dma(
                 &mut p,
                 Addr::gm(gm_in + c1i * full_plane_bytes + band.ih0 * iw * C0 * 2),

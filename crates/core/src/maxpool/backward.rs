@@ -114,12 +114,11 @@ impl BandSpan {
 /// `sched` controls cross-band overlap so band `i + 1`'s DMAs overlap
 /// band `i`'s multiply/merge under the dual-pipe model: the Col2Im merge
 /// takes ping-pong slots for the per-band gradient and mask-gradient
-/// regions; the VAdd merge, whose ping-pong was measured a loss, takes a
-/// renamer-backed versioned layout when [`Schedule::rotate`] is set and
-/// the per-pipe cost predictor approves (see [`crate::schedule`]). The
-/// `dx` window stays single-resident (per-band scratch — overlap
-/// contributions are recomputed, never carried between bands). Results
-/// are bit-identical in every mode.
+/// regions; the VAdd merge, whose ping-pong was measured a loss, stays
+/// single-slotted (see [`crate::schedule`]). The `dx` window stays
+/// single-resident (per-band scratch — overlap contributions are
+/// recomputed, never carried between bands). Results are bit-identical
+/// in every mode.
 pub fn build_backward(
     prob: &PoolProblem,
     merge: MergeImpl,
@@ -165,8 +164,7 @@ fn build_backward_inner(
     let params = prob.params;
     let (oh, ow) = prob.out_dims();
     let planes = params.kh * params.kw;
-    let masked = matches!(source, BackwardSource::MaxMask { .. });
-    let (boh, mut mode) = plan_backward(prob, merge, masked, caps, &sched)?;
+    let (boh, mut mode) = plan_backward(prob, merge, caps, &sched)?;
     // `row_bands` validates the split (and rejects padded multi-band
     // requests); the spans below re-derive each band's gradient and
     // window extents including the overlap patches.
@@ -201,12 +199,6 @@ fn build_backward_inner(
         let grad_slots = ub.alloc_band_mode(padded, mode)?;
         let mg_slots = ub.alloc_band_mode(planes * padded, mode)?;
         let ub_dx = Addr::ub(ub.alloc(alloc_rows * prob.iw * ROW)?);
-        if mode == BandMode::Versioned {
-            // One physical version of everything above, reserved as the
-            // topmost allocation so the renamer can always rotate a
-            // band's writers past the previous band's in-flight reads.
-            ub.reserve_headroom(ub.used())?;
-        }
 
         let mut p = Program::new();
         for (n, c1) in group {
@@ -259,22 +251,6 @@ fn build_backward_inner(
                         finalize(&mut p, span)?;
                     }
                 }
-                BandMode::Versioned => {
-                    // Single-slot pipeline: band i+1's loads are emitted
-                    // after band i's last slot read (multiply/merge) but
-                    // before its finalize DMA, so program order stays
-                    // functionally serial while the renamer rotates the
-                    // loads past the WAR/WAW hazards and overlaps them
-                    // with the in-flight Vector work.
-                    load(&mut p, &spans[0], 0)?;
-                    for (bi, span) in spans.iter().enumerate() {
-                        compute(&mut p, bi, span)?;
-                        if let Some(next) = spans.get(bi + 1) {
-                            load(&mut p, next, 0)?;
-                        }
-                        finalize(&mut p, span)?;
-                    }
-                }
                 BandMode::Single => {
                     for (bi, span) in spans.iter().enumerate() {
                         load(&mut p, span, 0)?;
@@ -295,7 +271,6 @@ fn build_backward_inner(
 fn plan_backward(
     prob: &PoolProblem,
     merge: MergeImpl,
-    masked: bool,
     caps: Capacities,
     sched: &Schedule,
 ) -> Result<(usize, BandMode), LowerError> {
@@ -316,42 +291,20 @@ fn plan_backward(
         let dx_rows = band_input_rows(&params, boh + overlap) + params.sh;
         copies * (padded + planes * padded) + dx_rows * prob.iw * ROW
     };
-    let boh1 = max_row_band(oh, caps.ub, |b| footprint(1, b))?;
-    let mut boh = boh1;
-    let mut mode = BandMode::Single;
-    if sched.double && boh1 < oh {
-        match merge {
-            MergeImpl::Col2Im => {
-                // Ping-pong profits here: second capacity query at the
-                // halved budget; if doubling does not fit even one-row
-                // bands, stay single-buffered.
-                if let Ok(b) = max_row_band(oh, caps.ub, |b| footprint(2, b)) {
-                    boh = b;
-                    mode = BandMode::PingPong;
-                }
-            }
-            MergeImpl::VAdd => {
-                // The VAdd merge is overwhelmingly Vector-bound — the
-                // gradient and mask loads a prefetch would hide are a
-                // sliver of the makespan, while halving the band height
-                // doubles the per-band overlap re-expansion tax. PR 3
-                // measured ping-pong a loss on the whole Fig. 7 sweep and
-                // hardcoded a decline. With slot renaming the bands keep
-                // single software addresses and only physical headroom is
-                // reserved, so the tax is smaller; overlap when the
-                // per-pipe predictor says the versioned plan wins.
-                if sched.rotate {
-                    if let Ok(vb) = max_row_band(oh, caps.ub, |b| 2 * footprint(1, b)) {
-                        if vadd_versioned_wins(prob, masked, &sched.cost, boh1, vb) {
-                            boh = vb;
-                            mode = BandMode::Versioned;
-                        }
-                    }
-                }
-            }
+    let boh = max_row_band(oh, caps.ub, |b| footprint(1, b))?;
+    // Only the Col2Im merge ping-pongs. The VAdd merge is overwhelmingly
+    // Vector-bound — the gradient and mask loads a prefetch would hide
+    // are a sliver of the makespan, while halving the band height doubles
+    // the per-band overlap re-expansion tax; ping-pong was measured a
+    // loss on the whole Fig. 7 sweep.
+    if sched.double && boh < oh && merge == MergeImpl::Col2Im {
+        // Second capacity query at the halved budget; if doubling does
+        // not fit even one-row bands, stay single-buffered.
+        if let Ok(b) = max_row_band(oh, caps.ub, |b| footprint(2, b)) {
+            return Ok((b, BandMode::PingPong));
         }
     }
-    Ok((boh, mode))
+    Ok((boh, BandMode::Single))
 }
 
 /// The pipe-0 (MTE) stage of one band: the gradient-band DMA and, for
@@ -394,8 +347,8 @@ fn emit_backward_load(
 
 /// The compute stage of one band: dx-window zeroing, the multiply step
 /// and the merge. The finalize DMA is a separate stage
-/// ([`emit_backward_finalize`]) so the versioned schedule can emit the
-/// next band's loads between a band's last slot read and its flush.
+/// ([`emit_backward_finalize`]) so the sharded lowering can stage a
+/// band's halo strips between its merge and its flush.
 #[allow(clippy::too_many_arguments)]
 fn emit_backward_compute(
     p: &mut Program,
@@ -733,12 +686,6 @@ fn emit_band_halos(
 ///    the reference accumulation (two spans with the same `(kh, kw)`
 ///    never touch the same pixel — the source row `oh` is determined by
 ///    `(r, kh)`).
-///
-/// The renamer-backed versioned band layout is never taken here: the
-/// grad-slot zeroing adds a second writer to a rotated region, which the
-/// single-version rotation discipline was not built for. Ping-pong keeps
-/// separate software slots and the serial mode keeps program order, so
-/// both remain trivially correct.
 #[allow(clippy::too_many_arguments)]
 pub fn build_backward_sharded(
     prob: &PoolProblem,
@@ -754,7 +701,6 @@ pub fn build_backward_sharded(
     let params = prob.params;
     let (_, ow) = prob.out_dims();
     let planes = params.kh * params.kw;
-    let masked = matches!(source, BackwardSource::MaxMask { .. });
     if !backward_shardable(prob) {
         return Err(LowerError::Unsupported(
             "sub-plane backward sharding needs a vertically unpadded, non-ceil geometry \
@@ -767,12 +713,7 @@ pub fn build_backward_sharded(
             "sub-plane backward sharding needs at least two shards per plane".into(),
         ));
     }
-    let (boh, mode) = plan_backward(prob, merge, masked, caps, &sched)?;
-    let mode = if mode == BandMode::Versioned {
-        BandMode::Single
-    } else {
-        mode
-    };
+    let (boh, mode) = plan_backward(prob, merge, caps, &sched)?;
     let shards = shard_ranges(prob, shards_per_plane);
 
     // Resolve every shard's bands up front so all programs share one UB
@@ -899,7 +840,7 @@ pub fn build_backward_sharded(
                         finalize(&mut p, span)?;
                     }
                 }
-                BandMode::Single | BandMode::Versioned => {
+                BandMode::Single => {
                     for (bi, (owned, span)) in plan.bands.iter().enumerate() {
                         load(&mut p, span, bi)?;
                         compute(&mut p, bi, span)?;
@@ -958,12 +899,7 @@ pub(crate) fn backward_shard_est(
         return None;
     }
     let cost = &sched.cost;
-    let (boh, mode) = plan_backward(prob, merge, masked, caps, sched).ok()?;
-    let mode = if mode == BandMode::Versioned {
-        BandMode::Single
-    } else {
-        mode
-    };
+    let (boh, mode) = plan_backward(prob, merge, caps, sched).ok()?;
     let (_, ow) = prob.out_dims();
     let &(soh0, soh1, r0, r1) = shard_ranges(prob, shards_per_plane).first()?;
     let mut spans = Vec::new();
@@ -986,7 +922,7 @@ pub(crate) fn backward_shard_est(
     let mut cycles = if spans.len() < 2 || mode == BandMode::Single {
         schedule::serial_makespan(stages.iter().copied())
     } else {
-        schedule::versioned_makespan(&stages)
+        schedule::ping_pong_makespan(&stages)
     };
     let strips = halo_strips(prob, (soh0, soh1), r1);
     let staging: u64 = strips.iter().map(|s| (s.blocks * ROW) as u64).sum();
@@ -1037,44 +973,6 @@ fn vadd_band_cycles(
     }
 }
 
-/// Decide the VAdd backward's cross-band overlap: does the versioned
-/// plan at band height `boh_versioned` (pipelined, but with its smaller
-/// bands' extra overlap-patch reloads and issue tax) beat the serial
-/// plan at `boh_serial`?
-fn vadd_versioned_wins(
-    prob: &PoolProblem,
-    masked: bool,
-    cost: &CostModel,
-    boh_serial: usize,
-    boh_versioned: usize,
-) -> bool {
-    let (oh, _) = prob.out_dims();
-    let spans_for = |boh: usize| -> Option<Vec<BandSpan>> {
-        let bands = row_bands(&prob.params, oh, boh, prob.ih).ok()?;
-        Some(
-            bands
-                .iter()
-                .enumerate()
-                .map(|(i, b)| BandSpan::new(prob, b.oh0, b.oh1, i + 1 == bands.len()))
-                .collect(),
-        )
-    };
-    let (Some(serial), Some(versioned)) = (spans_for(boh_serial), spans_for(boh_versioned)) else {
-        return false;
-    };
-    if versioned.len() < 2 {
-        return false;
-    }
-    let est = |spans: &[BandSpan]| -> Vec<schedule::BandStages> {
-        let alloc_rows = spans.iter().map(|s| s.w_rows).max().unwrap();
-        spans
-            .iter()
-            .map(|s| vadd_band_cycles(prob, masked, cost, s, alloc_rows))
-            .collect()
-    };
-    schedule::versioned_makespan(&est(&versioned)) < schedule::serial_makespan(est(&serial))
-}
-
 /// Stage estimate of one Col2Im-merge backward band: same load and flush
 /// as the VAdd merge, but the merge step is Kh*Kw hardware-repeated
 /// `Col2Im` issues sweeping the band's fractals.
@@ -1121,7 +1019,7 @@ pub(crate) fn backward_plane_est(
     sched: &Schedule,
 ) -> Option<(u64, u64)> {
     let cost = &sched.cost;
-    let (boh, mode) = plan_backward(prob, merge, masked, caps, sched).ok()?;
+    let (boh, mode) = plan_backward(prob, merge, caps, sched).ok()?;
     let (oh, ow) = prob.out_dims();
     let bands = row_bands(&prob.params, oh, boh, prob.ih).ok()?;
     let spans: Vec<BandSpan> = bands
@@ -1140,9 +1038,7 @@ pub(crate) fn backward_plane_est(
     let cycles = if spans.len() < 2 || mode == BandMode::Single {
         schedule::serial_makespan(stages.iter().copied())
     } else {
-        // Ping-pong and versioned plans both recover load(i+1) ∥
-        // compute(i); the deferred-flush order is the closest closed form.
-        schedule::versioned_makespan(&stages)
+        schedule::ping_pong_makespan(&stages)
     };
     let planes = (prob.params.kh * prob.params.kw) as u64;
     let grad_bytes: u64 = spans.iter().map(|s| (s.o_len() * ow * ROW) as u64).sum();

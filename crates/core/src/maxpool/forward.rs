@@ -5,7 +5,7 @@
 //! plane exceeds the Unified Buffer.
 
 use crate::problem::{ForwardImpl, LowerError, PoolProblem};
-use crate::schedule::{self, Schedule};
+use crate::schedule::Schedule;
 use dv_akg::{
     balanced_chunks, band_input_rows, dma, elementwise, fill_region, max_row_band, row_bands,
     strided_accumulate, Band, BandMode, BandSlots, UbArena,
@@ -83,12 +83,10 @@ pub fn build_forward(
 /// adjacent bands share a halo.
 ///
 /// `sched` controls cross-band overlap: with [`Schedule::double`] set
-/// and band splitting active, the load of band `i + 1` is issued before
-/// the reduction of band `i` — through ping-pong (A/B) slots, or, when
-/// [`Schedule::rotate`] is set and the per-pipe cost predictor approves,
-/// through a versioned single-slot layout the dual-pipe renamer rotates
-/// (see [`crate::schedule`]). Results are bit-identical in every mode
-/// (execution is program-order).
+/// and band splitting active, the load of band `i + 1` is issued into a
+/// ping-pong (A/B) slot before the reduction of band `i` (except where
+/// the band planner declines it — see [`crate::schedule`]). Results are
+/// bit-identical in every mode (execution is program-order).
 #[allow(clippy::too_many_arguments)]
 pub fn build_forward_parallel(
     prob: &PoolProblem,
@@ -278,38 +276,6 @@ fn build_forward_inner(
                         )?;
                     }
                 }
-                BandMode::Versioned => {
-                    // Deferred-flush pipeline over ONE slot set: reduce
-                    // band i, stage band i+1, then flush band i's output.
-                    // Band i+1's Im2Cols land while band i's reads are
-                    // still in flight only because the dual-pipe renamer
-                    // rotates them into the reserved headroom; emitting
-                    // the flush *after* the next load keeps the in-order
-                    // MTE/SCU pipe from parking on band i's RAW-bound
-                    // output DMA. Program order still reads band i's
-                    // planes before band i+1's loads overwrite them, so
-                    // results are bit-identical (only valid for Im2col —
-                    // the one lowering whose load stage is pure pipe-0
-                    // work against a disjoint L1 + cols region).
-                    debug_assert_eq!(impl_, ForwardImpl::Im2col);
-                    emit_load(&mut p, prob, impl_, in_base, &layout, &group[0], 0)?;
-                    for (i, band) in group.iter().enumerate() {
-                        emit_im2col_reduce(&mut p, prob, reduction, &layout, band, 0, gm_mask)?;
-                        if let Some(next) = group.get(i + 1) {
-                            emit_load(&mut p, prob, impl_, in_base, &layout, next, 0)?;
-                        }
-                        emit_im2col_flush(
-                            &mut p,
-                            prob,
-                            out_base,
-                            &layout,
-                            band,
-                            0,
-                            gm_mask,
-                            (n, c1),
-                        )?;
-                    }
-                }
                 BandMode::Single => {
                     for band in group {
                         emit_load(&mut p, prob, impl_, in_base, &layout, band, 0)?;
@@ -334,14 +300,12 @@ fn build_forward_inner(
     Ok(programs)
 }
 
-/// Per-program placement of the band-cycled UB (and, for Im2col, L1)
-/// regions. Planned once per band group so ping-pong (A/B) slots persist
-/// across the bands the program cycles through. With [`BandMode::Single`]
-/// every region has one slot at the same offset a per-band layout would
-/// produce, so the single-buffered instruction stream is unchanged; with
-/// [`BandMode::Versioned`] the slots are also single (identical
-/// addresses) but the plan reserves headroom at the top of the UB so the
-/// dual-pipe renamer can rotate the next band's writes into it.
+/// Per-program placement of the band-cycled UB regions. Planned once per
+/// band group so ping-pong (A/B) slots persist across the bands the
+/// program cycles through. With [`BandMode::Single`] every region has one
+/// slot at the same offset a per-band layout would produce, so the
+/// single-buffered instruction stream is unchanged. The Im2col input band
+/// stages at L1 offset 0 (Im2col never ping-pongs — see [`plan_band`]).
 struct ForwardLayout {
     /// Staged raw input rows (Standard / Expansion / XYSplit).
     ub_in: Option<BandSlots>,
@@ -353,8 +317,6 @@ struct ForwardLayout {
     ub_out: BandSlots,
     /// Argmax mask planes.
     ub_mask: Option<BandSlots>,
-    /// L1 staging of the raw input band (Im2col only; slot A at 0).
-    l1_in: BandSlots,
     /// Fractal-padded plane bytes at the planned band height.
     padded: usize,
 }
@@ -375,7 +337,6 @@ impl ForwardLayout {
         let in_bytes = band_input_rows(params, boh_max) * prob.iw * ROW;
         let out_bytes = boh_max * ow * ROW;
         let mut ub = UbArena::new(caps.ub);
-        let mut l1_in = BandSlots { a: 0, b: None };
         let mask = |ub: &mut UbArena| -> Result<Option<BandSlots>, LowerError> {
             Ok(if with_mask {
                 Some(ub.alloc_band_mode(planes * padded, mode)?)
@@ -394,16 +355,6 @@ impl ForwardLayout {
                 let c = ub.alloc_band_mode(planes * padded, mode)?;
                 let o = ub.alloc_band_mode(padded, mode)?;
                 let m = mask(&mut ub)?;
-                if mode == BandMode::PingPong {
-                    // `in_bytes` is a whole number of 32-byte rows, so
-                    // slot B starts aligned; plan_band checked 2x fits.
-                    debug_assert!(2 * in_bytes <= caps.l1);
-                    l1_in.b = Some(in_bytes);
-                }
-                // A versioned layout keeps one L1 slot: the staging DMA
-                // and the Im2Cols that read it share the in-order
-                // MTE/SCU pipe, so the L1 WAR never binds past pipe
-                // availability and the renamer never needs to rotate it.
                 (None, Some(c), None, o, m)
             }
             ForwardImpl::Expansion => {
@@ -419,20 +370,12 @@ impl ForwardLayout {
                 (Some(i), None, Some(t), o, None)
             }
         };
-        if mode == BandMode::Versioned {
-            // One extra version of everything band-cycled, reserved on
-            // top of every base slot so the scoreboard's high-water-mark
-            // capacity check admits the rotations (plan_band verified 2x
-            // fits). Never addressed by any instruction.
-            ub.reserve_headroom(ub.used())?;
-        }
         Ok(ForwardLayout {
             ub_in,
             ub_cols,
             ub_tmp,
             ub_out,
             ub_mask,
-            l1_in,
             padded,
         })
     }
@@ -544,20 +487,13 @@ pub(crate) fn ub_footprint(
 ///
 /// When [`Schedule::double`] is set and the plane does not fit in one
 /// band, the capacity query runs again against the halved budget (2x the
-/// band footprint must fit) to size the overlapped plan; if even a
-/// one-row band cannot be doubled, the plan falls back to single
-/// buffering. The overlap mechanism is per implementation:
-///
-/// * **Im2col** keeps the MTE/SCU pipe nearly saturated by design — the
-///   expansion work shares a pipe with the prefetch itself, and ping-pong
-///   slots recover only the small Vector reduce tail (measured on the
-///   Fig. 8 sweep, PR 3 declined them outright). With
-///   [`Schedule::rotate`] the decline is no longer hardcoded: a
-///   [`BandMode::Versioned`] single-slot plan (UB budget halved for the
-///   renamer's headroom, L1 left whole) is adopted whenever the per-pipe
-///   cost predictor says its pipelined makespan beats the serial plan.
-/// * Every other implementation takes classic [`BandMode::PingPong`]
-///   slots when they fit.
+/// band footprint must fit) to size a [`BandMode::PingPong`] plan; if
+/// even a one-row band cannot be doubled, the plan falls back to single
+/// buffering. **Im2col** never ping-pongs: it keeps the MTE/SCU pipe
+/// nearly saturated by design — the expansion work shares a pipe with
+/// the prefetch itself — so ping-pong slots recover only the small
+/// Vector reduce tail, which the Fig. 8 sweep measured below the cost of
+/// the halved band.
 pub(crate) fn plan_band(
     prob: &PoolProblem,
     impl_: ForwardImpl,
@@ -566,38 +502,22 @@ pub(crate) fn plan_band(
     sched: &Schedule,
 ) -> Result<(usize, BandMode), LowerError> {
     let (oh, _) = prob.out_dims();
-    let fit = |ub_copies: usize, l1_copies: usize| -> Result<usize, dv_akg::TilingError> {
-        let mut boh = max_row_band(oh, caps.ub, |b| {
-            ub_copies * ub_footprint(prob, impl_, with_mask, b)
-        })?;
-        if impl_ == ForwardImpl::Im2col {
-            let l1_band = max_row_band(oh, caps.l1, |b| {
-                l1_copies * band_input_rows(&prob.params, b) * prob.iw * ROW
-            })?;
-            boh = boh.min(l1_band);
-        }
-        Ok(boh)
+    let fit = |copies: usize| -> Result<usize, dv_akg::TilingError> {
+        max_row_band(oh, caps.ub, |b| {
+            copies * ub_footprint(prob, impl_, with_mask, b)
+        })
     };
-    let boh = fit(1, 1)?;
-    if !sched.double || boh >= oh {
-        // No band cycling: nothing to overlap.
-        return Ok((boh, BandMode::Single));
-    }
+    let mut boh = fit(1)?;
     if impl_ == ForwardImpl::Im2col {
-        if !sched.rotate {
-            // Without renaming, versioned slots recover nothing and
-            // ping-pong was measured a loss (see above): stay serial.
-            return Ok((boh, BandMode::Single));
-        }
-        let Ok(v_boh) = fit(2, 1) else {
-            return Ok((boh, BandMode::Single));
-        };
-        if schedule::forward_im2col_versioned_wins(prob, with_mask, &sched.cost, boh, v_boh) {
-            return Ok((v_boh, BandMode::Versioned));
-        }
+        let l1_band = max_row_band(oh, caps.l1, |b| {
+            band_input_rows(&prob.params, b) * prob.iw * ROW
+        })?;
+        boh = boh.min(l1_band);
+    }
+    if !sched.double || boh >= oh || impl_ == ForwardImpl::Im2col {
         return Ok((boh, BandMode::Single));
     }
-    match fit(2, 2) {
+    match fit(2) {
         Ok(db_boh) => Ok((db_boh, BandMode::PingPong)),
         Err(_) => Ok((boh, BandMode::Single)),
     }
@@ -804,10 +724,8 @@ fn emit_im2col_plane(
     Ok(())
 }
 
-/// The Im2col load stage: stage the band in its L1 slot and issue the
-/// SCU loads into the band's column-plane slot. All of it runs on pipe
-/// 0 (MTE + SCU), so under double buffering it overlaps the previous
-/// band's Vector reduction.
+/// The Im2col load stage: stage the band in L1 and issue the SCU loads
+/// into the band's column planes. All of it runs on pipe 0 (MTE + SCU).
 fn emit_im2col_load(
     p: &mut Program,
     prob: &PoolProblem,
@@ -822,7 +740,7 @@ fn emit_im2col_load(
     let padded = layout.padded;
     let bf = PoolProblem::fractals_for(boh * ow);
     let ub_cols = Addr::ub(layout.ub_cols.expect("im2col layout").of(slot));
-    let l1_in = Addr::l1(layout.l1_in.of(slot));
+    let l1_in = Addr::l1(0);
 
     // Band geometry: multi-band lowering requires no vertical padding and
     // no ceil-mode (both enforced by `row_bands`), so dropping top/bottom
@@ -873,23 +791,6 @@ fn emit_im2col_compute(
     slot: usize,
     gm_mask: Option<usize>,
     (n, c1): (usize, usize),
-) -> Result<(), LowerError> {
-    emit_im2col_reduce(p, prob, reduction, layout, band, slot, gm_mask)?;
-    emit_im2col_flush(p, prob, out_base, layout, band, slot, gm_mask, (n, c1))
-}
-
-/// The Vector-pipe half of the Im2col compute stage: the fill, the
-/// saturated reduction and the argmax compares. Emitted separately from
-/// [`emit_im2col_flush`] so the versioned schedule can slide the next
-/// band's load between them.
-fn emit_im2col_reduce(
-    p: &mut Program,
-    prob: &PoolProblem,
-    reduction: Reduction,
-    layout: &ForwardLayout,
-    band: &Band,
-    slot: usize,
-    gm_mask: Option<usize>,
 ) -> Result<(), LowerError> {
     let params = prob.params;
     let (_, ow) = prob.out_dims();
@@ -943,28 +844,6 @@ fn emit_im2col_reduce(
             )?;
         }
     }
-    Ok(())
-}
-
-/// The MTE half of the Im2col compute stage: the argmax-mask plane DMAs
-/// and the output-band DMA back to GM.
-#[allow(clippy::too_many_arguments)]
-fn emit_im2col_flush(
-    p: &mut Program,
-    prob: &PoolProblem,
-    out_base: usize,
-    layout: &ForwardLayout,
-    band: &Band,
-    slot: usize,
-    gm_mask: Option<usize>,
-    (n, c1): (usize, usize),
-) -> Result<(), LowerError> {
-    let params = prob.params;
-    let (_, ow) = prob.out_dims();
-    let boh = band.oh_len();
-    let padded = layout.padded;
-    let ub_out = Addr::ub(layout.ub_out.of(slot));
-    let ub_mask = layout.ub_mask.map(|s| Addr::ub(s.of(slot)));
 
     if let (Some(mask_base), Some(ub_mask)) = (gm_mask, ub_mask) {
         for kh in 0..params.kh {

@@ -108,13 +108,6 @@ pub struct PoolingEngine {
     /// staying silent. Results are bit-identical on every axis; only the
     /// program partitioning changes.
     pub shard: bool,
-    /// Override for [`Schedule::rotate`]: whether lowerings may plan
-    /// versioned (renamer-backed) band layouts. `None` (the default)
-    /// derives it from the chip's cost model — planned exactly when the
-    /// dual-pipe scheduler renames. `Some(x)` pins it regardless, which
-    /// controlled comparisons use to run the *same* program under
-    /// renaming and no-renaming cost models.
-    pub rotation_planning: Option<bool>,
     /// Auto-tune the algorithm per workload (off by default): when set,
     /// the pooling entry points *ignore* their `impl_`/`merge` argument
     /// and dispatch the winner of [`choose_forward_algorithm`] /
@@ -156,7 +149,6 @@ impl PoolingEngine {
             double_buffer: true,
             batching: true,
             shard: false,
-            rotation_planning: None,
             auto_tune: false,
         }
     }
@@ -196,13 +188,6 @@ impl PoolingEngine {
         self
     }
 
-    /// Pin whether lowerings plan versioned (renamer-backed) band
-    /// layouts (see [`PoolingEngine::rotation_planning`]).
-    pub fn with_rotation_planning(mut self, on: bool) -> PoolingEngine {
-        self.rotation_planning = Some(on);
-        self
-    }
-
     /// Enable or disable per-workload algorithm auto-tuning (see
     /// [`PoolingEngine::auto_tune`]).
     pub fn with_auto_tuning(mut self, on: bool) -> PoolingEngine {
@@ -218,15 +203,10 @@ impl PoolingEngine {
         self
     }
 
-    /// The overlap schedule this engine's lowerings plan against:
-    /// `double_buffer` plus rotation planning resolved from the chip's
-    /// cost model (or the pinned override).
+    /// The overlap schedule this engine's lowerings plan against: its
+    /// `double_buffer` switch and its chip's cost model.
     pub fn schedule(&self) -> Schedule {
-        let mut sched = Schedule::for_cost(self.chip.cost, self.double_buffer);
-        if let Some(rotate) = self.rotation_planning {
-            sched.rotate = rotate;
-        }
-        sched
+        Schedule::for_cost(self.chip.cost, self.double_buffer)
     }
 
     fn parallel(&self) -> usize {

@@ -1,16 +1,15 @@
 //! Differential property tests across the issue models.
 //!
-//! The dual-pipe scheduler — with or without buffer-slot renaming —
-//! reorders *timing*, never *execution*: results must be bit-identical
-//! to the legacy single-issue machine and to the golden references
-//! (`dv_tensor::reference` for single operators, `dv_nn::reference_forward`
-//! for whole models), on random geometries covering kernel/stride/padding,
-//! max/avg, and forward/backward. Alongside the bit-match, every case
-//! checks the timing contract on the *same* program (rotation planning is
-//! pinned so every engine lowers identically): renaming never exceeds the
-//! rename-less dual-pipe makespan, which never exceeds the serial sum;
-//! the serial machine never books a stall; and per-instruction busy-cycle
-//! charges are issue-model-independent.
+//! The dual-pipe scheduler reorders *timing*, never *execution*: results
+//! must be bit-identical to the legacy single-issue machine and to the
+//! golden references (`dv_tensor::reference` for single operators,
+//! `dv_nn::reference_forward` for whole models), on random geometries
+//! covering kernel/stride/padding, max/avg, and forward/backward.
+//! Alongside the bit-match, every case checks the timing contract on the
+//! *same* program (the schedule does not depend on the issue model, so
+//! both engines lower identically): the dual-pipe makespan never exceeds
+//! the serial sum; the serial machine never books a stall; and
+//! per-instruction busy-cycle charges are issue-model-independent.
 
 use dv_core::{ForwardImpl, MergeImpl, PoolingEngine};
 use dv_fp16::F16;
@@ -28,55 +27,31 @@ enum Op {
     Avg,
 }
 
-/// The issue models under test, strongest first: dual-pipe with renaming,
-/// dual-pipe without, legacy single-issue. Rotation planning is pinned on
-/// for all three so they lower the *same* program — the rename-less
-/// machines then run versioned plans with the overlap un-recovered, which
-/// is exactly the control the timing contract compares against.
-fn engines() -> [(&'static str, PoolingEngine); 3] {
+/// The issue models under test: dual-pipe, then the legacy single-issue
+/// oracle.
+fn engines() -> [(&'static str, PoolingEngine); 2] {
     [
         (
             "dual_pipe",
-            PoolingEngine::new(Chip::new(2, CostModel::ascend910_like()))
-                .with_rotation_planning(true),
-        ),
-        (
-            "dual_pipe_norename",
-            PoolingEngine::new(Chip::new(2, CostModel::dual_pipe_no_rename()))
-                .with_rotation_planning(true),
+            PoolingEngine::new(Chip::new(2, CostModel::ascend910_like())),
         ),
         (
             "single_issue",
-            PoolingEngine::new(Chip::new(2, CostModel::single_issue()))
-                .with_rotation_planning(true),
+            PoolingEngine::new(Chip::new(2, CostModel::single_issue())),
         ),
     ]
 }
 
 /// Timing contract shared by every differential case: `runs[0]` is the
-/// renaming dual-pipe run, `runs[1]` the rename-less dual-pipe run and
-/// `runs[2]` the single-issue run of the same program.
-fn check_timing(what: &str, runs: &[ChipRun; 3]) -> Result<(), TestCaseError> {
-    let (renamed, norename, single) = (&runs[0], &runs[1], &runs[2]);
+/// dual-pipe run and `runs[1]` the single-issue run of the same program.
+fn check_timing(what: &str, runs: &[ChipRun; 2]) -> Result<(), TestCaseError> {
+    let (dual, single) = (&runs[0], &runs[1]);
     prop_assert!(
-        renamed.cycles <= norename.cycles,
-        "{}: renaming made the makespan worse ({} > {})",
-        what,
-        renamed.cycles,
-        norename.cycles
-    );
-    prop_assert!(
-        norename.cycles <= single.cycles,
+        dual.cycles <= single.cycles,
         "{}: dual-pipe makespan {} exceeds serial {}",
         what,
-        norename.cycles,
+        dual.cycles,
         single.cycles
-    );
-    prop_assert_eq!(
-        norename.total.renames,
-        0,
-        "{}: the rename-less scheduler must never rotate",
-        what
     );
     prop_assert_eq!(
         single.total.stall_cycles,
@@ -84,15 +59,12 @@ fn check_timing(what: &str, runs: &[ChipRun; 3]) -> Result<(), TestCaseError> {
         "{}: the serial machine never stalls",
         what
     );
-    for (model, run) in [("dual_pipe_norename", norename), ("single_issue", single)] {
-        prop_assert_eq!(
-            runs[0].total.busy_cycles(),
-            run.total.busy_cycles(),
-            "{}: per-instruction charges diverge between dual_pipe and {}",
-            what,
-            model
-        );
-    }
+    prop_assert_eq!(
+        dual.total.busy_cycles(),
+        single.total.busy_cycles(),
+        "{}: per-instruction charges diverge between the issue models",
+        what
+    );
     Ok(())
 }
 
@@ -150,12 +122,12 @@ fn grads(oh: usize, ow: usize, seed: u64) -> Nc1hwc0 {
 }
 
 /// Single-core engine pairs (batch folding engages on one core), both
-/// issue models, with the UB optionally shrunk to force the fold into
-/// its capacity-fallback path.
+/// issue models, with the UB optionally shrunk to 16 KiB — which forces
+/// the fold into its capacity-fallback path and the lowerings into row
+/// bands.
 fn batch_engines(db: bool, tiny_ub: bool) -> Vec<(&'static str, PoolingEngine)> {
     [
         ("dual_pipe", CostModel::ascend910_like()),
-        ("dual_pipe_norename", CostModel::dual_pipe_no_rename()),
         ("single_issue", CostModel::single_issue()),
     ]
     .into_iter()
@@ -167,12 +139,7 @@ fn batch_engines(db: bool, tiny_ub: bool) -> Vec<(&'static str, PoolingEngine)> 
                 ..Capacities::ASCEND910
             };
         }
-        (
-            name,
-            PoolingEngine::new(chip)
-                .with_double_buffering(db)
-                .with_rotation_planning(true),
-        )
+        (name, PoolingEngine::new(chip).with_double_buffering(db))
     })
     .collect()
 }
@@ -215,7 +182,7 @@ proptest! {
             );
             runs.push(run);
         }
-        check_timing("forward", &[runs.remove(0), runs.remove(0), runs.remove(0)])?;
+        check_timing("forward", &[runs.remove(0), runs.remove(0)])?;
     }
 
     /// Backward col2im merge: both issue models bit-match the tensor
@@ -254,7 +221,7 @@ proptest! {
             );
             runs.push(run);
         }
-        check_timing("backward", &[runs.remove(0), runs.remove(0), runs.remove(0)])?;
+        check_timing("backward", &[runs.remove(0), runs.remove(0)])?;
     }
 
     /// Every forward lowering (not just im2col) is issue-model-invariant:
@@ -268,24 +235,17 @@ proptest! {
     ) {
         let params = PoolParams::new((params.kh, params.kw), (params.sh, params.sw));
         let x = input(1, ih, iw, seed);
-        let [(_, renamed), (_, norename), (_, single)] = engines();
+        let [(_, dual), (_, single)] = engines();
         for impl_ in ForwardImpl::ALL {
-            let (out_r, run_r) = renamed.maxpool_forward(&x, params, impl_).unwrap();
-            let (out_n, run_n) = norename.maxpool_forward(&x, params, impl_).unwrap();
+            let (out_d, run_d) = dual.maxpool_forward(&x, params, impl_).unwrap();
             let (out_s, run_s) = single.maxpool_forward(&x, params, impl_).unwrap();
             prop_assert_eq!(
-                out_r.data(),
-                out_n.data(),
-                "{:?}: renaming changed results",
-                impl_
-            );
-            prop_assert_eq!(
-                out_r.data(),
+                out_d.data(),
                 out_s.data(),
                 "{:?}: issue model changed results",
                 impl_
             );
-            check_timing("lowering", &[run_r, run_n, run_s])?;
+            check_timing("lowering", &[run_d, run_s])?;
         }
     }
 
@@ -311,23 +271,7 @@ proptest! {
         let dy = grads(oh, ow, seed);
         let mask = reference::maxpool_argmax_mask(&x, &params).unwrap();
 
-        let engines: Vec<(&str, PoolingEngine)> = [
-            ("dual_pipe", CostModel::ascend910_like()),
-            ("dual_pipe_norename", CostModel::dual_pipe_no_rename()),
-            ("single_issue", CostModel::single_issue()),
-        ]
-        .into_iter()
-        .map(|(name, cost)| {
-            let mut chip = Chip::new(1, cost);
-            chip.caps = Capacities { ub: 16384, ..Capacities::ASCEND910 };
-            (
-                name,
-                PoolingEngine::new(chip)
-                    .with_double_buffering(db)
-                    .with_rotation_planning(true),
-            )
-        })
-        .collect();
+        let engines = batch_engines(db, true);
 
         let fwd_impls: &[ForwardImpl] = match op {
             Op::Max => &ForwardImpl::ALL,
@@ -354,7 +298,7 @@ proptest! {
                 );
                 runs.push(run);
             }
-            check_timing("banded forward", &[runs.remove(0), runs.remove(0), runs.remove(0)])?;
+            check_timing("banded forward", &[runs.remove(0), runs.remove(0)])?;
         }
 
         for merge in [MergeImpl::VAdd, MergeImpl::Col2Im] {
@@ -377,7 +321,7 @@ proptest! {
                 );
                 runs.push(run);
             }
-            check_timing("banded backward", &[runs.remove(0), runs.remove(0), runs.remove(0)])?;
+            check_timing("banded backward", &[runs.remove(0), runs.remove(0)])?;
         }
     }
 

@@ -17,28 +17,20 @@
 //!   and strictly smaller whenever independent MTE and Vector work
 //!   overlaps (the paper's `Im2Col` pipeline is built on exactly that).
 //!
-//! With [`CostModel::rename`] enabled (the default), WAR/WAW hazards are
-//! additionally relaxed by buffer-slot renaming: a writer that would
-//! stall only on accesses of an *older* version of its span issues
-//! immediately into a rotated physical slot when the scratchpad has
-//! headroom for both versions (see [`crate::rename`]). RAW edges are
-//! untouched, so the renamed schedule is a relaxation of the non-renamed
-//! one — per-instruction issue cycles, and therefore the makespan, can
-//! only shrink. When the slot file refuses a rotation
-//! ([`crate::rename::RenameDenied`] — not enough physical headroom for
-//! two live versions) the writer falls back to the full WAR/WAW stall.
+//! The dual-pipe hazard rule is one rule: an instruction issues at the
+//! later of its pipe's free cycle and the retirement of every earlier
+//! instruction it has a RAW, WAR or WAW overlap with, in any buffer.
 //!
-//! Functional execution always happens in program order, so all issue
-//! models (single, dual-pipe, dual-pipe + rename) produce bit-identical
-//! buffer contents — only the timing differs. A program boundary is a
-//! full barrier: both pipes join before the next program begins.
+//! Functional execution always happens in program order, so both issue
+//! models produce bit-identical buffer contents — only the timing
+//! differs. A program boundary is a full barrier: both pipes join before
+//! the next program begins.
 
 use crate::buffers::{BufferSet, SimError};
 use crate::cost::{Capacities, CostModel, IssueModel};
 use crate::counters::HwCounters;
 use crate::exec::{execute_info, ExecInfo, MemSpan};
 use crate::lifetimes::{BufferLifetimes, LifetimeRecorder};
-use crate::rename::SlotFile;
 use crate::trace::{Trace, TraceConfig, TraceEvent};
 use dv_fp16::F16;
 use dv_isa::{BufferId, Program, Unit};
@@ -88,11 +80,8 @@ fn run_program(
             let base = counters.cycles;
             let mut pipe_free = [base; 2];
             let mut board: Vec<BoardEntry> = Vec::new();
-            let mut slots = SlotFile::default();
             // Program-order writer log feeding the flow arrows: the
-            // latest writer of each span, independent of issue timing —
-            // so the recorded RAW edges are identical with renaming on
-            // or off.
+            // latest writer of each span, independent of issue timing.
             let mut writers: Vec<(MemSpan, usize)> = Vec::new();
             for (pc, instr) in program.instrs().iter().enumerate() {
                 // Functional execution stays in program order — results
@@ -104,25 +93,19 @@ fn run_program(
                 let horizon = pipe_free[0].min(pipe_free[1]);
                 board.retain(|e| e.finish > horizon);
 
-                // Hazard scan, RAW kept separate from WAR/WAW so the
-                // renamer can bypass the latter without touching
-                // dataflow.
-                let mut ready_raw = base;
+                // Hazard scan: RAW against in-flight writers, WAR/WAW of
+                // this instruction's write against every in-flight access.
                 let mut ready = base;
                 for e in &board {
                     let raw = e.write && info.reads.iter().flatten().any(|r| r.overlaps(&e.span));
                     let war_waw = info.write.is_some_and(|w| w.overlaps(&e.span));
-                    if raw {
-                        ready_raw = ready_raw.max(e.finish);
-                    }
                     if raw || war_waw {
                         ready = ready.max(e.finish);
                     }
                 }
                 // RAW producer for the trace's flow arrow: the latest
                 // program-order writer of any byte this instruction
-                // reads. Program order is invariant to the issue model,
-                // so renaming never moves an arrow.
+                // reads.
                 let mut dep: Option<usize> = None;
                 for (span, seq) in &writers {
                     if info.reads.iter().flatten().any(|r| r.overlaps(span))
@@ -133,34 +116,6 @@ fn run_program(
                 }
 
                 let pipe = pipe_of(info.unit);
-                // Buffer-slot renaming: when WAR/WAW (not RAW, not the
-                // pipe itself) is the binding constraint, try to issue
-                // the write into a rotated physical slot. The rotation
-                // is granted only if the scratchpad can hold both
-                // versions; otherwise the typed refusal is counted and
-                // the writer takes the full stall.
-                if cost.rename && ready > pipe_free[pipe].max(ready_raw) {
-                    if let Some(w) = info.write {
-                        if w.buffer != BufferId::Gm {
-                            let now = pipe_free[pipe].max(ready_raw);
-                            match slots.try_rotate(
-                                w.buffer,
-                                w.end - w.start,
-                                now,
-                                ready,
-                                bufs.peaks().of(w.buffer),
-                                bufs.capacity(w.buffer),
-                            ) {
-                                Ok(()) => {
-                                    ready = ready_raw;
-                                    counters.renames += 1;
-                                }
-                                Err(_denied) => counters.rename_denied += 1,
-                            }
-                        }
-                    }
-                }
-
                 let start = pipe_free[pipe].max(ready);
                 let stall = start - pipe_free[pipe];
                 let finish = start + info.cycles;
@@ -170,10 +125,7 @@ fn run_program(
                 // One wait per instruction, booked against its own pipe:
                 // even when an instruction hits both a RAW and a WAR/WAW
                 // hazard, `ready` is a single max over the board, so the
-                // stall can never be double-counted — and a rotated
-                // write's eliminated WAR/WAW wait is simply gone, never
-                // rebooked as RAW (`ready_raw` is computed before the
-                // rotation and unchanged by it).
+                // stall can never be double-counted.
                 counters.stall_cycles += stall;
                 counters.pipe_stalls[pipe] += stall;
                 counters.cycles = counters.cycles.max(finish);
@@ -671,10 +623,10 @@ mod tests {
     }
 
     #[test]
-    fn dual_pipe_enforces_war_hazard_without_rename() {
-        // With renaming off the move must wait for the read to retire
-        // (WAR), despite running on the other pipe.
-        let mut core = AiCore::new(CostModel::dual_pipe_no_rename(), 4096);
+    fn dual_pipe_enforces_war_hazard() {
+        // The move must wait for the read to retire (WAR), despite
+        // running on the other pipe.
+        let mut core = AiCore::new(CostModel::ascend910_like(), 4096);
         core.load_gm(0, &[F16::ONE; 128]).unwrap();
         core.set_trace(TraceConfig::ON);
         core.run(&war_pair()).unwrap();
@@ -684,106 +636,6 @@ mod tests {
         assert_eq!(ev[1].start, vadd, "move waits out the overlapping read");
         assert_eq!(ev[1].stall, vadd);
         assert_eq!(ev[1].dep, None, "WAR is ordering, not a dataflow edge");
-        assert_eq!(core.counters().renames, 0);
-        assert_eq!(core.counters().rename_denied, 0);
-    }
-
-    #[test]
-    fn dual_pipe_renames_war_hazard_away() {
-        // Default model: the UB has headroom for a second version of the
-        // span, so the move issues immediately into a rotated slot — no
-        // stall, no rebooking, and the WAR edge never becomes an arrow.
-        let mut core = AiCore::new(CostModel::ascend910_like(), 4096);
-        core.load_gm(0, &[F16::ONE; 128]).unwrap();
-        core.set_trace(TraceConfig::ON);
-        core.run(&war_pair()).unwrap();
-        let ev = &core.trace().events;
-        assert_eq!(ev[1].start, 0, "rotated write issues immediately");
-        assert_eq!(ev[1].stall, 0, "the WAR wait is eliminated, not rebooked");
-        assert_eq!(ev[1].dep, None, "WAR is ordering, not a dataflow edge");
-        assert_eq!(core.counters().stall_cycles, 0);
-        assert_eq!(core.counters().renames, 1);
-        assert_eq!(core.counters().rename_denied, 0);
-    }
-
-    #[test]
-    fn dual_pipe_renames_waw_hazard_and_keeps_raw_edges() {
-        // vdup writes UB[0..256) on the vector pipe; the move overwrites
-        // the same span (WAW) from the MTE pipe and rotates past it. A
-        // final vadd reads the span: its RAW edge points at the latest
-        // program-order writer (the move) and conservatively waits for
-        // every in-flight writer of the span.
-        let mut core = AiCore::new(CostModel::ascend910_like(), 4096);
-        core.load_gm(0, &[F16::ONE; 128]).unwrap();
-        let mut p = Program::new();
-        p.push(Instr::Vector(VectorInstr::unit_stride(
-            VectorOp::Dup(F16::ZERO),
-            Addr::ub(0),
-            Addr::ub(0),
-            Addr::ub(0),
-            Mask::FULL,
-            1,
-        )))
-        .unwrap();
-        p.push(Instr::Move(DataMove::new(Addr::gm(0), Addr::ub(0), 256)))
-            .unwrap();
-        p.push(Instr::Vector(VectorInstr::unit_stride(
-            VectorOp::Add,
-            Addr::ub(512),
-            Addr::ub(0),
-            Addr::ub(0),
-            Mask::FULL,
-            1,
-        )))
-        .unwrap();
-        core.set_trace(TraceConfig::ON);
-        core.run(&p).unwrap();
-        let ev = &core.trace().events;
-        assert_eq!(ev[1].start, 0, "WAW write rotates and issues immediately");
-        assert_eq!(core.counters().renames, 1);
-        assert_eq!(
-            ev[2].dep,
-            Some(1),
-            "the reader's arrow points at the latest program-order writer"
-        );
-        // Program order always wins functionally: the vadd sees the
-        // move's data, not the vdup's zeros.
-        assert_eq!(
-            core.buffers().read_f16(BufferId::Ub, 512).unwrap().to_f32(),
-            2.0
-        );
-    }
-
-    #[test]
-    fn rename_refuses_without_headroom_and_falls_back_to_stall() {
-        // A 512-byte UB cannot hold a second 256-byte version next to
-        // the 512 bytes the program already touches: the rotation is
-        // refused (typed, counted) and the move takes the full WAR
-        // stall — identical timing to the no-rename model.
-        let caps = Capacities {
-            ub: 512,
-            ..Capacities::ASCEND910
-        };
-        let run = |cost: CostModel| {
-            let mut core = AiCore::with_capacities(cost, caps, 4096);
-            core.load_gm(0, &[F16::ONE; 128]).unwrap();
-            core.set_trace(TraceConfig::ON);
-            core.run(&war_pair()).unwrap();
-            core
-        };
-        let renamed = run(CostModel::ascend910_like());
-        let plain = run(CostModel::dual_pipe_no_rename());
-        assert_eq!(renamed.counters().renames, 0);
-        assert_eq!(renamed.counters().rename_denied, 1);
-        assert_eq!(renamed.counters().cycles, plain.counters().cycles);
-        assert_eq!(
-            renamed.counters().stall_cycles,
-            plain.counters().stall_cycles,
-            "a refused rotation falls back to the ordinary WAR stall"
-        );
-        let (ev_r, ev_p) = (&renamed.trace().events, &plain.trace().events);
-        assert_eq!(ev_r[1].start, ev_p[1].start);
-        assert_eq!(ev_r[1].stall, ev_p[1].stall);
     }
 
     #[test]

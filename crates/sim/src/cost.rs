@@ -137,14 +137,6 @@ pub struct CostModel {
     /// default; [`IssueModel::SingleIssue`] reproduces the legacy serial
     /// timing exactly).
     pub issue_model: IssueModel,
-    /// Buffer-slot renaming (dual-pipe only): writers that would
-    /// WAR/WAW-stall against in-flight accesses of an older version of
-    /// their span issue immediately into a rotated physical slot when
-    /// the scratchpad has headroom for both versions. RAW edges and
-    /// functional execution are untouched, so results stay bit-identical
-    /// and the makespan can only shrink. Ignored under
-    /// [`IssueModel::SingleIssue`].
-    pub rename: bool,
     /// Host execution backend. Affects wall-clock speed of the simulator
     /// process only — simulated results, cycles, counters, traces, and
     /// peaks are backend-invariant by construction (the fast paths
@@ -172,7 +164,6 @@ impl CostModel {
             cube_per_fractal_pair: 1,
             core_dispatch: 64,
             issue_model: IssueModel::DualPipe,
-            rename: true,
             backend: Backend::Threaded,
         }
     }
@@ -188,22 +179,11 @@ impl CostModel {
     /// The legacy serial machine: identical charges, but every
     /// instruction waits for the previous one to retire. Reproduces the
     /// PR 1 cycle counts (and the pre-dual-pipe committed baselines)
-    /// exactly. (The `rename` flag is carried but has no effect: the
-    /// serial machine never reorders anything.)
+    /// exactly. The test oracle the dual-pipe makespan is checked
+    /// against (dual <= single, bit-identical results).
     pub const fn single_issue() -> CostModel {
         CostModel {
             issue_model: IssueModel::SingleIssue,
-            ..CostModel::ascend910_like()
-        }
-    }
-
-    /// The dual-pipe machine with buffer-slot renaming disabled: WAR and
-    /// WAW hazards serialise exactly like RAW, as in the pre-renaming
-    /// scoreboard. The control column for the rename ablation — same
-    /// charges, same programs, strictly fewer scheduling freedoms.
-    pub const fn dual_pipe_no_rename() -> CostModel {
-        CostModel {
-            rename: false,
             ..CostModel::ascend910_like()
         }
     }
@@ -319,23 +299,6 @@ mod tests {
             },
             dual,
             "charges must be identical between the two issue models"
-        );
-    }
-
-    #[test]
-    fn no_rename_model_differs_only_in_rename() {
-        let dual = CostModel::ascend910_like();
-        let plain = CostModel::dual_pipe_no_rename();
-        assert!(dual.rename);
-        assert!(!plain.rename);
-        assert_eq!(plain.issue_model, IssueModel::DualPipe);
-        assert_eq!(
-            CostModel {
-                rename: true,
-                ..plain
-            },
-            dual,
-            "charges must be identical between the rename columns"
         );
     }
 

@@ -42,13 +42,6 @@ pub struct HwCounters {
     /// Bytes moved between private buffers (including the Im2Col and
     /// Col2Im traffic).
     pub scratch_bytes: u64,
-    /// Writers issued early into a rotated scratchpad slot, bypassing a
-    /// WAR/WAW hazard (dual-pipe model with `CostModel::rename` only;
-    /// always 0 otherwise).
-    pub renames: u64,
-    /// Rotations refused for lack of physical headroom — the writer fell
-    /// back to the full WAR/WAW stall (never silent corruption).
-    pub rename_denied: u64,
     /// Cycles this core's MTE streams were slowed by *other* cores
     /// drawing on the shared L2/HBM path (booked by the chip's
     /// [`crate::chip::MemoryModel`] after all cores join; always 0 under
@@ -83,8 +76,8 @@ pub struct HwCounters {
     pub tuner_mispredicted: u64,
     /// Auto-tuner fallbacks: the predicted winner could not be lowered
     /// (e.g. a batched fold that does not fit) and the engine ran the
-    /// next-ranked algorithm instead — a typed decline in the spirit of
-    /// `rename_denied`, not a silent substitution.
+    /// next-ranked algorithm instead — a typed, counted decline, not a
+    /// silent substitution.
     pub tuner_fallbacks: u64,
     /// Implicit-im2col declines: the conv runner asked for the implicit
     /// (on-demand fractal expansion) lowering, it refused with a typed
@@ -165,8 +158,6 @@ impl HwCounters {
         self.vector_total_lanes += other.vector_total_lanes;
         self.gm_bytes += other.gm_bytes;
         self.scratch_bytes += other.scratch_bytes;
-        self.renames += other.renames;
-        self.rename_denied += other.rename_denied;
         self.contention_stalls += other.contention_stalls;
         self.l2_hits += other.l2_hits;
         self.l2_miss_stalls += other.l2_miss_stalls;

@@ -32,7 +32,6 @@ pub mod cost;
 pub mod counters;
 pub mod exec;
 pub mod lifetimes;
-pub mod rename;
 pub mod trace;
 
 pub use crate::core::{pipe_of, AiCore};
@@ -41,7 +40,6 @@ pub use chip::{Chip, ChipRun, GmDeclaration, HaloOp, HaloSpan, L2Model, MemoryMo
 pub use cost::{Backend, Capacities, CostModel, IssueModel};
 pub use counters::{HwCounters, Unit};
 pub use lifetimes::{BufferLifetimes, LiveRange};
-pub use rename::RenameDenied;
 pub use trace::{
     chrome_trace_json, chrome_trace_json_with_lifetimes, Breakdown, BreakdownRow, Trace,
     TraceConfig, TraceEvent,

@@ -39,11 +39,10 @@ pub struct LiveRange {
     /// Core-local cycle at which the last overlapping access retired.
     pub last_use: u64,
     /// Version of the span: 0 for the first write into these bytes, then
-    /// one more than the highest version the producing write killed.
-    /// Under buffer-slot renaming a rotated write opens version `n + 1`
-    /// while version `n` is still being read, so consecutive versions of
-    /// one span overlapping in time are the renamer's signature in the
-    /// trace.
+    /// one more than the highest version the producing write killed — a
+    /// count of the fresh overwrites the span has seen. Because a writer
+    /// waits out every overlapping in-flight access (WAR/WAW), version
+    /// `n + 1` of a span never opens before version `n` closes.
     pub version: u64,
 }
 
@@ -213,26 +212,6 @@ mod tests {
             (lt.ranges[0].version, lt.ranges[1].version),
             (0, 1),
             "an overwrite opens the next version of the span"
-        );
-    }
-
-    #[test]
-    fn renamed_writes_produce_overlapping_versions() {
-        // The renamer's trace signature: a rotated write issues at cycle
-        // 12 while the older version's last read retires at 25, so the
-        // two versions of the span overlap in time.
-        let mut rec = LifetimeRecorder::default();
-        let ub = |a, b| span(BufferId::Ub, a, b);
-        rec.record(&info([None; 3], Some(ub(0, 256))), 0, 10);
-        rec.record(&info([Some(ub(0, 256)), None, None], None), 10, 25);
-        rec.record(&info([None; 3], Some(ub(0, 256))), 12, 22);
-        let lt = rec.take();
-        assert_eq!(lt.ranges.len(), 2);
-        assert_eq!((lt.ranges[0].version, lt.ranges[1].version), (0, 1));
-        assert_eq!(
-            lt.peak_overlap(BufferId::Ub),
-            2,
-            "two live versions of one span"
         );
     }
 

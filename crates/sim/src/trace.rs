@@ -80,9 +80,9 @@ pub struct TraceEvent {
     pub stall: u64,
     /// Trace-event index of the latest program-order writer of any byte
     /// this instruction reads (RAW) — the source of the Chrome-trace
-    /// flow arrow. Program order is issue-timing-independent, so the
-    /// recorded arrows are identical with buffer-slot renaming on or
-    /// off. `None` under the single-issue model.
+    /// flow arrow. Derived from program order, not issue timing, so
+    /// WAR/WAW waits never add an arrow. `None` under the single-issue
+    /// model.
     pub dep: Option<usize>,
     /// Hardware repeat count (1 for non-repeating instructions).
     pub repeat: u32,

@@ -5,7 +5,6 @@
 //! ```sh
 //! cargo run --release --example profile_run            # N = 1, per-plane
 //! cargo run --release --example profile_run -- --batch 4
-//! cargo run --release --example profile_run -- --no-rename
 //! cargo run --release --example profile_run -- --cores 8
 //! cargo run --release --example profile_run -- --backend scalar
 //! ```
@@ -22,14 +21,6 @@
 //! 256 B/cycle pipe, and the breakdown grows a `gm contention stalls`
 //! line (also visible as trailing `gm-contention` slices on the MTE
 //! rows of the exported trace).
-//!
-//! With `--no-rename` the chip runs under
-//! `CostModel::dual_pipe_no_rename()`: the scoreboard keeps every
-//! WAR/WAW wait instead of rotating scratchpad slots, and the planner
-//! falls back to the pre-renaming band layouts. Diff the makespan and
-//! the `renamed`/`denied` counters against a default run to see what
-//! slot renaming buys (the live-range slices in the exported trace
-//! show the overlapping buffer versions renaming creates).
 //!
 //! With `--algo auto` the engine's per-workload auto-tuner picks the
 //! algorithm (direct reduction vs im2col — see README § "Letting the
@@ -70,7 +61,6 @@ enum Algo {
 
 struct Options {
     batch: usize,
-    rename: bool,
     cores: usize,
     algo: Algo,
     dilation: usize,
@@ -84,7 +74,6 @@ fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
     let mut opts = Options {
         batch: 1,
-        rename: true,
         cores: 1,
         algo: Algo::Im2col,
         dilation: 1,
@@ -104,7 +93,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--batch must be >= 1".into());
                 }
             }
-            "--no-rename" => opts.rename = false,
             "--cores" => {
                 let v = args.next().ok_or("--cores needs a value")?;
                 opts.cores = v
@@ -151,7 +139,7 @@ fn parse_args() -> Result<Options, String> {
             }
             other => {
                 return Err(format!(
-                    "unknown argument: {other} (try --batch N, --no-rename, --cores N, \
+                    "unknown argument: {other} (try --batch N, --cores N, \
                      --algo auto|direct|im2col, --dilation D, --ceil-mode, --global, \
                      --backend scalar|sliced|threaded, --model vgg16-seg|inception-seg)"
                 ))
@@ -215,11 +203,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the double-buffered software pipelines — and with --batch N the
     // Mode-0 batch fold engages (on the full 32-core chip it declines,
     // preferring one plane per core).
-    let cost = if opts.rename {
-        CostModel::ascend910_like()
-    } else {
-        CostModel::dual_pipe_no_rename()
-    };
+    let cost = CostModel::ascend910_like();
     // With --cores N the run scales out instead: an N-core chip behind
     // the shared HBM pipe, with the engine's cost model choosing the
     // partition axis (per plane, per c1 slice, or per row band).
@@ -311,17 +295,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.total.busy_cycles(),
         run.total.cycles,
         run.total.stall_cycles
-    );
-    println!(
-        "scratchpad slot renaming: {} WAR/WAW waits rotated away, \
-         {} rotations denied for capacity{}",
-        run.total.renames,
-        run.total.rename_denied,
-        if opts.rename {
-            ""
-        } else {
-            " (renaming disabled via --no-rename)"
-        }
     );
     if opts.algo == Algo::Auto {
         println!(

@@ -11,7 +11,7 @@
 
 use davinci_pooling::prelude::*;
 use davinci_pooling::sim::{
-    chrome_trace_json_with_lifetimes, pipe_of, AiCore, Breakdown, Chip, ChipRun, TraceConfig, Unit,
+    chrome_trace_json_with_lifetimes, pipe_of, AiCore, Breakdown, Chip, TraceConfig, Unit,
 };
 use davinci_pooling::tensor::reference;
 use dv_isa::{Addr, BufferId, Col2Im, DataMove, Im2ColGeometry, Instr, Program};
@@ -229,6 +229,7 @@ fn maxpool_backward_chrome_trace_parses() {
     let mut flow_ends = 0u64;
     let mut range_begins = 0u64;
     let mut range_ends = 0u64;
+    let mut max_version = 0u64;
     let mut saw_process_meta = false;
     for e in events {
         match e.get("ph").and_then(|v| v.as_str()) {
@@ -255,6 +256,12 @@ fn maxpool_backward_chrome_trace_parses() {
                 assert!(e.get("ts").and_then(|v| v.as_u64()).is_some());
                 if e.get("ph").and_then(|v| v.as_str()) == Some("b") {
                     range_begins += 1;
+                    let version = e
+                        .get("args")
+                        .and_then(|a| a.get("version"))
+                        .and_then(|v| v.as_u64())
+                        .expect("live-range begin carries its version");
+                    max_version = max_version.max(version);
                 } else {
                     range_ends += 1;
                 }
@@ -287,6 +294,17 @@ fn maxpool_backward_chrome_trace_parses() {
     assert!(ranges > 0, "traced run must record buffer live ranges");
     assert_eq!(range_begins, ranges, "one async begin per live range");
     assert_eq!(range_begins, range_ends, "every live range closes");
+    let recorded = run
+        .lifetimes
+        .iter()
+        .flat_map(|l| &l.ranges)
+        .map(|r| r.version)
+        .max();
+    assert_eq!(
+        Some(max_version),
+        recorded,
+        "the exported versions must match the recorded ones"
+    );
 
     // The rendered breakdown is the human-readable view of the same data.
     let report = run.breakdown().render();
@@ -390,259 +408,6 @@ fn tracing_is_observationally_transparent() {
     // Peaks are tracked regardless of tracing.
     assert_eq!(run_q.peaks, run_t.peaks);
     assert!(run_q.peaks.of(dv_isa::BufferId::Ub) > 0);
-}
-
-/// A VGG-shaped backward VAdd merge at a 64 KiB UB: the planner picks
-/// the versioned layout and the dual-pipe renamer rotates band-cycled
-/// slots into a measured win. One workload, three issue models, same
-/// program (rotation planning pinned on so every engine lowers
-/// identically).
-fn renaming_case() -> [(&'static str, ChipRun); 3] {
-    let (h, w, params) = (56usize, 56usize, PoolParams::K2S2);
-    let input =
-        Nchw::from_fn(1, 16, h, w, |_, c, y, x| det(17, c * h * w + y * w + x)).to_nc1hwc0();
-    let mask = reference::maxpool_argmax_mask(&input, &params).unwrap();
-    let (oh, ow) = params.out_dims(h, w).unwrap();
-    let dy = Nc1hwc0::from_fn(1, 1, oh, ow, |_, _, y, x, c0| {
-        F16::from_f32(((y + x + c0) % 5) as f32)
-    });
-    let want = reference::maxpool_backward(&mask, &dy, &params, h, w).unwrap();
-    [
-        ("dual_pipe", CostModel::ascend910_like()),
-        ("dual_pipe_norename", CostModel::dual_pipe_no_rename()),
-        ("single_issue", CostModel::single_issue()),
-    ]
-    .map(|(name, cost)| {
-        let mut chip = Chip::new(1, cost);
-        chip.caps.ub = 65536;
-        let engine = PoolingEngine::new(chip)
-            .with_rotation_planning(true)
-            .with_trace(TraceConfig::ON);
-        let (dx, run) = engine
-            .maxpool_backward(&mask, &dy, params, h, w, MergeImpl::VAdd)
-            .expect("backward");
-        assert_eq!(
-            dx.data(),
-            want.data(),
-            "{name}: issue model changed the backward result"
-        );
-        (name, run)
-    })
-}
-
-/// Stall accounting stays honest when the scheduler renames: per-pipe
-/// stalls still sum to the total (each wait booked against exactly one
-/// pipe), the WAR/WAW waits a rotation eliminates are *gone* — not
-/// rebooked as RAW, so the renamed run's total stall time strictly drops
-/// — and per-instruction busy charges are identical across single-issue,
-/// dual-pipe, and dual-pipe + renaming.
-#[test]
-fn stall_accounting_stays_honest_under_renaming() {
-    let [(_, renamed), (_, norename), (_, single)] = renaming_case();
-    assert!(
-        renamed.total.renames > 0,
-        "the versioned plan must exercise the renamer"
-    );
-    assert_eq!(norename.total.renames, 0);
-    assert_eq!(
-        single.total.stall_cycles, 0,
-        "the serial machine never stalls"
-    );
-    for run in [&renamed, &norename, &single] {
-        assert_eq!(
-            run.total.busy_cycles(),
-            single.total.busy_cycles(),
-            "per-instruction charges must be issue-model-independent"
-        );
-    }
-    assert!(
-        renamed.total.stall_cycles < norename.total.stall_cycles,
-        "rotated-away WAR/WAW waits must vanish, not move: {} !< {}",
-        renamed.total.stall_cycles,
-        norename.total.stall_cycles
-    );
-    assert!(renamed.cycles < norename.cycles, "renaming must win here");
-
-    let pipe_units: [&[Unit]; 2] = [&[Unit::Mte, Unit::Scu], &[Unit::Vector, Unit::Cube]];
-    for (name, run) in [("dual_pipe", &renamed), ("dual_pipe_norename", &norename)] {
-        for (i, c) in run.per_core.iter().enumerate() {
-            assert_eq!(
-                c.pipe_stalls.iter().sum::<u64>(),
-                c.stall_cycles,
-                "{name} core {i}: per-pipe stalls must sum to the total"
-            );
-            for (pipe, units) in pipe_units.iter().enumerate() {
-                let busy: u64 = units.iter().map(|u| c.cycles_of(*u)).sum();
-                assert!(
-                    busy + c.pipe_stalls[pipe] <= c.cycles,
-                    "{name} core {i} pipe {pipe}: busy {busy} + stall {} \
-                     exceeds the makespan {}",
-                    c.pipe_stalls[pipe],
-                    c.cycles
-                );
-            }
-        }
-        for t in &run.traces {
-            let tags: u64 = t.events.iter().map(|e| e.stall).sum();
-            assert_eq!(
-                tags, run.per_core[t.core].stall_cycles,
-                "{name} core {}: trace stall tags must sum to the counter",
-                t.core
-            );
-        }
-    }
-}
-
-/// The renamer's signature in the observability layer: rotated writes
-/// open version `n + 1` of a span while version `n` is still being read,
-/// so the lifetime analysis records overlapping versions of one span,
-/// the versions ride through the Chrome trace JSON, and the counters
-/// still equal the trace makespan by construction.
-#[test]
-fn versioned_live_ranges_round_trip_chrome_trace() {
-    let [(_, renamed), ..] = renaming_case();
-
-    // Overlapping versions of one span exist in the recorded lifetimes.
-    let mut overlapping = 0usize;
-    let mut max_version = 0u64;
-    for lt in &renamed.lifetimes {
-        for (i, r) in lt.ranges.iter().enumerate() {
-            max_version = max_version.max(r.version);
-            overlapping += lt.ranges[i + 1..]
-                .iter()
-                .filter(|s| {
-                    s.buffer == r.buffer
-                        && s.start == r.start
-                        && s.version == r.version + 1
-                        && s.first_write < r.last_use
-                })
-                .count();
-        }
-    }
-    assert!(max_version > 0, "rotations must open versions past 0");
-    assert!(
-        overlapping > 0,
-        "a granted rotation must overlap consecutive versions of a span"
-    );
-
-    // Counters equal the trace makespan by construction, renaming or not.
-    for t in &renamed.traces {
-        let makespan = t.events.iter().map(|e| e.start + e.cycles).max().unwrap();
-        assert_eq!(
-            makespan, renamed.per_core[t.core].cycles,
-            "core {}: trace makespan must equal the cycle counter",
-            t.core
-        );
-    }
-
-    // The versions round-trip through the Chrome trace JSON.
-    let json = chrome_trace_json_with_lifetimes(&renamed.traces, &renamed.lifetimes);
-    let doc = dv_bench::json::parse(&json).expect("chrome trace JSON parses");
-    let events = doc
-        .get("traceEvents")
-        .and_then(|v| v.as_arr())
-        .expect("traceEvents array");
-    let mut begin_versions: Vec<u64> = Vec::new();
-    for e in events {
-        if e.get("ph").and_then(|v| v.as_str()) == Some("b") {
-            let args = e.get("args").expect("live-range begin carries args");
-            assert!(args.get("bytes").and_then(|v| v.as_u64()).is_some());
-            begin_versions.push(
-                args.get("version")
-                    .and_then(|v| v.as_u64())
-                    .expect("live-range begin carries its version"),
-            );
-        }
-    }
-    let ranges: usize = renamed.lifetimes.iter().map(|l| l.ranges.len()).sum();
-    assert_eq!(begin_versions.len(), ranges, "one begin event per range");
-    assert_eq!(
-        begin_versions.iter().max().copied(),
-        Some(max_version),
-        "the exported versions must match the recorded ones"
-    );
-}
-
-/// RAW flow arrows describe *dataflow*, which renaming never touches:
-/// on the same program, every traced instruction records the same RAW
-/// producer with renaming on and off — only the issue timings move.
-#[test]
-fn raw_flow_arrows_are_invariant_under_renaming() {
-    let [(_, renamed), (_, norename), _] = renaming_case();
-    assert_eq!(renamed.traces.len(), norename.traces.len());
-    for (tr, tn) in renamed.traces.iter().zip(&norename.traces) {
-        assert_eq!(
-            tr.events.len(),
-            tn.events.len(),
-            "same program, same events"
-        );
-        for (er, en) in tr.events.iter().zip(&tn.events) {
-            assert_eq!(
-                (er.program, er.pc, &er.mnemonic, er.dep),
-                (en.program, en.pc, &en.mnemonic, en.dep),
-                "renaming moved a RAW flow arrow"
-            );
-        }
-    }
-}
-
-/// Negative path, pinned at a forced 16 KiB UB: when the scratchpad
-/// cannot hold two live versions of a span, the rotation is refused
-/// (typed, counted) and the writer falls back to the full WAR/WAW stall
-/// — never silent corruption, and never a slower schedule than the
-/// rename-less machine.
-#[test]
-fn rotation_refuses_cleanly_when_capacity_is_tight() {
-    // 96x96 K2S2 forward at 16 KiB: the single-slot plan leaves too
-    // little headroom, so every opportunistic rotation is refused.
-    // 48x48 K3S2: headroom admits some rotations and refuses others.
-    for (h, w, params, expect_renames) in [
-        (96usize, 96usize, PoolParams::K2S2, false),
-        (48, 48, PoolParams::K3S2, true),
-    ] {
-        let input =
-            Nchw::from_fn(1, 16, h, w, |_, c, y, x| det(23, c * h * w + y * w + x)).to_nc1hwc0();
-        let want = reference::maxpool_forward(&input, &params).unwrap();
-        let mut cycles = Vec::new();
-        for cost in [
-            CostModel::ascend910_like(),
-            CostModel::dual_pipe_no_rename(),
-        ] {
-            let mut chip = Chip::new(1, cost);
-            chip.caps.ub = 16384;
-            let engine = PoolingEngine::new(chip).with_rotation_planning(true);
-            let (out, run) = engine
-                .maxpool_forward(&input, params, ForwardImpl::Im2col)
-                .expect("forward");
-            assert_eq!(
-                out.data(),
-                want.data(),
-                "{h}x{w} {params:?}: a refused rotation must never corrupt results"
-            );
-            if cost.rename {
-                assert!(
-                    run.total.rename_denied > 0,
-                    "{h}x{w} {params:?}: the tight UB must refuse rotations"
-                );
-                assert_eq!(
-                    run.total.renames > 0,
-                    expect_renames,
-                    "{h}x{w} {params:?}: unexpected grant pattern"
-                );
-            } else {
-                assert_eq!(run.total.renames, 0);
-                assert_eq!(run.total.rename_denied, 0, "only the renamer tries");
-            }
-            cycles.push(run.cycles);
-        }
-        assert!(
-            cycles[0] <= cycles[1],
-            "{h}x{w} {params:?}: falling back to the stall must not beat-miss \
-             the rename-less schedule ({} > {})",
-            cycles[0],
-            cycles[1]
-        );
-    }
 }
 
 /// The simulator is deterministic in both issue models: running the same
