@@ -69,85 +69,42 @@ const ALL: [&str; 17] = [
     "threshold",
 ];
 
-/// `repro -- gate`: replay the tracked workloads, refresh the committed
-/// baseline and the workspace-root `BENCH_pooling.json`, and report any
-/// drift against the previous baseline (informational here — the
-/// *enforcing* comparison is the `perf_gate` test).
+/// `repro -- gate`: replay every declared section of the cycle and host
+/// gate documents, refresh the committed baselines and the
+/// workspace-root `BENCH_pooling.json` / `BENCH_host.json`, and report
+/// any drift against the previous baselines (informational here — the
+/// *enforcing* comparisons are the `perf_gate` and `host_gate` tests).
 fn run_gate() {
-    use dv_bench::gate;
+    use dv_bench::gate::{self, Document, Row};
+    use dv_bench::host;
+    type Compare = fn(&[Vec<Row>], &[Vec<Row>]) -> Vec<String>;
     let root = results_dir()
         .parent()
         .map(PathBuf::from)
         .unwrap_or_default();
-    let current = gate::collect();
-    let scaling = gate::collect_scaling();
-    let backward = gate::collect_backward_scaling();
-    let tuner = gate::collect_tuner();
-    let model = gate::collect_model();
-    let old = gate::parse_metrics(gate::COMMITTED_BASELINE).ok();
-    let old_scaling = gate::parse_scaling(gate::COMMITTED_BASELINE).ok();
-    let old_backward = gate::parse_backward_scaling(gate::COMMITTED_BASELINE).ok();
-    let old_tuner = gate::parse_tuner(gate::COMMITTED_BASELINE).ok();
-    let old_model = gate::parse_model(gate::COMMITTED_BASELINE).ok();
-    let doc = gate::to_json(
-        &current,
-        &scaling,
-        &backward,
-        &tuner,
-        &model,
-        old.as_deref(),
-    );
-    let bench_path = root.join("BENCH_pooling.json");
-    std::fs::write(&bench_path, &doc).expect("write BENCH_pooling.json");
-    println!("wrote {}", bench_path.display());
-    let baseline_path = root.join("crates/bench/baselines/pooling.json");
-    std::fs::write(
-        &baseline_path,
-        gate::to_json(&current, &scaling, &backward, &tuner, &model, None),
-    )
-    .expect("write committed baseline");
-    println!("refreshed {}", baseline_path.display());
-    if let Some(old) = old {
-        for r in gate::compare(&current, &old, gate::TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
-        }
-    }
-    if let Some(old) = old_scaling {
-        for r in gate::compare_scaling(&scaling, &old, gate::TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
-        }
-    }
-    if let Some(old) = old_backward {
-        for r in gate::compare_backward_scaling(&backward, &old, gate::TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
-        }
-    }
-    if let Some(old) = old_tuner {
-        for r in gate::compare_tuner(&tuner, &old, gate::TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
-        }
-    }
-    if let Some(old) = old_model {
-        for r in gate::compare_model(&model, &old, gate::TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
-        }
-    }
-
-    // Host-throughput companion: measure, refresh `BENCH_host.json` and
-    // the committed host baseline, and report drift informationally.
-    use dv_bench::host;
-    let old_host = host::parse_host(host::COMMITTED_HOST_BASELINE).ok();
-    let metrics = host::collect_host();
-    let doc = host::to_host_json(&metrics);
-    let host_path = root.join("BENCH_host.json");
-    std::fs::write(&host_path, &doc).expect("write BENCH_host.json");
-    println!("wrote {}", host_path.display());
-    let host_baseline = root.join("crates/bench/baselines/host.json");
-    std::fs::write(&host_baseline, &doc).expect("write committed host baseline");
-    println!("refreshed {}", host_baseline.display());
-    if let Some(old) = old_host {
-        for r in host::compare_host(&metrics, &old, host::HOST_TOLERANCE) {
-            println!("note: vs previous baseline: {r}");
+    let docs: [(Document, &str, Compare); 2] = [
+        (gate::POOLING, gate::COMMITTED_BASELINE, |c, b| {
+            gate::POOLING.compare(c, b, gate::TOLERANCE)
+        }),
+        (host::HOST, host::COMMITTED_HOST_BASELINE, |c, b| {
+            host::compare_host(&c[0], &b[0], host::HOST_TOLERANCE)
+        }),
+    ];
+    for (doc, committed, compare) in docs {
+        let old = doc.parse(committed).ok();
+        let current = doc.collect();
+        let bench_path = root.join(format!("BENCH_{}.json", doc.benchmark));
+        std::fs::write(&bench_path, doc.render(&current, old.as_deref()))
+            .expect("write BENCH json");
+        println!("wrote {}", bench_path.display());
+        let baseline_path = root.join(format!("crates/bench/baselines/{}.json", doc.benchmark));
+        std::fs::write(&baseline_path, doc.render(&current, None))
+            .expect("write committed baseline");
+        println!("refreshed {}", baseline_path.display());
+        if let Some(old) = old {
+            for r in compare(&current, &old) {
+                println!("note: vs previous baseline: {r}");
+            }
         }
     }
 }

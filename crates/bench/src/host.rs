@@ -14,8 +14,9 @@
 //!
 //! * **Bit-identity, in-gate.** On every gated workload, [`collect_host`]
 //!   asserts that all backends produce the same output bytes, the same
-//!   [`HwCounters`], the same chip cycles, and the same scratchpad peaks
-//!   as the `Scalar` reference — backends may only move host wall-clock.
+//!   [`HwCounters`](dv_sim::HwCounters), the same chip cycles, and the
+//!   same scratchpad peaks as the `Scalar` reference — backends may only
+//!   move host wall-clock.
 //! * **Relative speed.** Wall times are machine-dependent, so the gate
 //!   does not compare nanoseconds across machines: it gates the
 //!   machine-portable *speedup ratios* (`scalar_ns / sliced_ns` per row)
@@ -32,19 +33,22 @@
 //! [`run_host`] takes the best of [`HOST_GATE_RETRIES`] full collections
 //! before declaring a regression (a loaded CI host needs only one quiet
 //! window to pass), and each number is a median over [`HOST_SAMPLES`]
-//! samples after a warmup pass. Constrained machines can widen the slack
-//! with the [`HOST_TOLERANCE_ENV`] environment variable or deepen the
-//! retry budget with [`HOST_GATE_RETRIES_ENV`]; the retry loop itself is
-//! pinned by tests through the [`run_host_with`] collector seam. When
-//! the executor legitimately changes speed, regenerate with
+//! samples after a warmup pass. The retry loop itself is pinned by tests
+//! through the [`run_host_with`] collector seam.
+//!
+//! `BENCH_host.json` is a [`crate::gate::Document`] ([`HOST`]) with one
+//! declared section: the wall times and their denominators are info
+//! columns, the speedups and throughputs are derived columns, and the
+//! generic comparison only matches rows. [`compare_host`] adds the one
+//! check specific to this section, on the sliced speedup ratio. When the
+//! executor legitimately changes speed, regenerate with
 //! `cargo run --release -p dv-bench --bin repro -- gate` and commit the
 //! refreshed `host.json`.
 
+use crate::gate::{Column, Document, Policy::Derived, Policy::Info, Row, Section};
 use crate::inputs::feature_map;
-use crate::json;
 use dv_core::{table1_workloads, ForwardImpl, PoolingEngine};
 use dv_sim::Backend;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Relative speedup-ratio loss tolerated before the host gate fails
@@ -61,15 +65,6 @@ pub const HOST_SAMPLES: usize = 5;
 /// regression fails all of them.
 pub const HOST_GATE_RETRIES: usize = 3;
 
-/// Environment variable overriding [`HOST_TOLERANCE`] for the current
-/// run (e.g. `DV_HOST_TOLERANCE=0.30` on a shared CI box). Ignored
-/// unless it parses as a positive float.
-pub const HOST_TOLERANCE_ENV: &str = "DV_HOST_TOLERANCE";
-
-/// Environment variable overriding [`HOST_GATE_RETRIES`]. Ignored unless
-/// it parses as a positive integer.
-pub const HOST_GATE_RETRIES_ENV: &str = "DV_HOST_GATE_RETRIES";
-
 /// The in-run floor for the `Sliced` backend: at least one Table I
 /// workload must run at or above this many times the `Scalar` host
 /// instructions/sec.
@@ -79,55 +74,64 @@ pub const SLICED_FLOOR: f64 = 2.0;
 /// executor legitimately changes speed).
 pub const COMMITTED_HOST_BASELINE: &str = include_str!("../baselines/host.json");
 
-/// One host-throughput row: a Table I workload's accelerated forward
-/// pass timed under every backend, plus the deterministic denominators
-/// (instruction issues and simulated cycles) that turn wall time into
-/// throughput.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HostMetric {
-    /// Stable identifier, e.g. `host/InceptionV3-1/147x147x64`.
-    pub key: String,
-    /// Simulated instruction issues of one run (backend-invariant).
-    pub instructions: u64,
-    /// Dual-pipe chip cycles of one run (backend-invariant).
-    pub sim_cycles: u64,
-    /// Median host wall time of one run under [`Backend::Scalar`].
-    pub scalar_ns: u64,
-    /// Median host wall time under [`Backend::Sliced`].
-    pub sliced_ns: u64,
-    /// Median host wall time under [`Backend::Threaded`].
-    pub threaded_ns: u64,
+/// `BENCH_host.json`: one row per Table I workload — its accelerated
+/// forward pass timed under every backend, plus the deterministic
+/// denominators (instruction issues and simulated cycles, both
+/// backend-invariant) that turn wall time into throughput.
+pub const HOST: Document = Document {
+    benchmark: "host",
+    header: &[
+        ("tolerance", HOST_TOLERANCE),
+        ("samples", HOST_SAMPLES as f64),
+    ],
+    sections: &[Section {
+        name: "host",
+        columns: &[
+            Column("instructions", Info),
+            Column("sim_cycles", Info),
+            // Median host wall time of one run per backend.
+            Column("scalar_ns", Info),
+            Column("sliced_ns", Info),
+            Column("threaded_ns", Info),
+            Column("sliced_speedup", Derived(4, |r, _| Some(sliced_speedup(r)))),
+            Column(
+                "threaded_speedup",
+                Derived(4, |r, _| Some(r.ratio("scalar_ns", "threaded_ns"))),
+            ),
+            Column(
+                "scalar_instr_per_sec",
+                Derived(0, |r, _| Some(per_sec(r, "instructions", "scalar_ns"))),
+            ),
+            Column(
+                "sliced_instr_per_sec",
+                Derived(0, |r, _| Some(per_sec(r, "instructions", "sliced_ns"))),
+            ),
+            // Simulated cycles retired per host wall-second: the
+            // serving-capacity number.
+            Column(
+                "sliced_sim_cycles_per_sec",
+                Derived(0, |r, _| Some(per_sec(r, "sim_cycles", "sliced_ns"))),
+            ),
+        ],
+        collect: collect_host,
+    }],
+};
+
+/// Host speedup of the sliced executors over the scalar reference.
+fn sliced_speedup(row: &Row) -> f64 {
+    row.ratio("scalar_ns", "sliced_ns")
 }
 
-impl HostMetric {
-    /// Host speedup of the sliced executors over the scalar reference
-    /// (the satellite bugfix's measured win).
-    pub fn sliced_speedup(&self) -> f64 {
-        self.scalar_ns as f64 / self.sliced_ns.max(1) as f64
-    }
-
-    /// Host speedup of the threaded backend over the scalar reference.
-    pub fn threaded_speedup(&self) -> f64 {
-        self.scalar_ns as f64 / self.threaded_ns.max(1) as f64
-    }
-
-    /// Host instructions per second under the given measured wall time.
-    pub fn instr_per_sec(&self, ns: u64) -> f64 {
-        self.instructions as f64 * 1e9 / ns.max(1) as f64
-    }
-
-    /// Simulated cycles retired per host wall-second under the given
-    /// measured wall time — the serving-capacity number.
-    pub fn sim_cycles_per_sec(&self, ns: u64) -> f64 {
-        self.sim_cycles as f64 * 1e9 / ns.max(1) as f64
-    }
+/// `count` per second of the wall time in the `ns` column.
+fn per_sec(row: &Row, count: &str, ns: &str) -> f64 {
+    row.int(count) as f64 * 1e9 / row.int(ns).max(1) as f64
 }
 
 /// Replay every Table I workload's Im2col forward under all three
 /// backends, asserting bit-identity in-gate and timing each backend with
 /// the criterion shim's warmup-then-median loop. Panics if `Sliced`
 /// fails [`SLICED_FLOOR`] on every row.
-pub fn collect_host() -> Vec<HostMetric> {
+pub fn collect_host() -> Vec<Row> {
     let mut out = Vec::new();
     for w in table1_workloads() {
         let shape = format!("{}x{}x{}", w.h, w.w, w.c);
@@ -164,6 +168,11 @@ pub fn collect_host() -> Vec<HostMetric> {
                 "{key}: {backend} peaks diverged from Scalar"
             );
         }
+        let (instructions, sim_cycles) = (run_ref.total.total_issues(), run_ref.cycles);
+        assert!(
+            instructions > 0 && sim_cycles > 0,
+            "{key}: degenerate denominators"
+        );
 
         let time_backend = |backend: Backend| -> u64 {
             let eng = PoolingEngine::ascend910().with_backend(backend);
@@ -174,19 +183,16 @@ pub fn collect_host() -> Vec<HostMetric> {
             duration_ns(d)
         };
 
-        out.push(HostMetric {
-            key,
-            instructions: run_ref.total.total_issues(),
-            sim_cycles: run_ref.cycles,
-            scalar_ns: time_backend(Backend::Scalar),
-            sliced_ns: time_backend(Backend::Sliced),
-            threaded_ns: time_backend(Backend::Threaded),
-        });
+        out.push(
+            Row::new(key)
+                .with("instructions", instructions)
+                .with("sim_cycles", sim_cycles)
+                .with("scalar_ns", time_backend(Backend::Scalar))
+                .with("sliced_ns", time_backend(Backend::Sliced))
+                .with("threaded_ns", time_backend(Backend::Threaded)),
+        );
     }
-    let best = out
-        .iter()
-        .map(|m| m.sliced_speedup())
-        .fold(0.0f64, f64::max);
+    let best = out.iter().map(sliced_speedup).fold(0.0f64, f64::max);
     assert!(
         best >= SLICED_FLOOR,
         "host gate: Sliced must clear {SLICED_FLOOR}x Scalar host \
@@ -199,112 +205,37 @@ fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX).max(1)
 }
 
-/// Render host metrics as the `BENCH_host.json` document.
-pub fn to_host_json(metrics: &[HostMetric]) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"host\",\n");
-    let _ = writeln!(out, "  \"tolerance\": {HOST_TOLERANCE},");
-    let _ = writeln!(out, "  \"samples\": {HOST_SAMPLES},");
-    out.push_str("  \"host\": [\n");
-    for (i, m) in metrics.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"key\": \"{}\", \"instructions\": {}, \"sim_cycles\": {}, \
-             \"scalar_ns\": {}, \"sliced_ns\": {}, \"threaded_ns\": {}, \
-             \"sliced_speedup\": {:.4}, \"threaded_speedup\": {:.4}, \
-             \"scalar_instr_per_sec\": {:.0}, \"sliced_instr_per_sec\": {:.0}, \
-             \"sliced_sim_cycles_per_sec\": {:.0}}}",
-            m.key,
-            m.instructions,
-            m.sim_cycles,
-            m.scalar_ns,
-            m.sliced_ns,
-            m.threaded_ns,
-            m.sliced_speedup(),
-            m.threaded_speedup(),
-            m.instr_per_sec(m.scalar_ns),
-            m.instr_per_sec(m.sliced_ns),
-            m.sim_cycles_per_sec(m.sliced_ns),
-        );
-        out.push_str(if i + 1 == metrics.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parse the `host` section of a `BENCH_host.json`-format document. A
-/// document without the section (e.g. a `BENCH_pooling.json` from before
-/// the host gate existed) parses as the empty list — [`compare_host`]
-/// then treats every current row as a fresh baseline, mirroring how
-/// [`crate::gate::parse_scaling`] handles pre-scaling baselines.
-pub fn parse_host(doc: &str) -> Result<Vec<HostMetric>, String> {
-    let v = json::parse(doc).map_err(|e| e.to_string())?;
-    let Some(arr) = v.get("host").and_then(|m| m.as_arr()) else {
-        return Ok(Vec::new());
-    };
-    let field = |m: &json::Value, name: &'static str| {
-        m.get(name)
-            .and_then(|c| c.as_u64())
-            .ok_or(format!("host row missing \"{name}\""))
-    };
-    arr.iter()
-        .map(|m| {
-            Ok(HostMetric {
-                key: m
-                    .get("key")
-                    .and_then(|k| k.as_str())
-                    .ok_or("host row missing \"key\"".to_string())?
-                    .to_string(),
-                instructions: field(m, "instructions")?,
-                sim_cycles: field(m, "sim_cycles")?,
-                scalar_ns: field(m, "scalar_ns")?,
-                sliced_ns: field(m, "sliced_ns")?,
-                threaded_ns: field(m, "threaded_ns")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()
-}
-
 /// Geometric mean of the per-row sliced speedups — the gate's headline
 /// number. Individual rows jitter with host load; the geomean over all
 /// Table I rows is stable, and any executor regression (the fast paths
 /// are shared by every row) moves it.
-pub fn geomean_sliced_speedup(metrics: &[HostMetric]) -> f64 {
-    if metrics.is_empty() {
+pub fn geomean_sliced_speedup(rows: &[&Row]) -> f64 {
+    if rows.is_empty() {
         return 0.0;
     }
-    let log_sum: f64 = metrics.iter().map(|m| m.sliced_speedup().ln()).sum();
-    (log_sum / metrics.len() as f64).exp()
+    let log_sum: f64 = rows.iter().map(|r| sliced_speedup(r).ln()).sum();
+    (log_sum / rows.len() as f64).exp()
 }
 
-/// Compare current host rows against a baseline's. Absolute nanoseconds
-/// are machine-dependent and never compared; what is gated is the
-/// machine-portable sliced speedup ratio:
+/// Compare current host rows against a baseline's. Rows are matched by
+/// the generic section comparison (a row on only one side fails);
+/// absolute nanoseconds are machine-dependent and never compared. What
+/// is gated is the machine-portable sliced speedup ratio:
 ///
-/// * a tracked row that disappeared is a regression;
 /// * the **geometric mean** speedup over all matched rows falling more
 ///   than `tolerance` below the baseline's is a regression — every row
 ///   exercises the same fast paths, so a real executor regression moves
 ///   the aggregate, while single-row timing jitter does not;
 /// * any single row collapsing more than `2 * tolerance` is flagged
 ///   too — a belt-and-braces bound wide enough to ride out load spikes.
-///
-/// New rows pass — they are fresh baselines.
-pub fn compare_host(
-    current: &[HostMetric],
-    baseline: &[HostMetric],
-    tolerance: f64,
-) -> Vec<String> {
-    let mut regressions = Vec::new();
-    let mut matched_current = Vec::new();
-    let mut matched_base = Vec::new();
-    for b in baseline {
-        let Some(c) = current.iter().find(|c| c.key == b.key) else {
-            regressions.push(format!("{}: tracked host row disappeared", b.key));
-            continue;
-        };
-        matched_current.push(c.clone());
-        matched_base.push(b.clone());
-        let (now, base) = (c.sliced_speedup(), b.sliced_speedup());
+pub fn compare_host(current: &[Row], baseline: &[Row], tolerance: f64) -> Vec<String> {
+    let mut regressions = HOST.sections[0].compare(current, baseline, tolerance);
+    let (matched_current, matched_base): (Vec<&Row>, Vec<&Row>) = baseline
+        .iter()
+        .filter_map(|b| current.iter().find(|c| c.key == b.key).map(|c| (c, b)))
+        .unzip();
+    for (c, b) in matched_current.iter().zip(&matched_base) {
+        let (now, base) = (sliced_speedup(c), sliced_speedup(b));
         if base > 0.0 && now < base * (1.0 - 2.0 * tolerance) {
             regressions.push(format!(
                 "{} (sliced speedup): {now:.2}x vs baseline {base:.2}x ({:+.1}%)",
@@ -326,34 +257,14 @@ pub fn compare_host(
     regressions
 }
 
-/// The [`run_host`] tolerance: [`HOST_TOLERANCE`] unless
-/// [`HOST_TOLERANCE_ENV`] holds a positive float.
-pub fn host_gate_tolerance() -> f64 {
-    std::env::var(HOST_TOLERANCE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|t| *t > 0.0)
-        .unwrap_or(HOST_TOLERANCE)
-}
-
-/// The [`run_host`] retry budget: [`HOST_GATE_RETRIES`] unless
-/// [`HOST_GATE_RETRIES_ENV`] holds a positive integer.
-pub fn host_gate_retries() -> usize {
-    std::env::var(HOST_GATE_RETRIES_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|n| *n > 0)
-        .unwrap_or(HOST_GATE_RETRIES)
-}
-
 /// The best-of-N gate loop behind [`run_host`], with the collector
 /// injected so tests can pin the retry behaviour without timing
 /// anything: each attempt is a full collection + comparison, the first
 /// clean attempt wins, and only `attempts` straight losses declare a
 /// regression (the last attempt's list is returned).
 pub fn run_host_with(
-    mut collect: impl FnMut() -> Vec<HostMetric>,
-    baseline: &[HostMetric],
+    mut collect: impl FnMut() -> Vec<Row>,
+    baseline: &[Row],
     tolerance: f64,
     attempts: usize,
 ) -> Result<String, Vec<String>> {
@@ -362,7 +273,7 @@ pub fn run_host_with(
         let current = collect();
         regressions = compare_host(&current, baseline, tolerance);
         if regressions.is_empty() {
-            return Ok(to_host_json(&current));
+            return Ok(HOST.render(&[current], None));
         }
     }
     Err(regressions)
@@ -371,17 +282,17 @@ pub fn run_host_with(
 /// Run the full host gate against [`COMMITTED_HOST_BASELINE`]: collect,
 /// compare, and return the rendered `BENCH_host.json` contents on
 /// success or the regression list on failure. Because wall time is
-/// noisy, up to [`host_gate_retries`] full collections are measured and
-/// the first clean one passes; [`host_gate_tolerance`] honours the
-/// [`HOST_TOLERANCE_ENV`] override.
+/// noisy, up to [`HOST_GATE_RETRIES`] full collections are measured and
+/// the first clean one passes.
 pub fn run_host() -> Result<String, Vec<String>> {
-    let baseline = parse_host(COMMITTED_HOST_BASELINE)
+    let mut baseline = HOST
+        .parse(COMMITTED_HOST_BASELINE)
         .map_err(|e| vec![format!("committed host baseline unreadable: {e}")])?;
     run_host_with(
         collect_host,
-        &baseline,
-        host_gate_tolerance(),
-        host_gate_retries(),
+        &baseline.remove(0),
+        HOST_TOLERANCE,
+        HOST_GATE_RETRIES,
     )
 }
 
@@ -389,39 +300,13 @@ pub fn run_host() -> Result<String, Vec<String>> {
 mod tests {
     use super::*;
 
-    fn hm(key: &str, scalar_ns: u64, sliced_ns: u64) -> HostMetric {
-        HostMetric {
-            key: key.into(),
-            instructions: 10_000,
-            sim_cycles: 97_836,
-            scalar_ns,
-            sliced_ns,
-            threaded_ns: sliced_ns / 2 + 1,
-        }
-    }
-
-    #[test]
-    fn host_json_round_trips() {
-        let ms = vec![
-            hm("host/InceptionV3-1/147x147x64", 4_000_000, 1_000_000),
-            hm("host/VGG16-1/224x224x64", 9_000_000, 3_000_000),
-        ];
-        let doc = to_host_json(&ms);
-        assert_eq!(parse_host(&doc).unwrap(), ms);
-        assert!(doc.contains("\"sliced_speedup\": 4.0000"));
-        assert!(doc.contains("\"scalar_instr_per_sec\""));
-    }
-
-    #[test]
-    fn absent_host_section_parses_as_empty() {
-        // A pooling-format document (or any JSON without a "host"
-        // section) must parse cleanly as the empty list, and the
-        // comparison must pass every current row as a fresh baseline.
-        let legacy = "{\n  \"benchmark\": \"pooling\",\n  \"metrics\": []\n}\n";
-        let base = parse_host(legacy).unwrap();
-        assert!(base.is_empty());
-        let ms = vec![hm("host/a", 100, 25)];
-        assert!(compare_host(&ms, &base, HOST_TOLERANCE).is_empty());
+    fn hm(key: &str, scalar_ns: u64, sliced_ns: u64) -> Row {
+        Row::new(key)
+            .with("instructions", 10_000)
+            .with("sim_cycles", 97_836)
+            .with("scalar_ns", scalar_ns)
+            .with("sliced_ns", sliced_ns)
+            .with("threaded_ns", sliced_ns / 2 + 1)
     }
 
     #[test]
@@ -502,7 +387,7 @@ mod tests {
         )
         .expect("third collection clears the gate");
         assert_eq!(calls, 3);
-        assert_eq!(parse_host(&doc).unwrap(), quiet);
+        assert_eq!(HOST.parse(&doc).unwrap()[0], quiet);
 
         // A clean first attempt never re-collects.
         let mut calls = 0;
@@ -536,37 +421,26 @@ mod tests {
     }
 
     #[test]
-    fn host_gate_env_overrides_parse_defensively() {
-        // NB: process-global env; this test owns these two variables.
-        std::env::set_var(HOST_TOLERANCE_ENV, "0.5");
-        std::env::set_var(HOST_GATE_RETRIES_ENV, "7");
-        assert_eq!(host_gate_tolerance(), 0.5);
-        assert_eq!(host_gate_retries(), 7);
-        // Garbage and non-positive values fall back to the defaults.
-        std::env::set_var(HOST_TOLERANCE_ENV, "not-a-float");
-        std::env::set_var(HOST_GATE_RETRIES_ENV, "0");
-        assert_eq!(host_gate_tolerance(), HOST_TOLERANCE);
-        assert_eq!(host_gate_retries(), HOST_GATE_RETRIES);
-        std::env::remove_var(HOST_TOLERANCE_ENV);
-        std::env::remove_var(HOST_GATE_RETRIES_ENV);
-        assert_eq!(host_gate_tolerance(), HOST_TOLERANCE);
-        assert_eq!(host_gate_retries(), HOST_GATE_RETRIES);
-    }
-
-    #[test]
     fn committed_host_baseline_parses_and_clears_the_floor() {
-        let base = parse_host(COMMITTED_HOST_BASELINE).expect("host baseline parses");
+        let base = HOST
+            .parse(COMMITTED_HOST_BASELINE)
+            .expect("host baseline parses")
+            .remove(0);
         assert_eq!(
             base.len(),
             table1_workloads().len(),
             "host baseline must track every Table I workload"
         );
         assert!(
-            base.iter().any(|m| m.sliced_speedup() >= SLICED_FLOOR),
+            base.iter().any(|m| sliced_speedup(m) >= SLICED_FLOOR),
             "committed host baseline must record the Sliced floor win"
         );
         for m in &base {
-            assert!(m.instructions > 0 && m.sim_cycles > 0, "{}", m.key);
+            assert!(
+                m.int("instructions") > 0 && m.int("sim_cycles") > 0,
+                "{}",
+                m.key
+            );
         }
     }
 }

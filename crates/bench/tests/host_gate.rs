@@ -1,12 +1,10 @@
 //! The enforcing host-throughput gate: replays every Table I workload's
-//! Im2col forward under all three execution backends, writes
+//! Im2col forward under all three execution backends (bit-identity and
+//! the sliced floor are asserted in-run by `collect_host`), writes
 //! `BENCH_host.json` at the workspace root, and fails if the sliced
-//! speedup ratio on any tracked row fell more than [`host::HOST_TOLERANCE`]
-//! below the committed baseline (`crates/bench/baselines/host.json`).
-//!
-//! Bit-identity across backends is asserted *inside* `collect_host` on
-//! every gated workload — this test re-checks the emitted document's
-//! structural invariants on top.
+//! speedup ratios fell more than [`host::HOST_TOLERANCE`] (geomean) or
+//! twice that (any one row) below the committed baseline
+//! (`crates/bench/baselines/host.json`), or if the tracked rows changed.
 //!
 //! If this fails after an *intentional* executor change, regenerate with
 //! `cargo run --release -p dv-bench --bin repro -- gate` and commit the
@@ -20,41 +18,7 @@ fn host_gate_no_throughput_regressions_vs_committed_baseline() {
     match host::run_host() {
         Ok(doc) => {
             let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-            let path = root.join("BENCH_host.json");
-            std::fs::write(&path, &doc).expect("write BENCH_host.json");
-
-            let metrics = host::parse_host(&doc).expect("emitted host JSON parses");
-            assert_eq!(
-                metrics.len(),
-                dv_core::table1_workloads().len(),
-                "host gate must cover every Table I workload"
-            );
-            // The acceptance floor travels in the artifact, not just in
-            // the in-run assert: at least one Table I row at >= 2x.
-            assert!(
-                metrics
-                    .iter()
-                    .any(|m| m.sliced_speedup() >= host::SLICED_FLOOR),
-                "emitted BENCH_host.json records no {}x sliced win",
-                host::SLICED_FLOOR
-            );
-            for m in &metrics {
-                assert!(
-                    m.instructions > 0 && m.sim_cycles > 0,
-                    "{}: degenerate denominators",
-                    m.key
-                );
-                assert!(
-                    m.scalar_ns > 0 && m.sliced_ns > 0 && m.threaded_ns > 0,
-                    "{}: zero wall time measured",
-                    m.key
-                );
-                assert!(
-                    m.instr_per_sec(m.sliced_ns) > 0.0 && m.sim_cycles_per_sec(m.sliced_ns) > 0.0,
-                    "{}: degenerate throughput",
-                    m.key
-                );
-            }
+            std::fs::write(root.join("BENCH_host.json"), &doc).expect("write BENCH_host.json");
         }
         Err(regressions) => panic!(
             "host-throughput regressions vs the committed baseline:\n  {}\n\

@@ -695,12 +695,20 @@ impl PoolingEngine {
     ) -> Result<(Nc1hwc0, PoolRun), RunError> {
         let prob = PoolProblem::new(mask.n, mask.c1, ih, iw, params)?;
         let (oh, ow) = prob.out_dims();
-        if (mask.oh, mask.ow) != (oh, ow) || (gradients.h, gradients.w) != (oh, ow) {
+        // The problem takes its planes from the mask: the gradients must
+        // carry the same planes and the mask the params' window, or the
+        // GM image is sized for one tensor and written from another.
+        let mask_shape = (mask.n, mask.c1, mask.kh, mask.kw, mask.oh, mask.ow);
+        let grad_shape = (gradients.n, gradients.c1, gradients.h, gradients.w);
+        if mask_shape != (mask.n, mask.c1, params.kh, params.kw, oh, ow)
+            || grad_shape != (mask.n, mask.c1, oh, ow)
+        {
             return Err(RunError::Lower(LowerError::Shape(
                 dv_tensor::ShapeError::Mismatch(format!(
-                    "mask {:?} / gradients {:?} do not match derived patch grid {:?}",
-                    (mask.oh, mask.ow),
-                    (gradients.h, gradients.w),
+                    "mask (n, c1, kh, kw, oh, ow) {mask_shape:?} / gradients (n, c1, h, w) \
+                     {grad_shape:?} do not match the {}x{} window and derived patch grid {:?}",
+                    params.kh,
+                    params.kw,
                     (oh, ow)
                 )),
             )));

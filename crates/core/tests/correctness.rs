@@ -224,6 +224,51 @@ fn maxpool_backward_both_merges() {
     }
 }
 
+/// The backward problem takes its planes from the mask, so gradients
+/// with other planes, or a mask cut for another window, are a typed shape
+/// error — never a silently zero plane of `dx` or a panic while the GM
+/// image is written.
+#[test]
+fn maxpool_backward_rejects_inconsistent_mask_and_gradients() {
+    use dv_core::{LowerError, RunError};
+    use dv_tensor::ShapeError;
+    let input = test_input(1, 2, 4, 4, 13);
+    let params = PoolParams::new((2, 2), (2, 2));
+    let mask = reference::maxpool_argmax_mask(&input, &params).unwrap();
+    let eng = PoolingEngine::new(Chip::new(1, CostModel::ascend910_like()));
+    let k3s1 = PoolParams::new((3, 3), (1, 1)); // same 2x2 patch grid on 4x4
+    let cases = [
+        (
+            "gradients with fewer planes",
+            int_grads(1, 1, 2, 2, 14),
+            params,
+        ),
+        (
+            "gradients with more planes",
+            int_grads(1, 100, 2, 2, 15),
+            params,
+        ),
+        (
+            "mask cut for another window",
+            int_grads(1, 2, 2, 2, 16),
+            k3s1,
+        ),
+    ];
+    for (what, grads, p) in cases {
+        for merge in [MergeImpl::VAdd, MergeImpl::Col2Im] {
+            let r = eng.maxpool_backward(&mask, &grads, p, 4, 4, merge);
+            assert!(
+                matches!(
+                    r,
+                    Err(RunError::Lower(LowerError::Shape(ShapeError::Mismatch(_))))
+                ),
+                "{what} ({merge:?}): expected a typed shape mismatch, got {:?}",
+                r.map(|(dx, _)| (dx.n, dx.c1, dx.h, dx.w))
+            );
+        }
+    }
+}
+
 #[test]
 fn maxpool_backward_stride_sweep() {
     for stride in [1usize, 2, 3] {

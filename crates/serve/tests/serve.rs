@@ -290,6 +290,36 @@ fn engine_errors_travel_back_through_the_handle() {
     assert!(server.submit(ok).wait().is_ok());
 }
 
+/// A backward job whose gradients carry other planes than its mask is
+/// rejected with a typed error before anything is allocated, so the only
+/// worker survives to run the next job.
+#[test]
+fn inconsistent_backward_job_fails_typed_and_keeps_the_worker() {
+    use dv_core::RunError;
+    let server = Server::new(1);
+    let x = input(1, 2, 4, 4, 95);
+    let params = PoolParams::new((2, 2), (2, 2));
+    let mask = dv_tensor::reference::maxpool_argmax_mask(&x, &params).unwrap();
+    let backward = |gradients| {
+        JobSpec::new(
+            x.clone(),
+            params,
+            JobOp::MaxBackward {
+                merge: MergeImpl::Col2Im,
+                mask: mask.clone(),
+                gradients,
+            },
+        )
+        .with_cores(1)
+    };
+    match server.submit(backward(input(1, 100, 2, 2, 96))).wait() {
+        Err(ServeError::Run(RunError::Lower(_))) => {}
+        other => panic!("expected a typed lowering error, got {other:?}"),
+    }
+    let good = server.submit(backward(input(1, 2, 2, 2, 97))).wait();
+    assert!(good.is_ok(), "the worker must survive: {:?}", good.err());
+}
+
 #[test]
 fn shutdown_drains_queued_jobs() {
     let server = Server::new(1);

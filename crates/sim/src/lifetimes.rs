@@ -5,7 +5,7 @@
 //! [`LiveRange`] opens at an instruction's write into a scratchpad span
 //! and is extended by every later access that overlaps it; a fresh
 //! (non-read-modify-write) store over the same bytes closes the old
-//! range and opens a new one. The input is the same [`ExecInfo`]
+//! range and opens a new one. The input is the same `ExecInfo`
 //! read/write endpoints the dual-pipe scoreboard hazards on, so the
 //! analysis costs nothing new at execution time and agrees with the
 //! hazard model by construction.
