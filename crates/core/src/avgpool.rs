@@ -5,41 +5,29 @@
 //! reduces using sum instead of max … a new operation is needed to
 //! compute an element-wise division before saving the final output. As
 //! for the backward operator, there is no need to use the Argmax mask as
-//! an input" — so the builders here are thin wrappers over the shared
-//! MaxPool lowerings with a [`Reduction::Sum`] reduction and a uniform
-//! backward source.
+//! an input" — so every AvgPool lowering is a shared MaxPool lowering
+//! with a [`Reduction::Sum`] reduction or a
+//! [`BackwardSource::AvgUniform`] source. The builders here spell out
+//! that choice for the per-plane forward and backward.
 
-use crate::maxpool::{
-    build_backward, build_backward_batched, build_backward_sharded, build_forward_batched,
-    BackwardSource, Reduction,
-};
+use crate::maxpool::{build_backward, BackwardSource, Reduction};
 use crate::problem::{ForwardImpl, LowerError, MergeImpl, PoolProblem};
 use crate::schedule::Schedule;
 use dv_fp16::F16;
 use dv_isa::Program;
-use dv_sim::{Capacities, GmDeclaration};
+use dv_sim::Capacities;
 
 /// The `1/(Kh*Kw)` scale constant used by both forward and backward.
 pub fn avg_scale(prob: &PoolProblem) -> F16 {
     F16::from_f32(1.0 / (prob.params.kh * prob.params.kw) as f32)
 }
 
-/// Build AvgPool forward programs. The paper evaluates the `Standard` and
-/// `Im2col` variants ("the access pattern stays the same and can benefit
-/// from using Im2Col"); the other lowerings also work and are accepted.
-pub fn build_avgpool_forward(
-    prob: &PoolProblem,
-    impl_: ForwardImpl,
-    gm_in: usize,
-    gm_out: usize,
-    caps: Capacities,
-) -> Result<Vec<Program>, LowerError> {
-    build_avgpool_forward_parallel(prob, impl_, gm_in, gm_out, caps, 1, Schedule::default())
-}
-
-/// Like [`build_avgpool_forward`] with band-level parallel splitting over
-/// up to `parallel` programs and overlap-schedule control (see
-/// [`crate::maxpool::build_forward_parallel`]).
+/// Build AvgPool forward programs with band-level parallel splitting
+/// over up to `parallel` programs and overlap-schedule control (see
+/// [`crate::maxpool::build_forward_parallel`]). The paper evaluates the
+/// `Standard` and `Im2col` variants ("the access pattern stays the same
+/// and can benefit from using Im2Col"); `Expansion` also works, and the
+/// X-Y split is refused because it re-associates the f16 sum.
 #[allow(clippy::too_many_arguments)]
 pub fn build_avgpool_forward_parallel(
     prob: &PoolProblem,
@@ -50,14 +38,6 @@ pub fn build_avgpool_forward_parallel(
     parallel: usize,
     sched: Schedule,
 ) -> Result<Vec<Program>, LowerError> {
-    if impl_ == ForwardImpl::XYSplit {
-        // The split reduction re-associates the f16 sum and would not be
-        // bit-identical to the reference; the paper only uses the X-Y
-        // split for MaxPool.
-        return Err(LowerError::Unsupported(
-            "AvgPool X-Y split re-associates the f16 sum".into(),
-        ));
-    }
     crate::maxpool::build_forward_parallel(
         prob,
         impl_,
@@ -68,30 +48,6 @@ pub fn build_avgpool_forward_parallel(
         gm_out,
         caps,
         parallel,
-        sched,
-    )
-}
-
-/// Batch-folded AvgPool forward: one program per `c1` slice covering all
-/// `N` planes through Mode-0 `Im2Col` repeat chains (see
-/// [`crate::maxpool::build_forward_batched`]). Im2col-only by
-/// construction — the fold *is* the Mode-0 chain.
-pub fn build_avgpool_forward_batched(
-    prob: &PoolProblem,
-    gm_in: usize,
-    gm_out: usize,
-    caps: Capacities,
-    sched: Schedule,
-) -> Result<Vec<Program>, LowerError> {
-    build_forward_batched(
-        prob,
-        Reduction::Sum {
-            scale: avg_scale(prob),
-        },
-        gm_in,
-        gm_out,
-        None,
-        caps,
         sched,
     )
 }
@@ -109,58 +65,6 @@ pub fn build_avgpool_backward(
     sched: Schedule,
 ) -> Result<Vec<Program>, LowerError> {
     build_backward(
-        prob,
-        merge,
-        BackwardSource::AvgUniform {
-            scale: avg_scale(prob),
-        },
-        gm_grad,
-        gm_dx,
-        caps,
-        sched,
-    )
-}
-
-/// Sub-plane-sharded AvgPool backward: each plane splits into
-/// `shards_per_plane` row shards with halo-merge GM declarations (see
-/// [`crate::maxpool::build_backward_sharded`]).
-#[allow(clippy::too_many_arguments)]
-pub fn build_avgpool_backward_sharded(
-    prob: &PoolProblem,
-    merge: MergeImpl,
-    gm_grad: usize,
-    gm_dx: usize,
-    gm_staging: usize,
-    shards_per_plane: usize,
-    caps: Capacities,
-    sched: Schedule,
-) -> Result<(Vec<Program>, Vec<GmDeclaration>), LowerError> {
-    build_backward_sharded(
-        prob,
-        merge,
-        BackwardSource::AvgUniform {
-            scale: avg_scale(prob),
-        },
-        gm_grad,
-        gm_dx,
-        gm_staging,
-        shards_per_plane,
-        caps,
-        sched,
-    )
-}
-
-/// Per-`c1`-consolidated AvgPool backward (see
-/// [`crate::maxpool::build_backward_batched`]).
-pub fn build_avgpool_backward_batched(
-    prob: &PoolProblem,
-    merge: MergeImpl,
-    gm_grad: usize,
-    gm_dx: usize,
-    caps: Capacities,
-    sched: Schedule,
-) -> Result<Vec<Program>, LowerError> {
-    build_backward_batched(
         prob,
         merge,
         BackwardSource::AvgUniform {

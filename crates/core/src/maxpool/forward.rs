@@ -104,37 +104,10 @@ pub fn build_forward_parallel(
 }
 
 /// Build forward pooling that additionally stores the argmax mask (in the
-/// im2col patch layout) at `gm_mask` — the Fig. 7b computation. Only the
-/// `Standard` and `Im2col` implementations support the mask, and only
-/// with `Reduction::Max`.
-pub fn build_forward_with_argmax(
-    prob: &PoolProblem,
-    impl_: ForwardImpl,
-    gm_in: usize,
-    gm_out: usize,
-    gm_mask: usize,
-    caps: Capacities,
-) -> Result<Vec<Program>, LowerError> {
-    if !matches!(impl_, ForwardImpl::Standard | ForwardImpl::Im2col) {
-        return Err(LowerError::Unsupported(format!(
-            "argmax mask is lowered only for Standard and Im2col (got {impl_:?})"
-        )));
-    }
-    build_forward_inner(
-        prob,
-        impl_,
-        Reduction::Max,
-        gm_in,
-        gm_out,
-        Some(gm_mask),
-        caps,
-        1,
-        Schedule::default(),
-    )
-}
-
-/// Like [`build_forward_with_argmax`] with band-level parallel splitting
-/// and double-buffering control (see [`build_forward_parallel`]).
+/// im2col patch layout) at `gm_mask` — the Fig. 7b computation — with
+/// band-level parallel splitting and double-buffering control (see
+/// [`build_forward_parallel`]). Only the `Standard` and `Im2col`
+/// implementations support the mask, and only with `Reduction::Max`.
 #[allow(clippy::too_many_arguments)]
 pub fn build_forward_with_argmax_parallel(
     prob: &PoolProblem,
@@ -177,6 +150,14 @@ fn build_forward_inner(
     sched: Schedule,
 ) -> Result<Vec<Program>, LowerError> {
     let params = prob.params;
+    // The X-Y split reduces each window in two passes, re-associating an
+    // f16 sum away from the reference's order; the paper only uses it
+    // for MaxPool.
+    if impl_ == ForwardImpl::XYSplit && matches!(reduction, Reduction::Sum { .. }) {
+        return Err(LowerError::Unsupported(
+            "AvgPool X-Y split re-associates the f16 sum".into(),
+        ));
+    }
     // Padding support: the Im2Col instruction realises padding for free;
     // the other lowerings would need explicit border handling that the
     // paper's experiments never exercise ("No padding is used in them").

@@ -11,6 +11,6 @@ pub use backward::{
 };
 pub use batched::build_forward_batched;
 pub use forward::{
-    build_forward, build_forward_parallel, build_forward_with_argmax,
-    build_forward_with_argmax_parallel, tiling_threshold, Reduction,
+    build_forward, build_forward_parallel, build_forward_with_argmax_parallel, tiling_threshold,
+    Reduction,
 };

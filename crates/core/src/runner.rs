@@ -7,9 +7,7 @@
 //! references, and the cycle counts are what the benchmark harness plots
 //! against the paper's figures.
 
-use crate::avgpool::{
-    build_avgpool_backward, build_avgpool_backward_batched, build_avgpool_forward_parallel,
-};
+use crate::avgpool::avg_scale;
 use crate::maxpool::batched::per_plane_im2col_issues;
 use crate::maxpool::{
     backward_shard_staging_bytes, build_backward, build_backward_batched, build_backward_sharded,
@@ -19,13 +17,15 @@ use crate::maxpool::{
 use crate::problem::{ForwardImpl, LowerError, MergeImpl, PoolProblem};
 use crate::schedule::{
     chip_cycle_floor, choose_backward_algorithm, choose_backward_partition,
-    choose_forward_algorithm, choose_partition, Algorithm, PartitionAxis, Schedule,
+    choose_forward_algorithm, choose_partition, Algorithm, AlgorithmChoice, PartitionAxis,
+    Schedule,
 };
 use core::fmt;
 use dv_akg::GmArena;
+use dv_fp16::F16;
 use dv_isa::Program;
 use dv_sim::{Chip, ChipRun, GmDeclaration, MemoryModel, SimError};
-use dv_tensor::{Nc1hwc0, PatchTensor, PoolParams, C0};
+use dv_tensor::{Nc1hwc0, PatchTensor, PoolKind, PoolParams, ShapeError, C0};
 
 /// Errors surfaced by engine runs.
 #[derive(Debug)]
@@ -57,6 +57,11 @@ impl From<SimError> for RunError {
         RunError::Sim(e)
     }
 }
+impl From<ShapeError> for RunError {
+    fn from(e: ShapeError) -> Self {
+        RunError::Lower(LowerError::Shape(e))
+    }
+}
 
 /// A pooling run's outcome: the simulated chip statistics.
 pub type PoolRun = ChipRun;
@@ -73,6 +78,9 @@ pub struct PoolingEngine {
     /// turns it on. This switch never splits a backward pass — sub-plane
     /// backward shards need halo-merge GM declarations and are only
     /// taken by the cost-model partitioner (see [`PoolingEngine::shard`]).
+    /// With [`PoolingEngine::auto_tune`] set the forward path ignores it;
+    /// on a multi-core chip it still keeps the backward batch
+    /// consolidation off, tuned or not.
     pub split_bands: bool,
     /// Double-buffer row bands (on by default): when a plane is split
     /// into bands and twice the band footprint fits the scratchpads, the
@@ -106,7 +114,8 @@ pub struct PoolingEngine {
     /// falls back to per-plane and books a
     /// [`dv_sim::HwCounters::tuner_fallbacks`] rather than failing or
     /// staying silent. Results are bit-identical on every axis; only the
-    /// program partitioning changes.
+    /// program partitioning changes. Ignored on both paths when
+    /// [`PoolingEngine::auto_tune`] is set.
     pub shard: bool,
     /// Auto-tune the algorithm per workload (off by default): when set,
     /// the pooling entry points *ignore* their `impl_`/`merge` argument
@@ -121,18 +130,45 @@ pub struct PoolingEngine {
     /// a [`dv_sim::HwCounters::tuner_mispredicted`] (so
     /// `tuner_mispredicted == 0` proves the tuned run is no slower than
     /// any lowerable alternative). Results are bit-identical on every
-    /// algorithm; only cycles change.
+    /// algorithm; only cycles change. The tuner takes precedence over the
+    /// partition switches: neither path consults `shard`, and the forward
+    /// path ignores `split_bands` and `batching` too (the fold is a ranked
+    /// candidate). The backward path keeps the batch consolidation that
+    /// `batching` and `split_bands` gate.
     pub auto_tune: bool,
 }
 
-/// A tuner dispatch: the chosen algorithm's programs plus everything the
-/// post-run certification needs.
-struct Tuned {
+/// A lowered run, consumed by [`PoolingEngine::execute`]: the programs
+/// to dispatch plus everything the run books afterwards.
+#[derive(Default)]
+struct Lowered {
     programs: Vec<Program>,
-    /// Lowered programs of each rejected (but lowerable) alternative.
-    alternatives: Vec<Vec<Program>>,
-    /// Ranked candidates that failed to lower before one succeeded.
+    /// Halo declarations of a sub-plane-sharded backward, folded back by
+    /// [`Chip::run_declared`].
+    halos: Option<Vec<GmDeclaration>>,
+    /// Typed declines taken before `programs` lowered, booked as
+    /// [`dv_sim::HwCounters::tuner_fallbacks`].
     fallbacks: u64,
+    /// Lowered programs of each rejected (but lowerable) tuner
+    /// alternative, certified against the measured cycles.
+    alternatives: Vec<Vec<Program>>,
+}
+
+impl From<Vec<Program>> for Lowered {
+    fn from(programs: Vec<Program>) -> Self {
+        Lowered {
+            programs,
+            ..Lowered::default()
+        }
+    }
+}
+
+/// Global-memory byte offsets of a forward run's tensors.
+#[derive(Clone, Copy)]
+struct ForwardGm {
+    input: usize,
+    out: usize,
+    mask: Option<usize>,
 }
 
 impl PoolingEngine {
@@ -237,158 +273,70 @@ impl PoolingEngine {
     /// as typed fallbacks; the remaining lowerable candidates are kept
     /// for post-run certification. An empty (or fully infeasible)
     /// ranking surfaces the last lowering error.
-    fn dispatch_ranked(
-        choice: &crate::schedule::AlgorithmChoice,
+    fn ranked(
+        choice: &AlgorithmChoice,
         mut lower: impl FnMut(Algorithm) -> Result<Vec<Program>, LowerError>,
-    ) -> Result<Tuned, LowerError> {
-        let mut fallbacks = 0u64;
-        let mut chosen: Option<Vec<Program>> = None;
-        let mut alternatives = Vec::new();
+    ) -> Result<Lowered, LowerError> {
+        let mut lowered: Option<Lowered> = None;
+        let mut declines = 0u64;
         let mut last_err: Option<LowerError> = None;
         for pred in &choice.ranking {
             match lower(pred.algorithm) {
-                Ok(ps) => {
-                    if chosen.is_none() {
-                        chosen = Some(ps);
-                    } else {
-                        alternatives.push(ps);
+                Ok(ps) => match &mut lowered {
+                    Some(l) => l.alternatives.push(ps),
+                    None => {
+                        lowered = Some(Lowered {
+                            fallbacks: declines,
+                            ..ps.into()
+                        })
                     }
-                }
+                },
+                // Candidates that fail before the winner are its typed
+                // declines, never a silent re-rank.
                 Err(e) => {
-                    if chosen.is_none() {
-                        // The predicted winner could not be lowered: a
-                        // typed decline, never a silent re-rank.
-                        fallbacks += 1;
-                    }
+                    declines += 1;
                     last_err = Some(e);
                 }
             }
         }
-        match chosen {
-            Some(programs) => Ok(Tuned {
-                programs,
-                alternatives,
-                fallbacks,
-            }),
-            None => Err(last_err.unwrap_or_else(|| {
+        lowered.ok_or_else(|| {
+            last_err.unwrap_or_else(|| {
                 LowerError::Unsupported("auto-tuner found no feasible algorithm".into())
-            })),
+            })
+        })
+    }
+
+    /// The one execute step: lay out the GM image with each input written
+    /// at its offset, run the programs (folding halo declarations back
+    /// when there are any), book the lowering's typed declines, and
+    /// certify the dispatched winner against each rejected alternative's
+    /// cycle floor. A floor the measured cycles exceed means the
+    /// predicted win cannot be certified — booked as a misprediction,
+    /// never silently dropped.
+    fn execute(
+        &self,
+        gm: &GmArena,
+        inputs: &[(usize, &[F16])],
+        lowered: &Lowered,
+    ) -> Result<(Vec<u8>, PoolRun), RunError> {
+        let mut image = vec![0u8; gm.size()];
+        for &(offset, data) in inputs {
+            let bytes = dv_fp16::as_bytes(data);
+            image[offset..offset + bytes.len()].copy_from_slice(bytes);
         }
-    }
-
-    /// Auto-tuned forward dispatch: rank the algorithm families, lower
-    /// the winner (falling through the ranking on typed declines), and
-    /// keep the rejected alternatives for certification.
-    fn tuned_forward(
-        &self,
-        prob: &PoolProblem,
-        reduction: Reduction,
-        gm_in: usize,
-        gm_out: usize,
-        gm_mask: Option<usize>,
-    ) -> Result<Tuned, LowerError> {
-        let is_avg = matches!(reduction, Reduction::Sum { .. });
-        let choice = choose_forward_algorithm(
-            prob,
-            gm_mask.is_some(),
-            is_avg,
-            self.chip.cores,
-            &self.schedule(),
-            self.chip.caps,
-            self.shared_bandwidth(),
-        );
-        Self::dispatch_ranked(&choice, |algo| match algo {
-            Algorithm::Fold => build_forward_batched(
-                prob,
-                reduction,
-                gm_in,
-                gm_out,
-                gm_mask,
-                self.chip.caps,
-                self.schedule(),
-            ),
-            _ => match gm_mask {
-                Some(m) => build_forward_with_argmax_parallel(
-                    prob,
-                    algo.forward_impl(),
-                    gm_in,
-                    gm_out,
-                    m,
-                    self.chip.caps,
-                    1,
-                    self.schedule(),
-                ),
-                None => build_forward_parallel(
-                    prob,
-                    algo.forward_impl(),
-                    reduction,
-                    gm_in,
-                    gm_out,
-                    self.chip.caps,
-                    1,
-                    self.schedule(),
-                ),
-            },
-        })
-    }
-
-    /// Auto-tuned backward dispatch: rank the merge families and lower
-    /// the winner. Batch folding stays the engine's occupancy-gated
-    /// consolidation (identical per-plane streams either way).
-    fn tuned_backward(
-        &self,
-        prob: &PoolProblem,
-        source: BackwardSource,
-        gm_grad: usize,
-        gm_dx: usize,
-    ) -> Result<Tuned, LowerError> {
-        let masked = matches!(source, BackwardSource::MaxMask { .. });
-        let choice = choose_backward_algorithm(
-            prob,
-            masked,
-            self.chip.cores,
-            &self.schedule(),
-            self.chip.caps,
-            self.shared_bandwidth(),
-        );
-        Self::dispatch_ranked(&choice, |algo| {
-            let merge = algo.merge_impl();
-            if self.fold_batches(prob) {
-                build_backward_batched(
-                    prob,
-                    merge,
-                    source,
-                    gm_grad,
-                    gm_dx,
-                    self.chip.caps,
-                    self.schedule(),
-                )
-            } else {
-                build_backward(
-                    prob,
-                    merge,
-                    source,
-                    gm_grad,
-                    gm_dx,
-                    self.chip.caps,
-                    self.schedule(),
-                )
-            }
-        })
-    }
-
-    /// Post-run honesty booking: surface every decline the tuner took
-    /// and certify the dispatched winner against each rejected
-    /// alternative's cycle floor. A floor the measured cycles exceed
-    /// means the predicted win cannot be certified — booked as a
-    /// misprediction, never silently dropped.
-    fn book_tuner(&self, run: &mut PoolRun, tuned: &Tuned) {
-        run.total.tuner_fallbacks += tuned.fallbacks;
-        for alt in &tuned.alternatives {
+        let mut run = match &lowered.halos {
+            Some(halos) => self
+                .chip
+                .run_declared(&mut image, &lowered.programs, halos)?,
+            None => self.chip.run(&mut image, &lowered.programs)?,
+        };
+        run.total.tuner_fallbacks += lowered.fallbacks;
+        for alt in &lowered.alternatives {
             if chip_cycle_floor(alt, self.chip.cores, &self.chip.cost) < run.cycles {
                 run.total.tuner_mispredicted += 1;
             }
         }
+        Ok((image, run))
     }
 
     /// The partition axis this forward run shards over. With
@@ -448,65 +396,6 @@ impl PoolingEngine {
         }
     }
 
-    /// Shards per plane a sub-plane backward split uses — the idle-core
-    /// multiple [`choose_backward_partition`] priced.
-    fn backward_shards(&self, prob: &PoolProblem) -> usize {
-        (self.chip.cores / (prob.n * prob.c1)).max(2)
-    }
-
-    /// Lower a sharded backward pass, falling back to the per-plane
-    /// lowering on a typed decline. Returns the programs, the halo
-    /// declarations when the sharded lowering ran, and the decline count
-    /// the caller books as [`dv_sim::HwCounters::tuner_fallbacks`].
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn sharded_backward_or_fallback(
-        &self,
-        prob: &PoolProblem,
-        merge: MergeImpl,
-        source: BackwardSource,
-        gm: &mut GmArena,
-        gm_grad: usize,
-        gm_dx: usize,
-    ) -> Result<(Vec<Program>, Option<Vec<GmDeclaration>>, u64), LowerError> {
-        let shards = self.backward_shards(prob);
-        let gm_staging = gm.alloc(backward_shard_staging_bytes(prob, shards));
-        match build_backward_sharded(
-            prob,
-            merge,
-            source,
-            gm_grad,
-            gm_dx,
-            gm_staging,
-            shards,
-            self.chip.caps,
-            self.schedule(),
-        ) {
-            Ok((programs, decls)) => Ok((programs, Some(decls), 0)),
-            Err(_) => {
-                // Typed decline: run the per-plane schedule the
-                // partitioner compared against, and book the fallback.
-                let programs = build_backward(
-                    prob,
-                    merge,
-                    source,
-                    gm_grad,
-                    gm_dx,
-                    self.chip.caps,
-                    self.schedule(),
-                )?;
-                Ok((programs, None, 1))
-            }
-        }
-    }
-
-    /// How many shares each plane's bands split into under `axis`.
-    fn axis_parallel(&self, axis: PartitionAxis) -> usize {
-        match axis {
-            PartitionAxis::PerRowBand => self.chip.cores,
-            PartitionAxis::PerPlane | PartitionAxis::PerC1 => 1,
-        }
-    }
-
     /// Whether this run folds the batch dimension: only with `N > 1`,
     /// never alongside band splitting (which already re-partitions the
     /// work), and only when dropping from `N * C1` to `C1` programs
@@ -516,6 +405,28 @@ impl PoolingEngine {
             && prob.n > 1
             && self.parallel() == 1
             && (self.chip.cores == 1 || prob.c1 >= self.chip.cores)
+    }
+
+    /// The per-plane forward lowering of `impl_`, band-split over up to
+    /// `parallel` programs: the argmax builder when the run stores a
+    /// mask, the plain one otherwise.
+    fn per_plane_forward(
+        &self,
+        prob: &PoolProblem,
+        impl_: ForwardImpl,
+        reduction: Reduction,
+        gm: ForwardGm,
+        parallel: usize,
+    ) -> Result<Vec<Program>, LowerError> {
+        let (caps, sched) = (self.chip.caps, self.schedule());
+        match gm.mask {
+            Some(mask) => build_forward_with_argmax_parallel(
+                prob, impl_, gm.input, gm.out, mask, caps, parallel, sched,
+            ),
+            None => build_forward_parallel(
+                prob, impl_, reduction, gm.input, gm.out, caps, parallel, sched,
+            ),
+        }
     }
 
     /// Forward Im2col with batch folding: build the Mode-0 fold, keep it
@@ -528,47 +439,23 @@ impl PoolingEngine {
         &self,
         prob: &PoolProblem,
         reduction: Reduction,
-        gm_in: usize,
-        gm_out: usize,
-        gm_mask: Option<usize>,
+        gm: ForwardGm,
     ) -> Result<Vec<Program>, LowerError> {
-        let per_plane = || -> Result<Vec<Program>, LowerError> {
-            match gm_mask {
-                Some(m) => build_forward_with_argmax_parallel(
-                    prob,
-                    ForwardImpl::Im2col,
-                    gm_in,
-                    gm_out,
-                    m,
-                    self.chip.caps,
-                    self.parallel(),
-                    self.schedule(),
-                ),
-                None => build_forward_parallel(
-                    prob,
-                    ForwardImpl::Im2col,
-                    reduction,
-                    gm_in,
-                    gm_out,
-                    self.chip.caps,
-                    self.parallel(),
-                    self.schedule(),
-                ),
-            }
-        };
+        let per_plane =
+            || self.per_plane_forward(prob, ForwardImpl::Im2col, reduction, gm, self.parallel());
         match build_forward_batched(
             prob,
             reduction,
-            gm_in,
-            gm_out,
-            gm_mask,
+            gm.input,
+            gm.out,
+            gm.mask,
             self.chip.caps,
             self.schedule(),
         ) {
             Ok(folded) => {
                 let folded_issues: usize = folded.iter().map(|p| p.issue_count("im2col")).sum();
                 let per_plane_issues =
-                    per_plane_im2col_issues(prob, gm_mask.is_some(), self.chip.caps)
+                    per_plane_im2col_issues(prob, gm.mask.is_some(), self.chip.caps)
                         .map(|per_c1| per_c1 * prob.c1)
                         .unwrap_or(usize::MAX);
                 if folded_issues < per_plane_issues {
@@ -581,8 +468,181 @@ impl PoolingEngine {
         }
     }
 
-    fn problem(input: &Nc1hwc0, params: PoolParams) -> Result<PoolProblem, LowerError> {
-        PoolProblem::new(input.n, input.c1, input.h, input.w, params)
+    /// The one forward path behind [`PoolingEngine::maxpool_forward`],
+    /// [`PoolingEngine::maxpool_forward_with_argmax`] and
+    /// [`PoolingEngine::avgpool_forward`]: lay out input, output and —
+    /// when `with_mask` — the argmax mask in GM; lower through the tuner's
+    /// ranking, or else by the partition axis; execute; read back.
+    fn forward(
+        &self,
+        input: &Nc1hwc0,
+        params: PoolParams,
+        impl_: ForwardImpl,
+        kind: PoolKind,
+        with_mask: bool,
+    ) -> Result<(Nc1hwc0, Option<PatchTensor>, PoolRun), RunError> {
+        let prob = PoolProblem::new(input.n, input.c1, input.h, input.w, params)?;
+        let reduction = match kind {
+            PoolKind::Max => Reduction::Max,
+            PoolKind::Avg => Reduction::Sum {
+                scale: avg_scale(&prob),
+            },
+        };
+        // GM allocation order (fields evaluate as written): input,
+        // output, mask.
+        let mut arena = GmArena::new();
+        let gm = ForwardGm {
+            input: arena.alloc(prob.in_bytes()),
+            out: arena.alloc(prob.out_bytes()),
+            mask: with_mask.then(|| arena.alloc(prob.mask_bytes())),
+        };
+        let lowered = if self.auto_tune {
+            let choice = choose_forward_algorithm(
+                &prob,
+                with_mask,
+                kind == PoolKind::Avg,
+                self.chip.cores,
+                &self.schedule(),
+                self.chip.caps,
+                self.shared_bandwidth(),
+            );
+            Self::ranked(&choice, |algo| match algo {
+                Algorithm::Fold => build_forward_batched(
+                    &prob,
+                    reduction,
+                    gm.input,
+                    gm.out,
+                    gm.mask,
+                    self.chip.caps,
+                    self.schedule(),
+                ),
+                _ => self.per_plane_forward(&prob, algo.forward_impl(), reduction, gm, 1),
+            })?
+        } else {
+            Lowered::from(match self.forward_axis(&prob, impl_, with_mask) {
+                PartitionAxis::PerC1 => self.batched_forward_or_fallback(&prob, reduction, gm)?,
+                PartitionAxis::PerRowBand => {
+                    self.per_plane_forward(&prob, impl_, reduction, gm, self.chip.cores)?
+                }
+                PartitionAxis::PerPlane => {
+                    self.per_plane_forward(&prob, impl_, reduction, gm, 1)?
+                }
+            })
+        };
+        let (image, run) = self.execute(&arena, &[(gm.input, input.data())], &lowered)?;
+        let (oh, ow) = prob.out_dims();
+        let out = read_tensor(&image, gm.out, (prob.n, prob.c1, oh, ow))?;
+        let mask = gm.mask.map(|m| read_mask(&image, m, &prob)).transpose()?;
+        Ok((out, mask, run))
+    }
+
+    /// The backward lowering for `merge`: consolidated per `c1` when
+    /// [`PoolingEngine::fold_batches`] allows it, per plane otherwise.
+    fn backward_programs(
+        &self,
+        prob: &PoolProblem,
+        merge: MergeImpl,
+        source: BackwardSource,
+        gm_grad: usize,
+        gm_dx: usize,
+    ) -> Result<Vec<Program>, LowerError> {
+        let build = if self.fold_batches(prob) {
+            build_backward_batched
+        } else {
+            build_backward
+        };
+        build(
+            prob,
+            merge,
+            source,
+            gm_grad,
+            gm_dx,
+            self.chip.caps,
+            self.schedule(),
+        )
+    }
+
+    /// Lower a sub-plane-sharded backward pass with its halo
+    /// declarations, falling back to the per-plane lowering — and
+    /// booking one [`dv_sim::HwCounters::tuner_fallbacks`] — on a typed
+    /// decline. The shard count is the idle-core multiple
+    /// [`choose_backward_partition`] priced.
+    fn sharded_backward_or_fallback(
+        &self,
+        prob: &PoolProblem,
+        merge: MergeImpl,
+        source: BackwardSource,
+        arena: &mut GmArena,
+        gm_grad: usize,
+        gm_dx: usize,
+    ) -> Result<Lowered, LowerError> {
+        let (caps, sched) = (self.chip.caps, self.schedule());
+        let shards = (self.chip.cores / (prob.n * prob.c1)).max(2);
+        let gm_staging = arena.alloc(backward_shard_staging_bytes(prob, shards));
+        match build_backward_sharded(
+            prob, merge, source, gm_grad, gm_dx, gm_staging, shards, caps, sched,
+        ) {
+            Ok((programs, halos)) => Ok(Lowered {
+                programs,
+                halos: Some(halos),
+                ..Lowered::default()
+            }),
+            // Typed decline: run the per-plane schedule the partitioner
+            // compared against, and book the fallback.
+            Err(_) => Ok(Lowered {
+                programs: build_backward(prob, merge, source, gm_grad, gm_dx, caps, sched)?,
+                fallbacks: 1,
+                ..Lowered::default()
+            }),
+        }
+    }
+
+    /// The one backward path behind [`PoolingEngine::maxpool_backward`]
+    /// (`mask` given) and [`PoolingEngine::avgpool_backward`] (uniform
+    /// mask): lay out mask, gradients and `dx` in GM; lower through the
+    /// tuner's ranking, else as sub-plane shards when the partitioner
+    /// predicts a win, else folded or per plane; execute; read `dx` back.
+    fn backward(
+        &self,
+        prob: &PoolProblem,
+        mask: Option<&PatchTensor>,
+        gradients: &Nc1hwc0,
+        merge: MergeImpl,
+    ) -> Result<(Nc1hwc0, PoolRun), RunError> {
+        let mut arena = GmArena::new();
+        let gm_mask = mask.map(|m| (arena.alloc(prob.mask_bytes()), m.data()));
+        let gm_grad = arena.alloc(prob.out_bytes());
+        let gm_dx = arena.alloc(prob.in_bytes());
+        let source = match gm_mask {
+            Some((gm_mask, _)) => BackwardSource::MaxMask { gm_mask },
+            None => BackwardSource::AvgUniform {
+                scale: avg_scale(prob),
+            },
+        };
+        let lowered = if self.auto_tune {
+            let choice = choose_backward_algorithm(
+                prob,
+                mask.is_some(),
+                self.chip.cores,
+                &self.schedule(),
+                self.chip.caps,
+                self.shared_bandwidth(),
+            );
+            Self::ranked(&choice, |algo| {
+                self.backward_programs(prob, algo.merge_impl(), source, gm_grad, gm_dx)
+            })?
+        } else if self.backward_axis(prob, merge, mask.is_some()) == PartitionAxis::PerRowBand {
+            self.sharded_backward_or_fallback(prob, merge, source, &mut arena, gm_grad, gm_dx)?
+        } else {
+            Lowered::from(self.backward_programs(prob, merge, source, gm_grad, gm_dx)?)
+        };
+        let inputs: Vec<(usize, &[F16])> = gm_mask
+            .into_iter()
+            .chain([(gm_grad, gradients.data())])
+            .collect();
+        let (image, run) = self.execute(&arena, &inputs, &lowered)?;
+        let dx = read_tensor(&image, gm_dx, (prob.n, prob.c1, prob.ih, prob.iw))?;
+        Ok((dx, run))
     }
 
     /// MaxPool forward (Fig. 7a / Fig. 8): returns the pooled tensor and
@@ -593,41 +653,7 @@ impl PoolingEngine {
         params: PoolParams,
         impl_: ForwardImpl,
     ) -> Result<(Nc1hwc0, PoolRun), RunError> {
-        let prob = Self::problem(input, params)?;
-        let mut gm = GmArena::new();
-        let gm_in = gm.alloc(prob.in_bytes());
-        let gm_out = gm.alloc(prob.out_bytes());
-        let (programs, tuned) = if self.auto_tune {
-            let t = self.tuned_forward(&prob, Reduction::Max, gm_in, gm_out, None)?;
-            (Vec::new(), Some(t))
-        } else {
-            let ps = match self.forward_axis(&prob, impl_, false) {
-                PartitionAxis::PerC1 => {
-                    self.batched_forward_or_fallback(&prob, Reduction::Max, gm_in, gm_out, None)?
-                }
-                axis => build_forward_parallel(
-                    &prob,
-                    impl_,
-                    Reduction::Max,
-                    gm_in,
-                    gm_out,
-                    self.chip.caps,
-                    self.axis_parallel(axis),
-                    self.schedule(),
-                )?,
-            };
-            (ps, None)
-        };
-        let mut image = vec![0u8; gm.size()];
-        write_tensor(&mut image, gm_in, input.data());
-        let mut run = self.chip.run(
-            &mut image,
-            tuned.as_ref().map_or(&programs, |t| &t.programs),
-        )?;
-        if let Some(t) = &tuned {
-            self.book_tuner(&mut run, t);
-        }
-        let out = read_plane_tensor(&image, gm_out, &prob);
+        let (out, _, run) = self.forward(input, params, impl_, PoolKind::Max, false)?;
         Ok((out, run))
     }
 
@@ -638,47 +664,9 @@ impl PoolingEngine {
         params: PoolParams,
         impl_: ForwardImpl,
     ) -> Result<(Nc1hwc0, PatchTensor, PoolRun), RunError> {
-        let prob = Self::problem(input, params)?;
-        let mut gm = GmArena::new();
-        let gm_in = gm.alloc(prob.in_bytes());
-        let gm_out = gm.alloc(prob.out_bytes());
-        let gm_mask = gm.alloc(prob.mask_bytes());
-        let (programs, tuned) = if self.auto_tune {
-            let t = self.tuned_forward(&prob, Reduction::Max, gm_in, gm_out, Some(gm_mask))?;
-            (Vec::new(), Some(t))
-        } else {
-            let ps = match self.forward_axis(&prob, impl_, true) {
-                PartitionAxis::PerC1 => self.batched_forward_or_fallback(
-                    &prob,
-                    Reduction::Max,
-                    gm_in,
-                    gm_out,
-                    Some(gm_mask),
-                )?,
-                axis => build_forward_with_argmax_parallel(
-                    &prob,
-                    impl_,
-                    gm_in,
-                    gm_out,
-                    gm_mask,
-                    self.chip.caps,
-                    self.axis_parallel(axis),
-                    self.schedule(),
-                )?,
-            };
-            (ps, None)
-        };
-        let mut image = vec![0u8; gm.size()];
-        write_tensor(&mut image, gm_in, input.data());
-        let mut run = self.chip.run(
-            &mut image,
-            tuned.as_ref().map_or(&programs, |t| &t.programs),
-        )?;
-        if let Some(t) = &tuned {
-            self.book_tuner(&mut run, t);
-        }
-        let out = read_plane_tensor(&image, gm_out, &prob);
-        let mask = read_mask_tensor(&image, gm_mask, &prob);
+        let (out, mask, run) = self.forward(input, params, impl_, PoolKind::Max, true)?;
+        // `forward` reads a mask back whenever it stores one.
+        let mask = mask.ok_or_else(|| ShapeError::Mismatch("no argmax mask was stored".into()))?;
         Ok((out, mask, run))
     }
 
@@ -703,69 +691,16 @@ impl PoolingEngine {
         if mask_shape != (mask.n, mask.c1, params.kh, params.kw, oh, ow)
             || grad_shape != (mask.n, mask.c1, oh, ow)
         {
-            return Err(RunError::Lower(LowerError::Shape(
-                dv_tensor::ShapeError::Mismatch(format!(
-                    "mask (n, c1, kh, kw, oh, ow) {mask_shape:?} / gradients (n, c1, h, w) \
-                     {grad_shape:?} do not match the {}x{} window and derived patch grid {:?}",
-                    params.kh,
-                    params.kw,
-                    (oh, ow)
-                )),
-            )));
+            return Err(ShapeError::Mismatch(format!(
+                "mask (n, c1, kh, kw, oh, ow) {mask_shape:?} / gradients (n, c1, h, w) \
+                 {grad_shape:?} do not match the {}x{} window and derived patch grid {:?}",
+                params.kh,
+                params.kw,
+                (oh, ow)
+            ))
+            .into());
         }
-        let mut gm = GmArena::new();
-        let gm_mask = gm.alloc(prob.mask_bytes());
-        let gm_grad = gm.alloc(prob.out_bytes());
-        let gm_dx = gm.alloc(prob.in_bytes());
-        let source = BackwardSource::MaxMask { gm_mask };
-        let mut decls: Option<Vec<GmDeclaration>> = None;
-        let mut declined = 0u64;
-        let (programs, tuned) = if self.auto_tune {
-            let t = self.tuned_backward(&prob, source, gm_grad, gm_dx)?;
-            (Vec::new(), Some(t))
-        } else if self.backward_axis(&prob, merge, true) == PartitionAxis::PerRowBand {
-            let (ps, ds, d) =
-                self.sharded_backward_or_fallback(&prob, merge, source, &mut gm, gm_grad, gm_dx)?;
-            decls = ds;
-            declined = d;
-            (ps, None)
-        } else if self.fold_batches(&prob) {
-            let ps = build_backward_batched(
-                &prob,
-                merge,
-                source,
-                gm_grad,
-                gm_dx,
-                self.chip.caps,
-                self.schedule(),
-            )?;
-            (ps, None)
-        } else {
-            let ps = build_backward(
-                &prob,
-                merge,
-                source,
-                gm_grad,
-                gm_dx,
-                self.chip.caps,
-                self.schedule(),
-            )?;
-            (ps, None)
-        };
-        let mut image = vec![0u8; gm.size()];
-        write_tensor(&mut image, gm_mask, mask.data());
-        write_tensor(&mut image, gm_grad, gradients.data());
-        let ps = tuned.as_ref().map_or(&programs, |t| &t.programs);
-        let mut run = match &decls {
-            Some(d) => self.chip.run_declared(&mut image, ps, d)?,
-            None => self.chip.run(&mut image, ps)?,
-        };
-        if let Some(t) = &tuned {
-            self.book_tuner(&mut run, t);
-        }
-        run.total.tuner_fallbacks += declined;
-        let dx = read_input_tensor(&image, gm_dx, &prob);
-        Ok((dx, run))
+        self.backward(&prob, Some(mask), gradients, merge)
     }
 
     /// Rectified-linear activation (`vrelu`) over a whole tensor — the
@@ -774,7 +709,7 @@ impl PoolingEngine {
     /// UB like the pooling kernels.
     pub fn relu(&self, input: &Nc1hwc0) -> Result<(Nc1hwc0, PoolRun), RunError> {
         use dv_akg::{dma, elementwise, UbArena};
-        use dv_isa::{Addr, Program, VectorOp};
+        use dv_isa::{Addr, VectorOp};
 
         let plane_bytes = input.h * input.w * C0 * 2;
         let mut gm = GmArena::new();
@@ -806,12 +741,8 @@ impl PoolingEngine {
             }
         }
 
-        let mut image = vec![0u8; gm.size()];
-        write_tensor(&mut image, gm_in, input.data());
-        let run = self.chip.run(&mut image, &programs)?;
-        let data = read_f16s(&image, gm_out, input.len());
-        let mut out = Nc1hwc0::from_vec(input.n, input.c1, input.h, input.w, data)
-            .expect("engine-produced shape");
+        let (image, run) = self.execute(&gm, &[(gm_in, input.data())], &programs.into())?;
+        let mut out = read_tensor(&image, gm_out, (input.n, input.c1, input.h, input.w))?;
         out.orig_c = input.orig_c;
         Ok((out, run))
     }
@@ -823,48 +754,7 @@ impl PoolingEngine {
         params: PoolParams,
         impl_: ForwardImpl,
     ) -> Result<(Nc1hwc0, PoolRun), RunError> {
-        let prob = Self::problem(input, params)?;
-        let mut gm = GmArena::new();
-        let gm_in = gm.alloc(prob.in_bytes());
-        let gm_out = gm.alloc(prob.out_bytes());
-        let (programs, tuned) = if self.auto_tune {
-            let scale = crate::avgpool::avg_scale(&prob);
-            let t = self.tuned_forward(&prob, Reduction::Sum { scale }, gm_in, gm_out, None)?;
-            (Vec::new(), Some(t))
-        } else {
-            let ps = match self.forward_axis(&prob, impl_, false) {
-                PartitionAxis::PerC1 => {
-                    let scale = crate::avgpool::avg_scale(&prob);
-                    self.batched_forward_or_fallback(
-                        &prob,
-                        Reduction::Sum { scale },
-                        gm_in,
-                        gm_out,
-                        None,
-                    )?
-                }
-                axis => build_avgpool_forward_parallel(
-                    &prob,
-                    impl_,
-                    gm_in,
-                    gm_out,
-                    self.chip.caps,
-                    self.axis_parallel(axis),
-                    self.schedule(),
-                )?,
-            };
-            (ps, None)
-        };
-        let mut image = vec![0u8; gm.size()];
-        write_tensor(&mut image, gm_in, input.data());
-        let mut run = self.chip.run(
-            &mut image,
-            tuned.as_ref().map_or(&programs, |t| &t.programs),
-        )?;
-        if let Some(t) = &tuned {
-            self.book_tuner(&mut run, t);
-        }
-        let out = read_plane_tensor(&image, gm_out, &prob);
+        let (out, _, run) = self.forward(input, params, impl_, PoolKind::Avg, false)?;
         Ok((out, run))
     }
 
@@ -880,108 +770,43 @@ impl PoolingEngine {
         let prob = PoolProblem::new(gradients.n, gradients.c1, ih, iw, params)?;
         let (oh, ow) = prob.out_dims();
         if (gradients.h, gradients.w) != (oh, ow) {
-            return Err(RunError::Lower(LowerError::Shape(
-                dv_tensor::ShapeError::Mismatch(format!(
-                    "gradients {:?} do not match derived patch grid {:?}",
-                    (gradients.h, gradients.w),
-                    (oh, ow)
-                )),
-            )));
+            return Err(ShapeError::Mismatch(format!(
+                "gradients {:?} do not match derived patch grid {:?}",
+                (gradients.h, gradients.w),
+                (oh, ow)
+            ))
+            .into());
         }
-        let mut gm = GmArena::new();
-        let gm_grad = gm.alloc(prob.out_bytes());
-        let gm_dx = gm.alloc(prob.in_bytes());
-        let source = BackwardSource::AvgUniform {
-            scale: crate::avgpool::avg_scale(&prob),
-        };
-        let mut decls: Option<Vec<GmDeclaration>> = None;
-        let mut declined = 0u64;
-        let (programs, tuned) = if self.auto_tune {
-            let t = self.tuned_backward(&prob, source, gm_grad, gm_dx)?;
-            (Vec::new(), Some(t))
-        } else if self.backward_axis(&prob, merge, false) == PartitionAxis::PerRowBand {
-            let (ps, ds, d) =
-                self.sharded_backward_or_fallback(&prob, merge, source, &mut gm, gm_grad, gm_dx)?;
-            decls = ds;
-            declined = d;
-            (ps, None)
-        } else if self.fold_batches(&prob) {
-            let ps = build_avgpool_backward_batched(
-                &prob,
-                merge,
-                gm_grad,
-                gm_dx,
-                self.chip.caps,
-                self.schedule(),
-            )?;
-            (ps, None)
-        } else {
-            let ps = build_avgpool_backward(
-                &prob,
-                merge,
-                gm_grad,
-                gm_dx,
-                self.chip.caps,
-                self.schedule(),
-            )?;
-            (ps, None)
-        };
-        let mut image = vec![0u8; gm.size()];
-        write_tensor(&mut image, gm_grad, gradients.data());
-        let ps = tuned.as_ref().map_or(&programs, |t| &t.programs);
-        let mut run = match &decls {
-            Some(d) => self.chip.run_declared(&mut image, ps, d)?,
-            None => self.chip.run(&mut image, ps)?,
-        };
-        if let Some(t) = &tuned {
-            self.book_tuner(&mut run, t);
-        }
-        run.total.tuner_fallbacks += declined;
-        let dx = read_input_tensor(&image, gm_dx, &prob);
-        Ok((dx, run))
+        self.backward(&prob, None, gradients, merge)
     }
 }
 
-fn write_tensor(image: &mut [u8], offset: usize, data: &[dv_fp16::F16]) {
-    let bytes = dv_fp16::as_bytes(data);
-    image[offset..offset + bytes.len()].copy_from_slice(bytes);
+/// `len` f16 values from the GM image at `offset`. A region running past
+/// the image reads as empty, which the tensor constructors reject as a
+/// typed length mismatch.
+fn read_f16s(image: &[u8], offset: usize, len: usize) -> Vec<F16> {
+    match image.get(offset..offset + len * 2) {
+        Some(bytes) => bytes
+            .chunks_exact(2)
+            .map(|b| F16::from_bits(u16::from_le_bytes([b[0], b[1]])))
+            .collect(),
+        None => Vec::new(),
+    }
 }
 
-fn read_f16s(image: &[u8], offset: usize, len: usize) -> Vec<dv_fp16::F16> {
-    (0..len)
-        .map(|i| {
-            let o = offset + i * 2;
-            dv_fp16::F16::from_bits(u16::from_le_bytes([image[o], image[o + 1]]))
-        })
-        .collect()
+/// Read an `(N, C1, H, W, C0)` tensor from the GM image.
+fn read_tensor(
+    image: &[u8],
+    offset: usize,
+    (n, c1, h, w): (usize, usize, usize, usize),
+) -> Result<Nc1hwc0, ShapeError> {
+    Nc1hwc0::from_vec(n, c1, h, w, read_f16s(image, offset, n * c1 * h * w * C0))
 }
 
-/// Read the output tensor `(N, C1, Oh, Ow, C0)`.
-fn read_plane_tensor(image: &[u8], offset: usize, prob: &PoolProblem) -> Nc1hwc0 {
+/// Read the argmax mask `(N, C1, Kh, Kw, Oh, Ow, C0)` from the GM image.
+fn read_mask(image: &[u8], offset: usize, prob: &PoolProblem) -> Result<PatchTensor, ShapeError> {
     let (oh, ow) = prob.out_dims();
-    let data = read_f16s(image, offset, prob.n * prob.c1 * oh * ow * C0);
-    Nc1hwc0::from_vec(prob.n, prob.c1, oh, ow, data).expect("engine-produced shape")
-}
-
-/// Read the input-shaped tensor `(N, C1, Ih, Iw, C0)`.
-fn read_input_tensor(image: &[u8], offset: usize, prob: &PoolProblem) -> Nc1hwc0 {
-    let data = read_f16s(image, offset, prob.n * prob.c1 * prob.ih * prob.iw * C0);
-    Nc1hwc0::from_vec(prob.n, prob.c1, prob.ih, prob.iw, data).expect("engine-produced shape")
-}
-
-/// Read the argmax mask `(N, C1, Kh, Kw, Oh, Ow, C0)`.
-fn read_mask_tensor(image: &[u8], offset: usize, prob: &PoolProblem) -> PatchTensor {
-    let (oh, ow) = prob.out_dims();
-    let len = prob.n * prob.c1 * prob.params.kh * prob.params.kw * oh * ow * C0;
-    let data = read_f16s(image, offset, len);
-    PatchTensor::from_vec(
-        prob.n,
-        prob.c1,
-        prob.params.kh,
-        prob.params.kw,
-        oh,
-        ow,
-        data,
-    )
-    .expect("engine-produced shape")
+    let (kh, kw) = (prob.params.kh, prob.params.kw);
+    let data = read_f16s(image, offset, prob.n * prob.c1 * kh * kw * oh * ow * C0);
+    PatchTensor::from_vec(prob.n, prob.c1, kh, kw, oh, ow, data)
 }

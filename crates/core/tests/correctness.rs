@@ -3,7 +3,9 @@
 //! `dv_tensor::reference`, across implementations, strides, kernels,
 //! tiling regimes and core counts.
 
-use dv_core::{ForwardImpl, MergeImpl, PoolingEngine};
+use dv_core::avgpool::avg_scale;
+use dv_core::maxpool::{build_forward, build_forward_parallel, Reduction};
+use dv_core::{ForwardImpl, LowerError, MergeImpl, PoolProblem, PoolingEngine, RunError, Schedule};
 use dv_fp16::F16;
 use dv_sim::{Capacities, Chip, CostModel};
 use dv_tensor::reference;
@@ -364,6 +366,50 @@ fn avgpool_forward_standard_and_im2col() {
         ] {
             let (got, _) = eng.avgpool_forward(&input, params, impl_).unwrap();
             assert_tensors_eq(&got, &want, &format!("avg {impl_:?} {params:?}"));
+        }
+    }
+}
+
+/// The X-Y split reduces each window in two passes, re-associating an
+/// f16 sum: the shared forward builders refuse it for AvgPool with a
+/// typed error rather than return a program that differs from the
+/// reference. MaxPool's X-Y split is unaffected.
+#[test]
+fn shared_builders_refuse_avgpool_xysplit() {
+    let prob = PoolProblem::new(1, 1, 17, 17, PoolParams::K3S2).unwrap();
+    let sum = Reduction::Sum {
+        scale: avg_scale(&prob),
+    };
+    let (gm_in, gm_out, caps) = (0, prob.in_bytes(), Capacities::ASCEND910);
+    let xy = ForwardImpl::XYSplit;
+    for (what, result) in [
+        (
+            "build_forward",
+            build_forward(&prob, xy, sum, gm_in, gm_out, caps),
+        ),
+        (
+            "build_forward_parallel",
+            build_forward_parallel(&prob, xy, sum, gm_in, gm_out, caps, 4, Schedule::default()),
+        ),
+    ] {
+        assert!(
+            matches!(result, Err(LowerError::Unsupported(_))),
+            "{what} must refuse the AvgPool X-Y split"
+        );
+    }
+    assert!(build_forward(&prob, xy, Reduction::Max, gm_in, gm_out, caps).is_ok());
+}
+
+#[test]
+fn avgpool_forward_xysplit_is_a_typed_error() {
+    let input = test_input(1, 1, 17, 17, 3);
+    for eng in [engine(), engine().with_band_splitting(true)] {
+        match eng.avgpool_forward(&input, PoolParams::K3S2, ForwardImpl::XYSplit) {
+            Err(RunError::Lower(LowerError::Unsupported(_))) => {}
+            other => panic!(
+                "expected a typed refusal, got {:?}",
+                other.map(|r| r.1.cycles)
+            ),
         }
     }
 }
