@@ -23,6 +23,6 @@ pub use emit::{
     dma, elementwise, expect_vector, fill_region, strided_accumulate, zero_region, EmitError,
 };
 pub use tiling::{
-    balanced_chunks, balanced_ranges, band_input_rows, max_row_band, max_row_band_batched,
-    row_bands, row_bands_batched, tiling_threshold, Band, TilingError,
+    balanced_chunks, balanced_ranges, band_input_rows, band_params, max_row_band,
+    max_row_band_batched, row_bands, row_bands_batched, tiling_threshold, Band, TilingError,
 };

@@ -127,6 +127,27 @@ pub fn band_input_rows(params: &PoolParams, boh: usize) -> usize {
     (boh - 1) * params.sh + params.eff_kh()
 }
 
+/// The pooling geometry of the band covering output rows `[oh0, oh1)` of
+/// an `oh`-row plane, as the band's `Im2Col`/`Col2Im` instructions see it
+/// over the band's staged input rows. The whole plane keeps `params`. A
+/// partial band drops the vertical (`Pt`/`Pb`) padding and keeps the
+/// kernel, stride, horizontal padding and dilation: [`row_bands`] only
+/// splits vertically unpadded, non-ceil planes, so no padding row lies
+/// inside a partial band's window.
+pub fn band_params(params: &PoolParams, oh0: usize, oh1: usize, oh: usize) -> PoolParams {
+    if oh0 == 0 && oh1 == oh {
+        return *params;
+    }
+    PoolParams {
+        padding: dv_tensor::Padding {
+            top: 0,
+            bottom: 0,
+            ..params.padding
+        },
+        ..*params
+    }
+}
+
 /// Largest band height (in output rows) whose footprint fits `capacity`.
 /// `footprint(boh)` must be monotonically non-decreasing. Errors if even
 /// one row does not fit, or if `oh == 0` (there is no band to size —
@@ -335,6 +356,23 @@ mod tests {
         let dilated = PoolParams::new((3, 3), (2, 2)).with_dilation((2, 2));
         assert_eq!(band_input_rows(&dilated, 1), 5);
         assert_eq!(band_input_rows(&dilated, 4), 11);
+    }
+
+    #[test]
+    fn band_params_drop_vertical_padding_and_keep_dilation() {
+        let pad = dv_tensor::Padding {
+            top: 1,
+            bottom: 2,
+            left: 3,
+            right: 4,
+        };
+        let params = PoolParams::with_padding((3, 3), (2, 2), pad).with_dilation((2, 3));
+        assert_eq!(band_params(&params, 0, 9, 9), params);
+        let band = band_params(&params, 3, 6, 9);
+        assert_eq!((band.padding.top, band.padding.bottom), (0, 0));
+        assert_eq!((band.padding.left, band.padding.right), (3, 4));
+        assert_eq!((band.dh, band.dw), (2, 3));
+        assert_eq!((band.kh, band.kw, band.sh, band.sw), (3, 3, 2, 2));
     }
 
     #[test]

@@ -303,25 +303,6 @@ fn plan_implicit(
     })
 }
 
-/// Vertical-padding-aware band parameters (padding only exists in the
-/// single-band case; stripping it for inner bands is exact).
-fn band_params_for(params: &PoolParams, oh0: usize, oh1: usize, oh: usize) -> PoolParams {
-    if oh0 == 0 && oh1 == oh {
-        *params
-    } else {
-        PoolParams::with_padding(
-            (params.kh, params.kw),
-            (params.sh, params.sw),
-            dv_tensor::Padding {
-                top: 0,
-                bottom: 0,
-                left: params.padding.left,
-                right: params.padding.right,
-            },
-        )
-    }
-}
-
 /// Build the convolution program (single core; convolution here is a
 /// substrate demonstration, not a parallel-scaling study).
 ///
@@ -395,7 +376,7 @@ fn build_materialised(
                 band_plane_bytes,
             )?;
         }
-        let band_params = band_params_for(params, band.oh0, band.oh1, pl.oh);
+        let band_params = dv_akg::band_params(params, band.oh0, band.oh1, pl.oh);
         let geom = Im2ColGeometry::new(band.ih_len, iw, pl.c1, band_params)?;
         debug_assert_eq!(geom.out_dims(), (boh, pl.ow));
 
@@ -582,7 +563,7 @@ fn build_implicit(
         let band_patches = boh * pl.ow;
         let band_m_fr = band_patches.div_ceil(E);
         let band_plane_bytes = band.ih_len * iw * C0 * 2;
-        let band_params = band_params_for(params, band.oh0, band.oh1, pl.oh);
+        let band_params = dv_akg::band_params(params, band.oh0, band.oh1, pl.oh);
         // The SCU walks a single-slice geometry: the c1 axis collapses to
         // the one resident slice.
         let geom = Im2ColGeometry::new(band.ih_len, iw, 1, band_params)?;

@@ -31,15 +31,16 @@ proptest! {
     /// The implicit walk computes the same flat (c1, kh, kw) reduction
     /// the materialised path does, and the Cube accumulates sequentially
     /// in k — so outputs are bit-identical to both the materialised
-    /// lowering and the direct reference for random geometries.
+    /// lowering and the direct reference for random (dense or dilated)
+    /// geometries.
     #[test]
     fn implicit_matches_materialised_and_reference(
         c_groups in 1usize..=3, m in 1usize..=24,
-        k in 1usize..=3, stride in 1usize..=2,
+        k in 1usize..=3, stride in 1usize..=2, d in 1usize..=2,
         hw in 6usize..=14, seed in any::<u64>(),
     ) {
         let c = c_groups * 16;
-        let params = PoolParams::new((k, k), (stride, stride));
+        let params = PoolParams::new((k, k), (stride, stride)).with_dilation((d, d));
         prop_assume!(params.out_dims(hw, hw).is_ok());
         let input = tensor(1, c, hw, hw, seed);
         let kernels = tensor(m, c, k, k, seed ^ 0x5A5A);
@@ -94,6 +95,25 @@ fn implicit_hoists_weight_reloads_and_shrinks_l1() {
         run_i.cycles,
         run_m.cycles
     );
+}
+
+/// A dilated kernel on a plane that bands in L1: every partial band keeps
+/// the dilated taps, so both lowerings equal both references.
+#[test]
+fn banded_dilated_conv_matches_both_references() {
+    let (c, m, hw) = (32usize, 16usize, 40usize);
+    let params = PoolParams::new((3, 3), (1, 1)).with_dilation((2, 2));
+    let input = tensor(1, c, hw, hw, 41);
+    let kernels = tensor(m, c, 3, 3, 42);
+    let direct = reference::conv2d_direct(&input, &kernels, &params).unwrap();
+    let via_im2col = reference::conv2d_via_im2col(&input, &kernels, &params).unwrap();
+    assert_eq!(direct.data(), via_im2col.data(), "the references agree");
+    let mut chip = chip();
+    chip.caps.l1 = 24 * 1024;
+    for lowering in [ConvLowering::Implicit, ConvLowering::Materialised] {
+        let (got, _) = run_conv2d_with(&input, &kernels, &params, &chip, lowering).unwrap();
+        assert_eq!(got.data(), direct.data(), "{lowering:?}");
+    }
 }
 
 /// Padded convolutions run bit-identically under both lowerings (both

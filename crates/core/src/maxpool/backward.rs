@@ -26,18 +26,19 @@
 //! unsplit kernel's order — so band splitting is bit-exact even though
 //! f16 addition does not associate.
 
+use super::pipeline;
 use crate::problem::{LowerError, MergeImpl, PoolProblem};
 use crate::schedule::{self, Schedule};
 use dv_akg::{
-    balanced_ranges, band_input_rows, dma, elementwise, max_row_band, row_bands, zero_region,
-    BandMode, UbArena,
+    balanced_ranges, band_input_rows, band_params, dma, elementwise, max_row_band, row_bands,
+    zero_region, BandMode, UbArena,
 };
 use dv_fp16::F16;
 use dv_isa::{
     Addr, Col2Im, Im2ColGeometry, Instr, Mask, Program, VectorInstr, VectorOp, MAX_REPEAT,
 };
 use dv_sim::{Capacities, CostModel, GmDeclaration, HaloOp, HaloSpan};
-use dv_tensor::{PoolParams, C0, FRACTAL_BYTES, FRACTAL_ROWS};
+use dv_tensor::{C0, FRACTAL_BYTES, FRACTAL_ROWS};
 
 const ROW: usize = C0 * 2;
 
@@ -61,14 +62,16 @@ pub enum BackwardSource {
 
 /// One backward band resolved to what it loads, merges, and flushes.
 ///
-/// `[r0, r1)` are the `dx` rows this band finalizes (disjoint across
-/// bands, covering `[0, Ih)`); `[o_lo, o_hi)` are the gradient rows of
-/// *every* patch touching those rows, including overlap patches the
-/// previous band already processed; the scratch window starts at input
-/// row `w_lo = o_lo * Sh` and spans `w_rows` rows — wide enough for all
-/// loaded patches plus any gap/trailing zero rows the finalize flushes.
+/// The band owns the patch rows `[oh0, o_hi)` and finalizes the `dx` rows
+/// `[r0, r1)` (disjoint across bands, covering `[0, Ih)`); `[o_lo, o_hi)`
+/// are the gradient rows of *every* patch touching those rows, including
+/// overlap patches the previous band already processed; the scratch
+/// window starts at input row `w_lo = o_lo * Sh` and spans `w_rows` rows —
+/// wide enough for all loaded patches plus any gap/trailing zero rows the
+/// finalize flushes.
 #[derive(Clone, Copy, Debug)]
 struct BandSpan {
+    oh0: usize,
     o_lo: usize,
     o_hi: usize,
     w_lo: usize,
@@ -78,8 +81,10 @@ struct BandSpan {
 }
 
 impl BandSpan {
-    fn new(prob: &PoolProblem, oh0: usize, oh1: usize, last: bool) -> Self {
+    fn new(prob: &PoolProblem, oh0: usize, oh1: usize) -> Self {
         let (kh, sh) = (prob.params.eff_kh(), prob.params.sh);
+        let (oh, _) = prob.out_dims();
+        let last = oh1 == oh;
         let r0 = oh0 * sh;
         let r1 = if last { prob.ih } else { oh1 * sh };
         // Smallest o with o*Sh + Kh > r0: the first patch reaching r0.
@@ -91,6 +96,7 @@ impl BandSpan {
             r1.max((oh1 - 1) * sh + kh)
         };
         BandSpan {
+            oh0,
             o_lo,
             o_hi: oh1,
             w_lo,
@@ -103,6 +109,43 @@ impl BandSpan {
     /// Gradient rows (patch rows) the band loads and merges.
     fn o_len(&self) -> usize {
         self.o_hi - self.o_lo
+    }
+}
+
+/// One row shard of a plane: it owns the patch rows `[oh0, oh1)` and
+/// finalizes the `dx` rows `[r0, r1)`. A whole plane is the one shard
+/// `[0, Oh)`, `[0, Ih)`.
+#[derive(Clone, Copy, Debug)]
+struct Shard {
+    oh0: usize,
+    oh1: usize,
+    r0: usize,
+    r1: usize,
+}
+
+impl Shard {
+    /// The plane split into `count` balanced output-row shards, covering
+    /// `[0, Oh)` and `[0, Ih)`; longer shards come first.
+    fn split(prob: &PoolProblem, count: usize) -> Vec<Shard> {
+        let (oh, _) = prob.out_dims();
+        let sh = prob.params.sh;
+        balanced_ranges(oh, count)
+            .into_iter()
+            .map(|(oh0, oh1)| Shard {
+                oh0,
+                oh1,
+                r0: oh0 * sh,
+                r1: if oh1 == oh { prob.ih } else { oh1 * sh },
+            })
+            .collect()
+    }
+
+    /// The shard's bands of at most `boh` owned patch rows each.
+    fn bands(&self, prob: &PoolProblem, boh: usize) -> Vec<BandSpan> {
+        (self.oh0..self.oh1)
+            .step_by(boh)
+            .map(|ob| BandSpan::new(prob, ob, (ob + boh).min(self.oh1)))
+            .collect()
     }
 }
 
@@ -128,7 +171,10 @@ pub fn build_backward(
     caps: Capacities,
     sched: Schedule,
 ) -> Result<Vec<Program>, LowerError> {
-    build_backward_inner(prob, merge, source, gm_grad, gm_dx, caps, sched, false)
+    build_backward_body(
+        prob, merge, source, gm_grad, gm_dx, 0, 1, false, caps, sched,
+    )
+    .map(|(programs, _)| programs)
 }
 
 /// Like [`build_backward`], but consolidated per `c1`: one [`Program`]
@@ -147,44 +193,51 @@ pub fn build_backward_batched(
     caps: Capacities,
     sched: Schedule,
 ) -> Result<Vec<Program>, LowerError> {
-    build_backward_inner(prob, merge, source, gm_grad, gm_dx, caps, sched, true)
+    build_backward_body(prob, merge, source, gm_grad, gm_dx, 0, 1, true, caps, sched)
+        .map(|(programs, _)| programs)
 }
 
+/// The one backward lowering behind [`build_backward`],
+/// [`build_backward_batched`] and [`build_backward_sharded`]: each plane
+/// splits into `shards` row shards (see [`build_backward_sharded`] for
+/// why a split stays bit-exact), and each program walks one shard of
+/// every plane in its group — one plane per program, or all `N` planes
+/// of a `c1` slice when `fold` is set. Returns one [`GmDeclaration`] per
+/// program. A whole plane is the one-shard case: it owns every patch
+/// row, so it zeroes no gradient rows and stages no halo strips.
 #[allow(clippy::too_many_arguments)]
-fn build_backward_inner(
+fn build_backward_body(
     prob: &PoolProblem,
     merge: MergeImpl,
     source: BackwardSource,
     gm_grad: usize,
     gm_dx: usize,
+    gm_staging: usize,
+    shards: usize,
+    fold: bool,
     caps: Capacities,
     sched: Schedule,
-    fold: bool,
-) -> Result<Vec<Program>, LowerError> {
+) -> Result<(Vec<Program>, Vec<GmDeclaration>), LowerError> {
     let params = prob.params;
     let (oh, ow) = prob.out_dims();
     let planes = params.kh * params.kw;
-    let (boh, mut mode) = plan_backward(prob, merge, caps, &sched)?;
-    // `row_bands` validates the split (and rejects padded multi-band
-    // requests); the spans below re-derive each band's gradient and
-    // window extents including the overlap patches.
-    let bands = row_bands(&params, oh, boh, prob.ih)?;
-    if bands.len() == 1 {
-        mode = BandMode::Single;
-    }
-    let spans: Vec<BandSpan> = bands
-        .iter()
-        .enumerate()
-        .map(|(i, b)| BandSpan::new(prob, b.oh0, b.oh1, i + 1 == bands.len()))
+    let row_bytes = prob.iw * ROW;
+    let (boh, mode) = plan_backward(prob, merge, caps, &sched)?;
+    // `row_bands` validates the plane's split: vertical padding or
+    // ceil-mode over more than one band is a typed error.
+    row_bands(&params, oh, boh, prob.ih)?;
+    let split: Vec<(Shard, Vec<BandSpan>)> = Shard::split(prob, shards)
+        .into_iter()
+        .map(|s| (s, s.bands(prob, boh)))
         .collect();
 
-    let alloc_rows = spans.iter().map(|s| s.w_rows).max().unwrap();
-    let boh_max = spans.iter().map(|s| s.o_len()).max().unwrap();
+    // One UB layout for every program, sized for the tallest band
+    // anywhere.
+    let all_spans = || split.iter().flat_map(|(_, bands)| bands);
+    let alloc_rows = all_spans().map(|b| b.w_rows).max().unwrap_or(0);
+    let boh_max = all_spans().map(|b| b.o_len()).max().unwrap_or(0);
     let padded = PoolProblem::padded_plane_bytes(boh_max * ow);
-    let full_plane = spans.len() == 1;
 
-    // Program grouping: per (n, c1) plane normally; per c1 slice (all N
-    // planes back to back, reusing one UB layout) when folding.
     let groups: Vec<Vec<(usize, usize)>> = if fold {
         (0..prob.c1)
             .map(|c1| (0..prob.n).map(|n| (n, c1)).collect())
@@ -193,81 +246,103 @@ fn build_backward_inner(
         prob.planes().map(|nc| vec![nc]).collect()
     };
 
-    let mut programs = Vec::with_capacity(groups.len());
-    for group in groups {
-        let mut ub = UbArena::new(caps.ub);
-        let grad_slots = ub.alloc_band_mode(padded, mode)?;
-        let mg_slots = ub.alloc_band_mode(planes * padded, mode)?;
-        let ub_dx = Addr::ub(ub.alloc(alloc_rows * prob.iw * ROW)?);
-
-        let mut p = Program::new();
-        for (n, c1) in group {
-            let grad_base = gm_grad + prob.out_plane_offset(n, c1);
-            let dx_base = gm_dx + prob.in_plane_offset(n, c1);
-
-            let load = |p: &mut Program, span: &BandSpan, slot: usize| {
-                emit_backward_load(
-                    p,
-                    prob,
-                    source,
-                    grad_base,
-                    span,
-                    padded,
-                    (n, c1),
-                    Addr::ub(grad_slots.of(slot)),
-                    Addr::ub(mg_slots.of(slot)),
-                )
+    let mut programs = Vec::with_capacity(groups.len() * split.len());
+    let mut decls = Vec::with_capacity(groups.len() * split.len());
+    let mut stage = gm_staging;
+    for group in &groups {
+        for (shard, bands) in &split {
+            let shard_mode = if bands.len() == 1 {
+                BandMode::Single
+            } else {
+                mode
             };
-            let compute = |p: &mut Program, bi: usize, span: &BandSpan| {
-                emit_backward_compute(
-                    p,
-                    prob,
-                    merge,
-                    source,
-                    span,
-                    full_plane,
-                    alloc_rows,
-                    padded,
-                    Addr::ub(grad_slots.of(bi)),
-                    Addr::ub(mg_slots.of(bi)),
-                    ub_dx,
-                )
-            };
-            let finalize = |p: &mut Program, span: &BandSpan| {
-                emit_backward_finalize(p, prob, dx_base, span, ub_dx)
-            };
+            let mut ub = UbArena::new(caps.ub);
+            let grad_slots = ub.alloc_band_mode(padded, shard_mode)?;
+            let mg_slots = ub.alloc_band_mode(planes * padded, shard_mode)?;
+            let ub_dx = Addr::ub(ub.alloc(alloc_rows * row_bytes)?);
 
-            match mode {
-                BandMode::PingPong => {
-                    // Software pipeline: band i+1's gradient and mask
-                    // DMAs go to the alternate slots before band i's
-                    // multiply/merge.
-                    load(&mut p, &spans[0], 0)?;
-                    for (bi, span) in spans.iter().enumerate() {
-                        if let Some(next) = spans.get(bi + 1) {
-                            load(&mut p, next, bi + 1)?;
-                        }
-                        compute(&mut p, bi, span)?;
-                        finalize(&mut p, span)?;
+            let mut p = Program::new();
+            let mut decl = GmDeclaration::default();
+            for &(n, c1) in group {
+                let grad_base = gm_grad + prob.out_plane_offset(n, c1);
+                let dx_base = gm_dx + prob.in_plane_offset(n, c1);
+                let load = |p: &mut Program, bi: usize| -> Result<(), LowerError> {
+                    let span = &bands[bi];
+                    let ub_grad = Addr::ub(grad_slots.of(bi));
+                    emit_backward_load(
+                        p,
+                        prob,
+                        source,
+                        grad_base,
+                        span,
+                        padded,
+                        (n, c1),
+                        ub_grad,
+                        Addr::ub(mg_slots.of(bi)),
+                    )?;
+                    if span.o_lo < shard.oh0 {
+                        // Patch rows an earlier shard owns: zero their
+                        // gradients so every merge of them is an exact f16
+                        // no-op (move 2 of [`build_backward_sharded`]).
+                        zero_region(p, ub_grad, (shard.oh0 - span.o_lo) * ow * C0)?;
                     }
-                }
-                BandMode::Single => {
-                    for (bi, span) in spans.iter().enumerate() {
-                        load(&mut p, span, 0)?;
-                        compute(&mut p, bi, span)?;
-                        finalize(&mut p, span)?;
-                    }
-                }
+                    Ok(())
+                };
+                let body = |p: &mut Program, bi: usize| -> Result<(), LowerError> {
+                    let span = &bands[bi];
+                    let ub_mg = Addr::ub(mg_slots.of(bi));
+                    emit_backward_compute(
+                        p,
+                        prob,
+                        merge,
+                        source,
+                        span,
+                        alloc_rows,
+                        padded,
+                        Addr::ub(grad_slots.of(bi)),
+                        ub_mg,
+                        ub_dx,
+                    )?;
+                    emit_band_halos(
+                        p,
+                        prob,
+                        dx_base,
+                        shard.r1,
+                        span,
+                        padded,
+                        ub_mg,
+                        &mut stage,
+                        &mut decl.halos,
+                    )?;
+                    emit_backward_finalize(p, prob, dx_base, span, ub_dx)
+                };
+                pipeline(
+                    &mut p,
+                    bands.len(),
+                    shard_mode == BandMode::PingPong,
+                    load,
+                    body,
+                )?;
+                decl.finalized.push((
+                    dx_base + shard.r0 * row_bytes,
+                    (shard.r1 - shard.r0) * row_bytes,
+                ));
             }
+            programs.push(p);
+            decls.push(decl);
         }
-        programs.push(p);
     }
-    Ok(programs)
+    debug_assert_eq!(
+        stage - gm_staging,
+        backward_shard_staging_bytes(prob, shards),
+        "staging cursor and sizing walk the same strip enumeration"
+    );
+    Ok((programs, decls))
 }
 
 /// The band height and overlap mode the backward lowering adopts — kept
 /// as one function so the auto-tuner's cost estimates
-/// ([`backward_plane_est`]) band exactly as [`build_backward`] does.
+/// ([`backward_est`]) band exactly as [`build_backward`] does.
 fn plan_backward(
     prob: &PoolProblem,
     merge: MergeImpl,
@@ -347,8 +422,8 @@ fn emit_backward_load(
 
 /// The compute stage of one band: dx-window zeroing, the multiply step
 /// and the merge. The finalize DMA is a separate stage
-/// ([`emit_backward_finalize`]) so the sharded lowering can stage a
-/// band's halo strips between its merge and its flush.
+/// ([`emit_backward_finalize`]) so a shard can stage a band's halo
+/// strips between its merge and its flush.
 #[allow(clippy::too_many_arguments)]
 fn emit_backward_compute(
     p: &mut Program,
@@ -356,7 +431,6 @@ fn emit_backward_compute(
     merge: MergeImpl,
     source: BackwardSource,
     span: &BandSpan,
-    full_plane: bool,
     alloc_rows: usize,
     padded: usize,
     ub_grad: Addr,
@@ -364,7 +438,7 @@ fn emit_backward_compute(
     ub_dx: Addr,
 ) -> Result<(), LowerError> {
     let params = prob.params;
-    let (_, ow) = prob.out_dims();
+    let (oh, ow) = prob.out_dims();
     let boh = span.o_len();
     let planes = params.kh * params.kw;
     let valid = boh * ow * C0;
@@ -398,28 +472,15 @@ fn emit_backward_compute(
         }
     }
 
-    // --- band geometry for the merge, over the scratch window. A full
-    // plane keeps the original (possibly padded) geometry; multi-band
-    // splits are always vertically unpadded (`row_bands` rejects the
-    // rest), so only the horizontal padding survives. Either way the
-    // window yields exactly the band's patch grid.
-    let band_params = if full_plane {
-        params
-    } else {
-        PoolParams::with_padding(
-            (params.kh, params.kw),
-            (params.sh, params.sw),
-            dv_tensor::Padding {
-                top: 0,
-                bottom: 0,
-                left: params.padding.left,
-                right: params.padding.right,
-            },
-        )
-        .with_dilation((params.dh, params.dw))
-    };
-    let geom =
-        Im2ColGeometry::new(span.w_rows, prob.iw, 1, band_params).map_err(LowerError::Isa)?;
+    // --- band geometry for the merge, over the scratch window: it yields
+    // exactly the band's patch grid.
+    let geom = Im2ColGeometry::new(
+        span.w_rows,
+        prob.iw,
+        1,
+        band_params(&params, span.o_lo, span.o_hi, oh),
+    )
+    .map_err(LowerError::Isa)?;
     debug_assert_eq!(geom.out_dims(), (boh, ow));
 
     // --- merge step.
@@ -529,14 +590,20 @@ struct HaloStrip {
 
 /// Enumerate the halo strips of the patch rows `[owned.0, owned.1)` that
 /// reach past a shard's finalized rows `[.., r1_shard)`: ascending `oh`,
-/// then `kh`-major `(kh, kw)` — the same order
-/// [`build_backward_sharded`] stages them in, so staging-size computation
+/// then `kh`-major `(kh, kw)` — the same order the backward lowering
+/// stages them in, so staging-size computation
 /// ([`backward_shard_staging_bytes`]) and emission can never disagree.
+/// The last shard finalizes through `Ih`, so no tap lands past it (and
+/// under vertical padding, which only a one-shard plane allows, `r`
+/// below would not be an input row).
 fn halo_strips(prob: &PoolProblem, owned: (usize, usize), r1_shard: usize) -> Vec<HaloStrip> {
     let params = &prob.params;
     let (_, ow) = prob.out_dims();
     let pl = params.padding.left;
     let mut strips = Vec::new();
+    if r1_shard == prob.ih {
+        return strips;
+    }
     for oh in owned.0..owned.1 {
         for kh in 0..params.kh {
             let r = oh * params.sh + kh * params.dh;
@@ -569,28 +636,6 @@ fn halo_strips(prob: &PoolProblem, owned: (usize, usize), r1_shard: usize) -> Ve
     strips
 }
 
-/// The shard row ranges and finalized `dx` rows of one plane split into
-/// `shards_per_plane` balanced output-row shards: `(soh0, soh1, r0, r1)`
-/// per shard, covering `[0, Oh)` and `[0, Ih)` respectively.
-fn shard_ranges(prob: &PoolProblem, shards_per_plane: usize) -> Vec<(usize, usize, usize, usize)> {
-    let (oh, _) = prob.out_dims();
-    let shards = balanced_ranges(oh, shards_per_plane);
-    let count = shards.len();
-    shards
-        .into_iter()
-        .enumerate()
-        .map(|(si, (soh0, soh1))| {
-            let r0 = soh0 * prob.params.sh;
-            let r1 = if si + 1 == count {
-                prob.ih
-            } else {
-                soh1 * prob.params.sh
-            };
-            (soh0, soh1, r0, r1)
-        })
-        .collect()
-}
-
 /// Total GM staging bytes the sharded backward needs for `prob` split
 /// into `shards_per_plane` row shards. All `(n, c1)` planes share the
 /// shard geometry, so this is the per-plane strip total times the plane
@@ -598,14 +643,10 @@ fn shard_ranges(prob: &PoolProblem, shards_per_plane: usize) -> Vec<(usize, usiz
 /// cursor walks the same strip enumeration and a debug assertion pins
 /// the two to agree.
 pub fn backward_shard_staging_bytes(prob: &PoolProblem, shards_per_plane: usize) -> usize {
-    let per_plane: usize = shard_ranges(prob, shards_per_plane)
-        .into_iter()
-        .map(|(soh0, soh1, _, r1)| {
-            halo_strips(prob, (soh0, soh1), r1)
-                .iter()
-                .map(|s| s.blocks * ROW)
-                .sum::<usize>()
-        })
+    let per_plane: usize = Shard::split(prob, shards_per_plane)
+        .iter()
+        .flat_map(|s| halo_strips(prob, (s.oh0, s.oh1), s.r1))
+        .map(|strip| strip.blocks * ROW)
         .sum();
     per_plane * prob.n * prob.c1
 }
@@ -622,7 +663,6 @@ fn emit_band_halos(
     prob: &PoolProblem,
     dx_base: usize,
     r1_shard: usize,
-    owned: (usize, usize),
     span: &BandSpan,
     padded: usize,
     ub_mg: Addr,
@@ -632,7 +672,7 @@ fn emit_band_halos(
     let params = &prob.params;
     let (_, ow) = prob.out_dims();
     let row_bytes = prob.iw * ROW;
-    for s in halo_strips(prob, owned, r1_shard) {
+    for s in halo_strips(prob, (span.oh0, span.o_hi), r1_shard) {
         let plane = s.kh * params.kw + s.kw;
         let ub_src = ub_mg.add(plane * padded + ((s.oh - span.o_lo) * ow + s.ow_lo) * ROW);
         let bytes = s.blocks * ROW;
@@ -698,9 +738,6 @@ pub fn build_backward_sharded(
     caps: Capacities,
     sched: Schedule,
 ) -> Result<(Vec<Program>, Vec<GmDeclaration>), LowerError> {
-    let params = prob.params;
-    let (_, ow) = prob.out_dims();
-    let planes = params.kh * params.kw;
     if !backward_shardable(prob) {
         return Err(LowerError::Unsupported(
             "sub-plane backward sharding needs a vertically unpadded, non-ceil geometry \
@@ -713,218 +750,60 @@ pub fn build_backward_sharded(
             "sub-plane backward sharding needs at least two shards per plane".into(),
         ));
     }
-    let (boh, mode) = plan_backward(prob, merge, caps, &sched)?;
-    let shards = shard_ranges(prob, shards_per_plane);
-
-    // Resolve every shard's bands up front so all programs share one UB
-    // layout (sized for the tallest band anywhere).
-    struct ShardPlan {
-        soh0: usize,
-        r0: usize,
-        r1: usize,
-        /// Per band: the owned patch rows `[oh0, oh1)` (ownership is
-        /// what prevents intra-shard overlap re-loads from emitting a
-        /// halo strip twice) and the resolved span.
-        bands: Vec<((usize, usize), BandSpan)>,
-    }
-    let last_shard = shards.len() - 1;
-    let plans: Vec<ShardPlan> = shards
-        .iter()
-        .enumerate()
-        .map(|(si, &(soh0, soh1, r0, r1))| {
-            let mut bands = Vec::new();
-            let mut ob = soh0;
-            while ob < soh1 {
-                let oe = (ob + boh).min(soh1);
-                bands.push((
-                    (ob, oe),
-                    BandSpan::new(prob, ob, oe, si == last_shard && oe == soh1),
-                ));
-                ob = oe;
-            }
-            ShardPlan {
-                soh0,
-                r0,
-                r1,
-                bands,
-            }
-        })
-        .collect();
-
-    let all_spans = || plans.iter().flat_map(|s| s.bands.iter().map(|(_, b)| b));
-    let alloc_rows = all_spans().map(|b| b.w_rows).max().unwrap();
-    let boh_max = all_spans().map(|b| b.o_len()).max().unwrap();
-    let padded = PoolProblem::padded_plane_bytes(boh_max * ow);
-    let row_bytes = prob.iw * ROW;
-
-    let mut programs = Vec::new();
-    let mut decls = Vec::new();
-    let mut stage = gm_staging;
-    for (n, c1) in prob.planes() {
-        let grad_base = gm_grad + prob.out_plane_offset(n, c1);
-        let dx_base = gm_dx + prob.in_plane_offset(n, c1);
-        for plan in &plans {
-            let prog_mode = if plan.bands.len() == 1 {
-                BandMode::Single
-            } else {
-                mode
-            };
-            let mut ub = UbArena::new(caps.ub);
-            let grad_slots = ub.alloc_band_mode(padded, prog_mode)?;
-            let mg_slots = ub.alloc_band_mode(planes * padded, prog_mode)?;
-            let ub_dx = Addr::ub(ub.alloc(alloc_rows * prob.iw * ROW)?);
-
-            let mut p = Program::new();
-            let mut halos = Vec::new();
-
-            let load = |p: &mut Program, span: &BandSpan, slot: usize| -> Result<(), LowerError> {
-                let ub_grad = Addr::ub(grad_slots.of(slot));
-                emit_backward_load(
-                    p,
-                    prob,
-                    source,
-                    grad_base,
-                    span,
-                    padded,
-                    (n, c1),
-                    ub_grad,
-                    Addr::ub(mg_slots.of(slot)),
-                )?;
-                if span.o_lo < plan.soh0 {
-                    // Patch rows an earlier shard owns: zero their
-                    // gradients so every merge of them is an exact f16
-                    // no-op (move 2 of the scheme above).
-                    zero_region(p, ub_grad, (plan.soh0 - span.o_lo) * ow * C0)?;
-                }
-                Ok(())
-            };
-            let compute = |p: &mut Program, bi: usize, span: &BandSpan| {
-                emit_backward_compute(
-                    p,
-                    prob,
-                    merge,
-                    source,
-                    span,
-                    false,
-                    alloc_rows,
-                    padded,
-                    Addr::ub(grad_slots.of(bi)),
-                    Addr::ub(mg_slots.of(bi)),
-                    ub_dx,
-                )
-            };
-            let finalize = |p: &mut Program, span: &BandSpan| {
-                emit_backward_finalize(p, prob, dx_base, span, ub_dx)
-            };
-
-            match prog_mode {
-                BandMode::PingPong => {
-                    load(&mut p, &plan.bands[0].1, 0)?;
-                    for (bi, (owned, span)) in plan.bands.iter().enumerate() {
-                        if let Some((_, next)) = plan.bands.get(bi + 1) {
-                            load(&mut p, next, bi + 1)?;
-                        }
-                        compute(&mut p, bi, span)?;
-                        emit_band_halos(
-                            &mut p,
-                            prob,
-                            dx_base,
-                            plan.r1,
-                            *owned,
-                            span,
-                            padded,
-                            Addr::ub(mg_slots.of(bi)),
-                            &mut stage,
-                            &mut halos,
-                        )?;
-                        finalize(&mut p, span)?;
-                    }
-                }
-                BandMode::Single => {
-                    for (bi, (owned, span)) in plan.bands.iter().enumerate() {
-                        load(&mut p, span, bi)?;
-                        compute(&mut p, bi, span)?;
-                        emit_band_halos(
-                            &mut p,
-                            prob,
-                            dx_base,
-                            plan.r1,
-                            *owned,
-                            span,
-                            padded,
-                            Addr::ub(mg_slots.of(bi)),
-                            &mut stage,
-                            &mut halos,
-                        )?;
-                        finalize(&mut p, span)?;
-                    }
-                }
-            }
-            programs.push(p);
-            decls.push(GmDeclaration {
-                finalized: vec![(
-                    dx_base + plan.r0 * row_bytes,
-                    (plan.r1 - plan.r0) * row_bytes,
-                )],
-                halos,
-            });
-        }
-    }
-    debug_assert_eq!(
-        stage - gm_staging,
-        backward_shard_staging_bytes(prob, shards_per_plane),
-        "staging cursor and sizing walk the same strip enumeration"
-    );
-    Ok((programs, decls))
+    build_backward_body(
+        prob,
+        merge,
+        source,
+        gm_grad,
+        gm_dx,
+        gm_staging,
+        shards_per_plane,
+        false,
+        caps,
+        sched,
+    )
 }
 
-/// Estimated (cycles, GM bytes) of *one* shard program when `prob`
-/// splits into `shards_per_plane` row shards — the tallest (first)
-/// shard, which bounds the chip makespan. Bands exactly as
-/// [`build_backward_sharded`] would (same [`plan_backward`], same
-/// balanced ranges, same halo strips); the halo staging DMAs are priced
-/// on top as serial pipe-0 work, and the overlap re-loaded gradient rows
-/// are counted in the GM bytes — the estimate deliberately ignores the
-/// L2 stage, so a sub-plane split must win even assuming its shared
-/// reads all miss. `None` when the geometry cannot shard.
-pub(crate) fn backward_shard_est(
+/// Estimated (cycles, GM bytes) of *one* backward program when each
+/// plane splits into `shards` row shards — the tallest (first) shard,
+/// which bounds the chip makespan; with one shard, the whole plane. Bands
+/// exactly as the lowering would (same [`plan_backward`], same balanced
+/// shards, same halo strips); the halo staging DMAs are priced on top as
+/// serial pipe-0 work, and the overlap re-loaded gradient rows are
+/// counted in the GM bytes — the estimate deliberately ignores the L2
+/// stage, so a sub-plane split must win even assuming its shared reads
+/// all miss. `None` when the geometry cannot be planned or sharded — the
+/// candidate is then absent from the auto-tuner's ranking.
+/// [`crate::schedule::choose_backward_algorithm`] scales the one-shard
+/// cost to chip cycles.
+pub(crate) fn backward_est(
     prob: &PoolProblem,
     merge: MergeImpl,
     masked: bool,
     caps: Capacities,
     sched: &Schedule,
-    shards_per_plane: usize,
+    shards: usize,
 ) -> Option<(u64, u64)> {
-    if !backward_shardable(prob) || shards_per_plane < 2 {
+    if shards > 1 && !backward_shardable(prob) {
         return None;
     }
     let cost = &sched.cost;
     let (boh, mode) = plan_backward(prob, merge, caps, sched).ok()?;
-    let (_, ow) = prob.out_dims();
-    let &(soh0, soh1, r0, r1) = shard_ranges(prob, shards_per_plane).first()?;
-    let mut spans = Vec::new();
-    let mut ob = soh0;
-    while ob < soh1 {
-        let oe = (ob + boh).min(soh1);
-        // The first shard is never the last (shards_per_plane >= 2 and
-        // Oh >= 2 give at least two shards), so `last` is always false.
-        spans.push(BandSpan::new(prob, ob, oe, false));
-        ob = oe;
-    }
+    let (oh, ow) = prob.out_dims();
+    row_bands(&prob.params, oh, boh, prob.ih).ok()?;
+    let shard = *Shard::split(prob, shards).first()?;
+    let spans = shard.bands(prob, boh);
     let alloc_rows = spans.iter().map(|s| s.w_rows).max()?;
     let stages: Vec<schedule::BandStages> = spans
         .iter()
-        .map(|s| match merge {
-            MergeImpl::VAdd => vadd_band_cycles(prob, masked, cost, s, alloc_rows),
-            MergeImpl::Col2Im => col2im_band_cycles(prob, masked, cost, s, alloc_rows),
-        })
+        .map(|s| band_cycles(prob, merge, masked, cost, s, alloc_rows))
         .collect();
     let mut cycles = if spans.len() < 2 || mode == BandMode::Single {
         schedule::serial_makespan(stages.iter().copied())
     } else {
         schedule::ping_pong_makespan(&stages)
     };
-    let strips = halo_strips(prob, (soh0, soh1), r1);
+    let strips = halo_strips(prob, (shard.oh0, shard.oh1), shard.r1);
     let staging: u64 = strips.iter().map(|s| (s.blocks * ROW) as u64).sum();
     cycles += strips
         .iter()
@@ -933,116 +812,54 @@ pub(crate) fn backward_shard_est(
     let planes = (prob.params.kh * prob.params.kw) as u64;
     let grad_bytes: u64 = spans.iter().map(|s| (s.o_len() * ow * ROW) as u64).sum();
     let mask_bytes = if masked { planes * grad_bytes } else { 0 };
-    let dx_bytes = ((r1 - r0) * prob.iw * ROW) as u64;
+    let dx_bytes = ((shard.r1 - shard.r0) * prob.iw * ROW) as u64;
     Some((cycles, grad_bytes + mask_bytes + dx_bytes + staging))
 }
 
-/// Stage estimate of one VAdd-merge backward band: the gradient band DMA
-/// and the mask-plane DMAs (MaxPool only) as `load`; the window zero,
-/// the multiply passes and the unrepeated 16-lane merge adds as
-/// `compute`; the dx-row DMA as `flush`. No `expand` — the backward pass
-/// has no `Im2Col`.
-fn vadd_band_cycles(
-    prob: &PoolProblem,
-    masked: bool,
-    cost: &CostModel,
-    span: &BandSpan,
-    alloc_rows: usize,
-) -> schedule::BandStages {
-    let params = prob.params;
-    let (_, ow) = prob.out_dims();
-    let boh = span.o_len();
-    let planes = (params.kh * params.kw) as u64;
-    let band_bytes = boh * ow * ROW;
-    let mut load = schedule::dma_est(cost, band_bytes);
-    if masked {
-        load += planes * schedule::dma_est(cost, band_bytes);
-    }
-    // "the vadd instructions only set 16 elements of the vector mask
-    // (vectorizing on C0) and repetition is not used": one issue per
-    // (plane, patch). An overestimate for padded geometries (padding
-    // patches are skipped), which only biases against overlapping.
-    let merge = planes * (boh * ow) as u64 * (cost.issue_overhead + cost.vector_per_repeat);
-    schedule::BandStages {
-        load,
-        expand: 0,
-        compute: schedule::vec_sat(cost, alloc_rows * prob.iw * C0)
-            + planes * schedule::vec_sat(cost, boh * ow * C0)
-            + merge,
-        flush: schedule::dma_est(cost, (span.r1 - span.r0) * prob.iw * ROW),
-    }
-}
-
-/// Stage estimate of one Col2Im-merge backward band: same load and flush
-/// as the VAdd merge, but the merge step is Kh*Kw hardware-repeated
-/// `Col2Im` issues sweeping the band's fractals.
-fn col2im_band_cycles(
-    prob: &PoolProblem,
-    masked: bool,
-    cost: &CostModel,
-    span: &BandSpan,
-    alloc_rows: usize,
-) -> schedule::BandStages {
-    let params = prob.params;
-    let (_, ow) = prob.out_dims();
-    let boh = span.o_len();
-    let planes = (params.kh * params.kw) as u64;
-    let band_bytes = boh * ow * ROW;
-    let mut load = schedule::dma_est(cost, band_bytes);
-    if masked {
-        load += planes * schedule::dma_est(cost, band_bytes);
-    }
-    let bf = PoolProblem::fractals_for(boh * ow) as u64;
-    let merge = planes
-        * (bf.div_ceil(MAX_REPEAT as u64) * cost.issue_overhead + bf * cost.col2im_per_fractal);
-    schedule::BandStages {
-        load,
-        expand: 0,
-        compute: schedule::vec_sat(cost, alloc_rows * prob.iw * C0)
-            + planes * schedule::vec_sat(cost, boh * ow * C0)
-            + merge,
-        flush: schedule::dma_est(cost, (span.r1 - span.r0) * prob.iw * ROW),
-    }
-}
-
-/// Estimated (cycles, GM bytes) of one plane's backward program under
-/// `merge`, banded exactly as [`build_backward`] would band it (same
-/// [`plan_backward`], same spans). `None` when the geometry cannot be
-/// planned — the candidate is then absent from the auto-tuner's ranking.
-/// This is the per-plane cost [`crate::schedule::choose_backward_algorithm`]
-/// scales to chip cycles.
-pub(crate) fn backward_plane_est(
+/// Stage estimate of one backward band: the gradient band DMA and the
+/// mask-plane DMAs (MaxPool only) as `load`; the window zero, the
+/// multiply passes and the merge as `compute`; the dx-row DMA as `flush`.
+/// No `expand` — the backward pass has no `Im2Col`.
+fn band_cycles(
     prob: &PoolProblem,
     merge: MergeImpl,
     masked: bool,
-    caps: Capacities,
-    sched: &Schedule,
-) -> Option<(u64, u64)> {
-    let cost = &sched.cost;
-    let (boh, mode) = plan_backward(prob, merge, caps, sched).ok()?;
-    let (oh, ow) = prob.out_dims();
-    let bands = row_bands(&prob.params, oh, boh, prob.ih).ok()?;
-    let spans: Vec<BandSpan> = bands
-        .iter()
-        .enumerate()
-        .map(|(i, b)| BandSpan::new(prob, b.oh0, b.oh1, i + 1 == bands.len()))
-        .collect();
-    let alloc_rows = spans.iter().map(|s| s.w_rows).max()?;
-    let stages: Vec<schedule::BandStages> = spans
-        .iter()
-        .map(|s| match merge {
-            MergeImpl::VAdd => vadd_band_cycles(prob, masked, cost, s, alloc_rows),
-            MergeImpl::Col2Im => col2im_band_cycles(prob, masked, cost, s, alloc_rows),
-        })
-        .collect();
-    let cycles = if spans.len() < 2 || mode == BandMode::Single {
-        schedule::serial_makespan(stages.iter().copied())
-    } else {
-        schedule::ping_pong_makespan(&stages)
+    cost: &CostModel,
+    span: &BandSpan,
+    alloc_rows: usize,
+) -> schedule::BandStages {
+    let params = prob.params;
+    let (_, ow) = prob.out_dims();
+    let boh = span.o_len();
+    let planes = (params.kh * params.kw) as u64;
+    let band_bytes = boh * ow * ROW;
+    let mut load = schedule::dma_est(cost, band_bytes);
+    if masked {
+        load += planes * schedule::dma_est(cost, band_bytes);
+    }
+    let merge_cycles = match merge {
+        // "the vadd instructions only set 16 elements of the vector mask
+        // (vectorizing on C0) and repetition is not used": one issue per
+        // (plane, patch). An overestimate for padded geometries (padding
+        // patches are skipped), which only biases against overlapping.
+        MergeImpl::VAdd => {
+            planes * (boh * ow) as u64 * (cost.issue_overhead + cost.vector_per_repeat)
+        }
+        // Kh*Kw hardware-repeated `Col2Im` issues sweeping the band's
+        // fractals.
+        MergeImpl::Col2Im => {
+            let bf = PoolProblem::fractals_for(boh * ow) as u64;
+            planes
+                * (bf.div_ceil(MAX_REPEAT as u64) * cost.issue_overhead
+                    + bf * cost.col2im_per_fractal)
+        }
     };
-    let planes = (prob.params.kh * prob.params.kw) as u64;
-    let grad_bytes: u64 = spans.iter().map(|s| (s.o_len() * ow * ROW) as u64).sum();
-    let mask_bytes = if masked { planes * grad_bytes } else { 0 };
-    let dx_bytes = (prob.ih * prob.iw * ROW) as u64;
-    Some((cycles, grad_bytes + mask_bytes + dx_bytes))
+    schedule::BandStages {
+        load,
+        expand: 0,
+        compute: schedule::vec_sat(cost, alloc_rows * prob.iw * C0)
+            + planes * schedule::vec_sat(cost, boh * ow * C0)
+            + merge_cycles,
+        flush: schedule::dma_est(cost, (span.r1 - span.r0) * prob.iw * ROW),
+    }
 }

@@ -32,11 +32,12 @@
 //! back to the per-plane schedule on capacity causes and surfaces the
 //! typed error when no schedule exists (padded multi-band geometry).
 
-use crate::maxpool::forward::{plan_band, Reduction};
+use super::forward::{plan_band, Reduction};
+use super::pipeline;
 use crate::problem::{ForwardImpl, LowerError, PoolProblem};
 use crate::schedule::Schedule;
 use dv_akg::{
-    band_input_rows, dma, elementwise, fill_region, max_row_band_batched, row_bands,
+    band_input_rows, band_params, dma, elementwise, fill_region, max_row_band_batched, row_bands,
     row_bands_batched, Band, TilingError, UbArena,
 };
 use dv_isa::{
@@ -44,7 +45,7 @@ use dv_isa::{
     MAX_REPEAT, VECTOR_LANES,
 };
 use dv_sim::Capacities;
-use dv_tensor::{PoolParams, C0, FRACTAL_BYTES, FRACTAL_ROWS};
+use dv_tensor::{C0, FRACTAL_BYTES, FRACTAL_ROWS};
 
 const ROW: usize = C0 * 2;
 /// Bytes one full-mask vector issue covers (128 lanes of f16) — half a
@@ -259,24 +260,13 @@ pub fn build_forward_batched(
             let boh = band.oh_len();
             let bf = PoolProblem::fractals_for(boh * ow);
 
-            // Band geometry: multi-band splits are vertically unpadded
-            // (row_bands rejects the rest), so partial bands drop Pt/Pb.
-            let band_params = if band.oh0 == 0 && band.oh1 == oh {
-                params
-            } else {
-                PoolParams::with_padding(
-                    (params.kh, params.kw),
-                    (params.sh, params.sw),
-                    dv_tensor::Padding {
-                        top: 0,
-                        bottom: 0,
-                        left: params.padding.left,
-                        right: params.padding.right,
-                    },
-                )
-            };
-            let geom = Im2ColGeometry::new(band.ih_len, prob.iw, n, band_params)
-                .map_err(LowerError::Isa)?;
+            let geom = Im2ColGeometry::new(
+                band.ih_len,
+                prob.iw,
+                n,
+                band_params(&params, band.oh0, band.oh1, oh),
+            )
+            .map_err(LowerError::Isa)?;
             debug_assert_eq!(geom.out_dims(), (boh, ow));
 
             for nn in 0..n {
@@ -306,22 +296,15 @@ pub fn build_forward_batched(
                 Ok(())
             };
 
-            if cols.is_double() && chunks.len() > 1 {
-                // Software pipeline: chunk i+1's SCU chains land in the
-                // alternate slot before chunk i's Vector reduction.
-                emit_chains(&mut p, 0)?;
-                for ci in 0..chunks.len() {
-                    if ci + 1 < chunks.len() {
-                        emit_chains(&mut p, ci + 1)?;
-                    }
-                    emit_reduce(&mut p, ci)?;
-                }
-            } else {
-                for ci in 0..chunks.len() {
-                    emit_chains(&mut p, ci)?;
-                    emit_reduce(&mut p, ci)?;
-                }
-            }
+            // Chunk i+1's SCU chains land in the alternate slot before
+            // chunk i's Vector reduction.
+            pipeline(
+                &mut p,
+                chunks.len(),
+                cols.is_double(),
+                emit_chains,
+                emit_reduce,
+            )?;
 
             // Software-pipeline the next band's L1 staging ahead of this
             // band's copy-out: the MTE queue is in-order, and the copy-out

@@ -4,11 +4,12 @@
 //! the chip parallelises — and row-band tiles inside the program when the
 //! plane exceeds the Unified Buffer.
 
+use super::pipeline;
 use crate::problem::{ForwardImpl, LowerError, PoolProblem};
 use crate::schedule::Schedule;
 use dv_akg::{
-    balanced_chunks, band_input_rows, dma, elementwise, fill_region, max_row_band, row_bands,
-    strided_accumulate, Band, BandMode, BandSlots, UbArena,
+    balanced_chunks, band_input_rows, band_params, dma, elementwise, fill_region, max_row_band,
+    row_bands, strided_accumulate, Band, BandMode, BandSlots, UbArena,
 };
 use dv_fp16::F16;
 use dv_isa::{
@@ -233,48 +234,26 @@ fn build_forward_inner(
             let layout =
                 ForwardLayout::plan(prob, impl_, gm_mask.is_some(), boh, caps, group_mode)?;
             let mut p = Program::new();
-            match group_mode {
-                BandMode::PingPong => {
-                    // Software pipeline: stage band i+1 into the alternate
-                    // slot before reducing band i, so the MTE/SCU pipe runs
-                    // ahead of the Vector pipe instead of WAR-stalling on it.
-                    emit_load(&mut p, prob, impl_, in_base, &layout, &group[0], 0)?;
-                    for (i, band) in group.iter().enumerate() {
-                        if let Some(next) = group.get(i + 1) {
-                            emit_load(&mut p, prob, impl_, in_base, &layout, next, i + 1)?;
-                        }
-                        emit_compute(
-                            &mut p,
-                            prob,
-                            impl_,
-                            reduction,
-                            out_base,
-                            &layout,
-                            band,
-                            i,
-                            gm_mask,
-                            (n, c1),
-                        )?;
-                    }
-                }
-                BandMode::Single => {
-                    for band in group {
-                        emit_load(&mut p, prob, impl_, in_base, &layout, band, 0)?;
-                        emit_compute(
-                            &mut p,
-                            prob,
-                            impl_,
-                            reduction,
-                            out_base,
-                            &layout,
-                            band,
-                            0,
-                            gm_mask,
-                            (n, c1),
-                        )?;
-                    }
-                }
-            }
+            pipeline(
+                &mut p,
+                group.len(),
+                group_mode == BandMode::PingPong,
+                |p, i| emit_load(p, prob, impl_, in_base, &layout, &group[i], i),
+                |p, i| {
+                    emit_compute(
+                        p,
+                        prob,
+                        impl_,
+                        reduction,
+                        out_base,
+                        &layout,
+                        &group[i],
+                        i,
+                        gm_mask,
+                        (n, c1),
+                    )
+                },
+            )?;
             programs.push(p);
         }
     }
@@ -389,7 +368,8 @@ fn emit_load(
 }
 
 /// Emit the compute stage of one band: the reduction (and any argmax
-/// compares) out of the band's slot, plus the result store.
+/// compares) out of the band's slot, then the band's flush — the AvgPool
+/// scale, the mask planes and the output rows.
 #[allow(clippy::too_many_arguments)]
 fn emit_compute(
     p: &mut Program,
@@ -404,35 +384,50 @@ fn emit_compute(
     (n, c1): (usize, usize),
 ) -> Result<(), LowerError> {
     match impl_ {
-        ForwardImpl::Standard => emit_standard_compute(
-            p,
-            prob,
-            reduction,
-            out_base,
-            layout,
-            band,
-            slot,
-            gm_mask,
-            (n, c1),
-        ),
-        ForwardImpl::Im2col => emit_im2col_compute(
-            p,
-            prob,
-            reduction,
-            out_base,
-            layout,
-            band,
-            slot,
-            gm_mask,
-            (n, c1),
-        ),
-        ForwardImpl::Expansion => {
-            emit_expansion_compute(p, prob, reduction, out_base, layout, band, slot)
-        }
-        ForwardImpl::XYSplit => {
-            emit_xysplit_compute(p, prob, reduction, out_base, layout, band, slot)
+        ForwardImpl::Standard => emit_standard_compute(p, prob, reduction, layout, band, slot)?,
+        ForwardImpl::Im2col => emit_im2col_compute(p, prob, reduction, layout, band, slot)?,
+        ForwardImpl::Expansion => emit_expansion_compute(p, prob, reduction, layout, band, slot)?,
+        ForwardImpl::XYSplit => emit_xysplit_compute(p, prob, reduction, layout, band, slot)?,
+    }
+
+    // The flush follows the argmax compares. Every stream keeps its
+    // order: a Sum reduction never carries a mask, and an argmax run
+    // never scales.
+    let params = &prob.params;
+    let (_, ow) = prob.out_dims();
+    let rows = band.oh_len() * ow;
+    let ub_out = Addr::ub(layout.ub_out.of(slot));
+    if let Reduction::Sum { scale } = reduction {
+        // Im2col reduced whole fractals; the other lowerings only the
+        // valid rows (the padded tail stays at its init value).
+        let elems = match impl_ {
+            ForwardImpl::Im2col => PoolProblem::fractals_for(rows) * FRACTAL_ROWS * C0,
+            _ => rows * C0,
+        };
+        elementwise(p, VectorOp::MulScalar(scale), ub_out, ub_out, ub_out, elems)?;
+    }
+    if let (Some(mask_base), Some(ub_mask)) = (gm_mask, layout.ub_mask) {
+        let ub_mask = Addr::ub(ub_mask.of(slot));
+        for kh in 0..params.kh {
+            for kw in 0..params.kw {
+                let plane_gm =
+                    mask_base + prob.mask_plane_offset(n, c1, kh, kw) + band.oh0 * ow * ROW;
+                dma(
+                    p,
+                    ub_mask.add((kh * params.kw + kw) * layout.padded),
+                    Addr::gm(plane_gm),
+                    rows * ROW,
+                )?;
+            }
         }
     }
+    dma(
+        p,
+        ub_out,
+        Addr::gm(out_base + band.oh0 * ow * ROW),
+        rows * ROW,
+    )?;
+    Ok(())
 }
 
 /// Unified-Buffer footprint of one band for each implementation, in
@@ -535,17 +530,13 @@ pub fn tiling_threshold(params: &PoolParams, impl_: ForwardImpl, caps: Capacitie
 // Standard (Listing 1): strided reduction on the NC1HWC0 band.
 // ---------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn emit_standard_compute(
     p: &mut Program,
     prob: &PoolProblem,
     reduction: Reduction,
-    out_base: usize,
     layout: &ForwardLayout,
     band: &Band,
     slot: usize,
-    gm_mask: Option<usize>,
-    (n, c1): (usize, usize),
 ) -> Result<(), LowerError> {
     let params = &prob.params;
     let (_, ow) = prob.out_dims();
@@ -614,21 +605,10 @@ fn emit_standard_compute(
         }
     }
 
-    if let Reduction::Sum { scale } = reduction {
-        elementwise(
-            p,
-            VectorOp::MulScalar(scale),
-            ub_out,
-            ub_out,
-            ub_out,
-            boh * ow * C0,
-        )?;
-    }
-
     // Argmax mask: compare every patch element against the patch maximum
     // (Section V-A). One vcmp per (oh, ow, kh) with a Kw repeat whose
     // destination strides across whole mask planes.
-    if let (Some(mask_base), Some(ub_mask)) = (gm_mask, ub_mask) {
+    if let Some(ub_mask) = ub_mask {
         for oh_r in 0..boh {
             for ow_i in 0..ow {
                 for kh in 0..params.kh {
@@ -649,26 +629,7 @@ fn emit_standard_compute(
                 }
             }
         }
-        for kh in 0..params.kh {
-            for kw in 0..params.kw {
-                let plane_gm =
-                    mask_base + prob.mask_plane_offset(n, c1, kh, kw) + band.oh0 * ow * ROW;
-                dma(
-                    p,
-                    ub_mask.add((kh * params.kw + kw) * padded),
-                    Addr::gm(plane_gm),
-                    boh * ow * ROW,
-                )?;
-            }
-        }
     }
-
-    dma(
-        p,
-        ub_out,
-        Addr::gm(out_base + band.oh0 * ow * ROW),
-        boh * ow * ROW,
-    )?;
     Ok(())
 }
 
@@ -723,27 +684,13 @@ fn emit_im2col_load(
     let ub_cols = Addr::ub(layout.ub_cols.expect("im2col layout").of(slot));
     let l1_in = Addr::l1(0);
 
-    // Band geometry: multi-band lowering requires no vertical padding and
-    // no ceil-mode (both enforced by `row_bands`), so dropping top/bottom
-    // — and leaving the partial band's rounding at floor — is exact.
-    // Dilation must ride along: the band's taps stay dilated.
-    let band_params = if band.oh0 == 0 && band.oh1 == oh_total {
-        params
-    } else {
-        PoolParams::with_padding(
-            (params.kh, params.kw),
-            (params.sh, params.sw),
-            dv_tensor::Padding {
-                top: 0,
-                bottom: 0,
-                left: params.padding.left,
-                right: params.padding.right,
-            },
-        )
-        .with_dilation((params.dh, params.dw))
-    };
-    let geom =
-        Im2ColGeometry::new(band.ih_len, prob.iw, 1, band_params).map_err(LowerError::Isa)?;
+    let geom = Im2ColGeometry::new(
+        band.ih_len,
+        prob.iw,
+        1,
+        band_params(&params, band.oh0, band.oh1, oh_total),
+    )
+    .map_err(LowerError::Isa)?;
     debug_assert_eq!(geom.out_dims(), (boh, ow));
 
     dma(
@@ -761,28 +708,22 @@ fn emit_im2col_load(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn emit_im2col_compute(
     p: &mut Program,
     prob: &PoolProblem,
     reduction: Reduction,
-    out_base: usize,
     layout: &ForwardLayout,
     band: &Band,
     slot: usize,
-    gm_mask: Option<usize>,
-    (n, c1): (usize, usize),
 ) -> Result<(), LowerError> {
     let params = prob.params;
     let (_, ow) = prob.out_dims();
-    let boh = band.oh_len();
     let planes = params.kh * params.kw;
     let padded = layout.padded;
-    let bf = PoolProblem::fractals_for(boh * ow);
+    let bf = PoolProblem::fractals_for(band.oh_len() * ow);
 
     let ub_cols = Addr::ub(layout.ub_cols.expect("im2col layout").of(slot));
     let ub_out = Addr::ub(layout.ub_out.of(slot));
-    let ub_mask = layout.ub_mask.map(|s| Addr::ub(s.of(slot)));
 
     // Saturated reduction: Kh*Kw elementwise issues over the whole band.
     fill_region(p, ub_out, reduction.init(), bf * FRACTAL_ROWS * C0)?;
@@ -797,21 +738,12 @@ fn emit_im2col_compute(
             bf * FRACTAL_ROWS * C0,
         )?;
     }
-    if let Reduction::Sum { scale } = reduction {
-        elementwise(
-            p,
-            VectorOp::MulScalar(scale),
-            ub_out,
-            ub_out,
-            ub_out,
-            bf * FRACTAL_ROWS * C0,
-        )?;
-    }
 
     // Argmax mask: one saturated vcmp per plane, comparing the plane
     // against the reduced maximum ("comparing each patch of the input
     // with its maximum value").
-    if let (Some(_), Some(ub_mask)) = (gm_mask, ub_mask) {
+    if let Some(ub_mask) = layout.ub_mask {
+        let ub_mask = Addr::ub(ub_mask.of(slot));
         for plane_idx in 0..planes {
             let plane = ub_cols.add(plane_idx * padded);
             let mplane = ub_mask.add(plane_idx * padded);
@@ -825,28 +757,6 @@ fn emit_im2col_compute(
             )?;
         }
     }
-
-    if let (Some(mask_base), Some(ub_mask)) = (gm_mask, ub_mask) {
-        for kh in 0..params.kh {
-            for kw in 0..params.kw {
-                let plane_gm =
-                    mask_base + prob.mask_plane_offset(n, c1, kh, kw) + band.oh0 * ow * ROW;
-                dma(
-                    p,
-                    ub_mask.add((kh * params.kw + kw) * padded),
-                    Addr::gm(plane_gm),
-                    boh * ow * ROW,
-                )?;
-            }
-        }
-    }
-
-    dma(
-        p,
-        ub_out,
-        Addr::gm(out_base + band.oh0 * ow * ROW),
-        boh * ow * ROW,
-    )?;
     Ok(())
 }
 
@@ -854,12 +764,10 @@ fn emit_im2col_compute(
 // Expansion (Fig. 8): layout change with regular vector copies in the UB.
 // ---------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn emit_expansion_compute(
     p: &mut Program,
     prob: &PoolProblem,
     reduction: Reduction,
-    out_base: usize,
     layout: &ForwardLayout,
     band: &Band,
     slot: usize,
@@ -922,23 +830,6 @@ fn emit_expansion_compute(
         // that (the padded tail of ub_out stays at its init value).
         elementwise(p, reduction.op(), ub_out, ub_out, plane, boh * ow * C0)?;
     }
-    if let Reduction::Sum { scale } = reduction {
-        elementwise(
-            p,
-            VectorOp::MulScalar(scale),
-            ub_out,
-            ub_out,
-            ub_out,
-            boh * ow * C0,
-        )?;
-    }
-
-    dma(
-        p,
-        ub_out,
-        Addr::gm(out_base + band.oh0 * ow * ROW),
-        boh * ow * ROW,
-    )?;
     Ok(())
 }
 
@@ -952,7 +843,6 @@ fn emit_xysplit_compute(
     p: &mut Program,
     prob: &PoolProblem,
     reduction: Reduction,
-    out_base: usize,
     layout: &ForwardLayout,
     band: &Band,
     slot: usize,
@@ -999,22 +889,5 @@ fn emit_xysplit_compute(
             elementwise(p, reduction.op(), dst, dst, src, ow * C0)?;
         }
     }
-    if let Reduction::Sum { scale } = reduction {
-        elementwise(
-            p,
-            VectorOp::MulScalar(scale),
-            ub_out,
-            ub_out,
-            ub_out,
-            boh * ow * C0,
-        )?;
-    }
-
-    dma(
-        p,
-        ub_out,
-        Addr::gm(out_base + band.oh0 * ow * ROW),
-        boh * ow * ROW,
-    )?;
     Ok(())
 }

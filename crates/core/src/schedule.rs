@@ -631,7 +631,7 @@ pub fn choose_backward_algorithm(
         (Algorithm::Direct, MergeImpl::VAdd),
     ] {
         if let Some(per) =
-            crate::maxpool::backward::backward_plane_est(prob, merge, masked, caps, sched)
+            crate::maxpool::backward::backward_est(prob, merge, masked, caps, sched, 1)
         {
             let est = chip_makespan(planes, per, cores, cost, shared_bandwidth);
             ranking.push(Prediction {
@@ -666,8 +666,7 @@ pub fn choose_backward_partition(
 ) -> PartitionAxis {
     let cost = &sched.cost;
     let planes = prob.n * prob.c1;
-    let Some(plane) =
-        crate::maxpool::backward::backward_plane_est(prob, merge, masked, caps, sched)
+    let Some(plane) = crate::maxpool::backward::backward_est(prob, merge, masked, caps, sched, 1)
     else {
         return PartitionAxis::PerPlane;
     };
@@ -675,7 +674,7 @@ pub fn choose_backward_partition(
     let groups = cores.checked_div(planes).unwrap_or(0);
     if groups > 1 {
         if let Some(shard) =
-            crate::maxpool::backward::backward_shard_est(prob, merge, masked, caps, sched, groups)
+            crate::maxpool::backward::backward_est(prob, merge, masked, caps, sched, groups)
         {
             let (oh, _) = prob.out_dims();
             let shards = dv_akg::balanced_ranges(oh, groups).len();

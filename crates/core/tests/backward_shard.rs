@@ -293,21 +293,22 @@ fn sharded_run_hits_the_l2_and_matches_independent() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The wall: random geometries x merge x shard count x cores x
-    /// memory model, MaxPool masked backward. Every sharded run must be
-    /// bit-identical to the reference (single-core per-plane is itself
-    /// pinned to the reference by `prop_correctness`).
+    /// The wall: random (dense or dilated) geometries x merge x shard
+    /// count x cores x memory model, MaxPool masked backward. Every
+    /// sharded run must be bit-identical to the reference (single-core
+    /// per-plane is itself pinned to the reference by `prop_correctness`).
     #[test]
     fn sharded_backward_equals_reference(
         kh in 1usize..=4, kw in 1usize..=3,
         sh in 1usize..=3, sw in 1usize..=3,
         extra_h in 0usize..=13, extra_w in 0usize..=9,
-        n in 1usize..=2, c1 in 1usize..=2,
+        (n, c1) in (1usize..=2, 1usize..=2),
+        (dh, dw) in (1usize..=2, 1usize..=2),
         shards in 2usize..=5,
         seed in any::<u64>(),
     ) {
-        let params = PoolParams::new((kh, kw), (sh, sw));
-        let (ih, iw) = (kh + 2 + extra_h, kw + extra_w);
+        let params = PoolParams::new((kh, kw), (sh, sw)).with_dilation((dh, dw));
+        let (ih, iw) = (params.eff_kh() + 2 + extra_h, params.eff_kw() + extra_w);
         prop_assume!(params.out_dims(ih, iw).map(|(oh, _)| oh >= 2).unwrap_or(false));
         let mut s = seed | 1;
         let x = Nc1hwc0::from_fn(n, c1, ih, iw, |_, _, _, _, _| {
@@ -333,18 +334,19 @@ proptest! {
         }
     }
 
-    /// AvgPool leg of the wall, plus the double-buffer switch: schedules
-    /// never change bits.
+    /// AvgPool leg of the wall (dense or dilated windows), plus the
+    /// double-buffer switch: schedules never change bits.
     #[test]
     fn sharded_avg_backward_equals_reference_all_schedules(
         kh in 1usize..=3, kw in 1usize..=3,
         sh in 1usize..=3, sw in 1usize..=2,
         extra_h in 0usize..=10, extra_w in 0usize..=6,
+        (dh, dw) in (1usize..=2, 1usize..=2),
         shards in 2usize..=4,
         seed in any::<u64>(),
     ) {
-        let params = PoolParams::new((kh, kw), (sh, sw));
-        let (ih, iw) = (kh + 3 + extra_h, kw + extra_w);
+        let params = PoolParams::new((kh, kw), (sh, sw)).with_dilation((dh, dw));
+        let (ih, iw) = (params.eff_kh() + 3 + extra_h, params.eff_kw() + extra_w);
         prop_assume!(params.out_dims(ih, iw).map(|(oh, _)| oh >= 2).unwrap_or(false));
         let (oh, ow) = params.out_dims(ih, iw).unwrap();
         let grads = nasty_grads(oh, ow, 1, 1, seed ^ 0xCAFE);

@@ -56,6 +56,57 @@ fn fold_engages_and_cuts_im2col_issues() {
 }
 
 #[test]
+fn fold_keeps_dilation_on_banded_plans() {
+    // Small UBs band the 40x40 planes, so the fold's partial bands build
+    // their own Im2Col geometry; each must keep the window's dilation.
+    // `argmax` marks the plans the masked fold still fits.
+    let cases = [
+        (PoolParams::K3S2.with_dilation((2, 2)), 16, false),
+        (PoolParams::K3S2.with_dilation((2, 2)), 32, true),
+        (PoolParams::K2S2.with_dilation((3, 3)), 16, true),
+    ];
+    let input = test_input(2, 1, 40, 40, 37);
+    for (params, ub_kib, argmax) in cases {
+        let folded = engine_with_ub(ub_kib * 1024);
+        let per_plane = folded.clone().with_batching(false);
+        let want = reference::maxpool_forward(&input, &params).unwrap();
+        let (out_b, run_b) = folded
+            .maxpool_forward(&input, params, ForwardImpl::Im2col)
+            .unwrap();
+        let (_, run_p) = per_plane
+            .maxpool_forward(&input, params, ForwardImpl::Im2col)
+            .unwrap();
+        assert_eq!(out_b.data(), want.data(), "{params:?} at {ub_kib} KiB");
+        let (ib, ip) = (
+            run_b.total.issues_of("im2col"),
+            run_p.total.issues_of("im2col"),
+        );
+        assert!(ib < ip, "fold must engage ({ib} >= {ip}) for {params:?}");
+
+        if argmax {
+            let (want_out, want_mask) =
+                reference::maxpool_forward_with_argmax(&input, &params).unwrap();
+            let (out, mask, run_b) = folded
+                .maxpool_forward_with_argmax(&input, params, ForwardImpl::Im2col)
+                .unwrap();
+            let (_, _, run_p) = per_plane
+                .maxpool_forward_with_argmax(&input, params, ForwardImpl::Im2col)
+                .unwrap();
+            assert_eq!(out.data(), want_out.data(), "{params:?} argmax out");
+            assert_eq!(mask.data(), want_mask.data(), "{params:?} argmax mask");
+            let (ib, ip) = (
+                run_b.total.issues_of("im2col"),
+                run_p.total.issues_of("im2col"),
+            );
+            assert!(
+                ib < ip,
+                "masked fold must engage ({ib} >= {ip}) for {params:?}"
+            );
+        }
+    }
+}
+
+#[test]
 fn unprofitable_fold_falls_back_to_per_plane() {
     // At the full 256 KiB UB a 71x71 K3S2 plane runs in few, long bands:
     // per-plane Mode-1 chunks at repeat 255 beat one-issue-per-fractal

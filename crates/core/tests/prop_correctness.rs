@@ -59,15 +59,27 @@ proptest! {
         }
     }
 
-    /// Forward under forced tiling equals the reference.
+    /// Forward under forced tiling equals the reference, with dense and
+    /// dilated windows (Expansion and X-Y split refuse dilation, so
+    /// dilated draws run Standard and Im2col).
     #[test]
-    fn forward_tiled((params, ih, iw) in geometry(), seed in any::<u64>()) {
+    fn forward_tiled(
+        (params, ih, iw) in geometry(),
+        (dh, dw) in (1usize..=2, 1usize..=2),
+        seed in any::<u64>(),
+    ) {
+        let params = params.with_dilation((dh, dw));
         let x = input(1, ih + 10, iw + 10, seed);
         let want = reference::maxpool_forward(&x, &params).unwrap();
         let eng = tiny_engine();
-        for impl_ in ForwardImpl::ALL {
+        let impls: &[ForwardImpl] = if params.has_dilation() {
+            &[ForwardImpl::Standard, ForwardImpl::Im2col]
+        } else {
+            &ForwardImpl::ALL
+        };
+        for &impl_ in impls {
             let (got, _) = eng.maxpool_forward(&x, params, impl_).unwrap();
-            prop_assert_eq!(got.data(), want.data(), "{:?} tiled", impl_);
+            prop_assert_eq!(got.data(), want.data(), "{:?} {:?} tiled", impl_, params);
         }
     }
 
@@ -109,10 +121,18 @@ proptest! {
         }
     }
 
-    /// Backward under forced tiling (halo carry) equals the reference.
+    /// Backward under forced tiling (halo carry) equals the reference,
+    /// with dense and dilated windows. A dilated plane is kept narrower,
+    /// so its one-row band (overlap patches included) still fits the
+    /// tiny UB.
     #[test]
-    fn backward_tiled((params, ih, iw) in geometry(), seed in any::<u64>()) {
-        let (ih, iw) = (ih + 12, iw + 6);
+    fn backward_tiled(
+        (params, ih, iw) in geometry(),
+        (dh, dw) in (1usize..=2, 1usize..=2),
+        seed in any::<u64>(),
+    ) {
+        let params = params.with_dilation((dh, dw));
+        let (ih, iw) = (ih + 12, iw + if params.has_dilation() { 2 } else { 6 });
         let x = input(1, ih, iw, seed);
         let mask = reference::maxpool_argmax_mask(&x, &params).unwrap();
         let (oh, ow) = params.out_dims(ih, iw).unwrap();
@@ -125,7 +145,7 @@ proptest! {
         let eng = tiny_engine();
         for merge in [MergeImpl::VAdd, MergeImpl::Col2Im] {
             let (got, _) = eng.maxpool_backward(&mask, &grads, params, ih, iw, merge).unwrap();
-            prop_assert_eq!(got.data(), want.data(), "{:?} tiled", merge);
+            prop_assert_eq!(got.data(), want.data(), "{:?} {:?} tiled", merge, params);
         }
     }
 

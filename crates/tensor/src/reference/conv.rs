@@ -11,7 +11,7 @@ use crate::shape::ShapeError;
 use dv_fp16::F16;
 
 /// Direct (nested-loop) 2D convolution in NCHW:
-/// `out[n,m,oh,ow] = sum over (c,kh,kw) of in[n,c,oh*Sh+kh-Pt,ow*Sw+kw-Pl] * ker[m,c,kh,kw]`.
+/// `out[n,m,oh,ow] = sum over (c,kh,kw) of in[n,c,oh*Sh+kh*Dh-Pt,ow*Sw+kw*Dw-Pl] * ker[m,c,kh,kw]`.
 ///
 /// `kernels` is an `Nchw` tensor reinterpreted as `(M, C, Kh, Kw)` — M
 /// output feature maps of C-channel `(Kh, Kw)` filters.
@@ -46,8 +46,8 @@ pub fn conv2d_direct(
                     for c in 0..input.c {
                         for khi in 0..params.kh {
                             for kwi in 0..params.kw {
-                                let h = (ohi * params.sh + khi) as isize - pt;
-                                let w = (owi * params.sw + kwi) as isize - pl;
+                                let h = (ohi * params.sh + khi * params.dh) as isize - pt;
+                                let w = (owi * params.sw + kwi * params.dw) as isize - pl;
                                 if h < 0 || w < 0 || h as usize >= input.h || w as usize >= input.w
                                 {
                                     continue; // zero padding contributes 0

@@ -163,3 +163,110 @@ fn relu_with_special_values() {
     // -0.0 relu's to +0.0 under totalOrder max
     assert_eq!(F16::NEG_ZERO.max(F16::ZERO), F16::ZERO);
 }
+
+// ---------------------------------------------------------------------
+// dilated windows on banded, batch-folded and sharded plans
+// ---------------------------------------------------------------------
+
+/// A seeded tensor with few repeated values, so a misplaced tap moves a
+/// maximum or a sum.
+fn seeded(n: usize, c1: usize, h: usize, w: usize, seed: u64) -> Nc1hwc0 {
+    let mut s = seed | 1;
+    Nc1hwc0::from_fn(n, c1, h, w, |_, _, _, _, _| {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        F16::from_f32(((s >> 40) % 61) as f32 - 30.0)
+    })
+}
+
+#[test]
+fn dilated_batch_fold_at_default_capacities_matches_reference() {
+    // One core at the default capacities lowers the batch fold of a
+    // dilated K3S2 window over two 147x147 planes; every band of the
+    // fold must keep the dilated taps.
+    let input = seeded(2, 1, 147, 147, 3);
+    let params = PoolParams::K3S2.with_dilation((2, 2));
+    let want = reference::maxpool_forward(&input, &params).unwrap();
+    let eng = PoolingEngine::new(Chip::new(1, CostModel::ascend910_like()));
+    let (got, _) = eng
+        .maxpool_forward(&input, params, ForwardImpl::Im2col)
+        .unwrap();
+    assert_eq!(got.data(), want.data());
+}
+
+#[test]
+fn dilated_pooling_on_banded_planes_matches_reference() {
+    // 147x147 planes exceed the Unified Buffer, so both lowerings walk
+    // row bands, and each partial band keeps the dilated window.
+    use davinci_pooling::core::tiling_threshold;
+    let input = seeded(1, 2, 147, 147, 5);
+    let params = PoolParams::K3S2.with_dilation((2, 2));
+    let eng = PoolingEngine::ascend910();
+    let want_max = reference::maxpool_forward(&input, &params).unwrap();
+    let (want_out, want_mask) = reference::maxpool_forward_with_argmax(&input, &params).unwrap();
+    let want_avg = reference::avgpool_forward(&input, &params).unwrap();
+    for impl_ in [ForwardImpl::Standard, ForwardImpl::Im2col] {
+        let side = tiling_threshold(&params, impl_, eng.chip.caps);
+        assert!(side < 147, "{impl_:?}: one band fits {side}x{side}");
+        let (got, _) = eng.maxpool_forward(&input, params, impl_).unwrap();
+        assert_eq!(got.data(), want_max.data(), "{impl_:?} max");
+        let (out, mask, _) = eng
+            .maxpool_forward_with_argmax(&input, params, impl_)
+            .unwrap();
+        assert_eq!(out.data(), want_out.data(), "{impl_:?} argmax out");
+        assert_eq!(mask.data(), want_mask.data(), "{impl_:?} argmax mask");
+        let (got, _) = eng.avgpool_forward(&input, params, impl_).unwrap();
+        assert_eq!(got.data(), want_avg.data(), "{impl_:?} avg");
+    }
+}
+
+#[test]
+fn dilated_backward_on_sharded_planes_matches_reference() {
+    // One plane on 32 cores: the planner splits it into row shards, and
+    // the halo strips of the dilated taps fold back in reference order.
+    let (ih, iw) = (71, 71);
+    let params = PoolParams::K3S2.with_dilation((2, 2));
+    let x = seeded(1, 1, ih, iw, 7);
+    let mask = reference::maxpool_argmax_mask(&x, &params).unwrap();
+    let (oh, ow) = params.out_dims(ih, iw).unwrap();
+    let grads = seeded(1, 1, oh, ow, 8);
+    let want_max = reference::maxpool_backward(&mask, &grads, &params, ih, iw).unwrap();
+    let want_avg = reference::avgpool_backward(&grads, &params, ih, iw).unwrap();
+    let eng = PoolingEngine::ascend910().with_sharding(true);
+    for merge in [MergeImpl::VAdd, MergeImpl::Col2Im] {
+        let (dx, run) = eng
+            .maxpool_backward(&mask, &grads, params, ih, iw, merge)
+            .unwrap();
+        assert_eq!(dx.data(), want_max.data(), "{merge:?} max");
+        assert!(run.core_cycles.len() > 1, "{merge:?}: the plane shards");
+        let (dx, run) = eng.avgpool_backward(&grads, params, ih, iw, merge).unwrap();
+        assert_eq!(dx.data(), want_avg.data(), "{merge:?} avg");
+        assert!(run.core_cycles.len() > 1, "{merge:?}: the plane shards");
+    }
+}
+
+#[test]
+fn dilated_convolution_on_banded_l1_matches_both_references() {
+    // A small L1 bands the 36x36 plane; both Cube lowerings keep the
+    // (2, 3) dilation on every band and equal both references.
+    use davinci_pooling::conv::{run_conv2d_with, ConvLowering};
+    let tensor = |n, c, h, w, seed: u64| {
+        let mut s = seed | 1;
+        Nchw::from_fn(n, c, h, w, |_, _, _, _| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(17);
+            F16::from_f32(((s >> 38) % 17) as f32 * 0.25 - 2.0)
+        })
+    };
+    let (input, kernels) = (tensor(1, 48, 36, 36, 11), tensor(16, 48, 3, 3, 12));
+    let params = PoolParams::new((3, 3), (1, 1)).with_dilation((2, 3));
+    let direct = reference::conv2d_direct(&input, &kernels, &params).unwrap();
+    let via_im2col = reference::conv2d_via_im2col(&input, &kernels, &params).unwrap();
+    assert_eq!(direct.data(), via_im2col.data(), "the references agree");
+    let mut chip = Chip::new(1, CostModel::ascend910_like());
+    chip.caps.l1 = 32 * 1024;
+    for lowering in [ConvLowering::Implicit, ConvLowering::Materialised] {
+        let (got, _) = run_conv2d_with(&input, &kernels, &params, &chip, lowering).unwrap();
+        assert_eq!(got.data(), direct.data(), "{lowering:?}");
+    }
+}
