@@ -1,7 +1,8 @@
 //! The high-level API: run pooling operators on a simulated chip.
 //!
 //! [`PoolingEngine`] owns a [`Chip`], lays out tensors in a global-memory
-//! image, lowers the requested implementation, runs it, and returns the
+//! image, lowers the requested implementation (once per operator, shape
+//! and configuration: lowerings are memoised), runs it, and returns the
 //! output tensors together with the chip's hardware counters — the f16
 //! results are what the tests compare bit-exactly against the golden
 //! references, and the cycle counts are what the benchmark harness plots
@@ -24,8 +25,10 @@ use core::fmt;
 use dv_akg::GmArena;
 use dv_fp16::F16;
 use dv_isa::Program;
-use dv_sim::{Chip, ChipRun, GmDeclaration, MemoryModel, SimError};
+use dv_sim::{Capacities, Chip, ChipRun, CostModel, GmDeclaration, MemoryModel, SimError};
 use dv_tensor::{Nc1hwc0, PatchTensor, PoolKind, PoolParams, ShapeError, C0};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Errors surfaced by engine runs.
 #[derive(Debug)]
@@ -136,12 +139,18 @@ pub struct PoolingEngine {
     /// candidate). The backward path keeps the batch consolidation that
     /// `batching` and `split_bands` gate.
     pub auto_tune: bool,
+    /// Each pooling run's lowering, memoised per [`PlanKey`]; shared by
+    /// clones.
+    plans: PlanCache,
 }
 
-/// A lowered run, consumed by [`PoolingEngine::execute`]: the programs
-/// to dispatch plus everything the run books afterwards.
+/// A lowered run, consumed by [`PoolingEngine::execute`]: the GM image
+/// size and the programs to dispatch, plus everything the run books
+/// afterwards. Pooling runs memoise it in the engine's [`PlanCache`].
 #[derive(Default)]
 struct Lowered {
+    /// Bytes of the GM image the programs address.
+    gm_bytes: usize,
     programs: Vec<Program>,
     /// Halo declarations of a sub-plane-sharded backward, folded back by
     /// [`Chip::run_declared`].
@@ -149,9 +158,99 @@ struct Lowered {
     /// Typed declines taken before `programs` lowered, booked as
     /// [`dv_sim::HwCounters::tuner_fallbacks`].
     fallbacks: u64,
-    /// Lowered programs of each rejected (but lowerable) tuner
+    /// The [`chip_cycle_floor`] of each rejected (but lowerable) tuner
     /// alternative, certified against the measured cycles.
-    alternatives: Vec<Vec<Program>>,
+    alt_floors: Vec<u64>,
+}
+
+/// Which pooling operator a plan lowers.
+#[derive(Clone, Copy, PartialEq)]
+enum PlanOp {
+    Forward {
+        impl_: ForwardImpl,
+        kind: PoolKind,
+        with_mask: bool,
+    },
+    Backward {
+        merge: MergeImpl,
+        masked: bool,
+    },
+}
+
+/// Everything a pooling lowering reads: the operator, the problem, the
+/// five lowering switches and the chip's core count, capacities, cost
+/// model and memory model. The chip's trace configuration is left out:
+/// no builder reads it.
+#[derive(Clone, Copy, PartialEq)]
+struct PlanKey {
+    op: PlanOp,
+    prob: PoolProblem,
+    /// `split_bands`, `double_buffer`, `batching`, `shard`, `auto_tune`.
+    switches: [bool; 5],
+    cores: usize,
+    caps: Capacities,
+    cost: CostModel,
+    memory: MemoryModel,
+}
+
+/// Plans a [`PlanCache`] keeps before it evicts the oldest. The Table I
+/// forward workload needs 13.
+const PLAN_CACHE_CAPACITY: usize = 64;
+
+/// Lowered pooling runs by [`PlanKey`], oldest first. A hit skips the
+/// tuner's ranking, every builder and every alternative's cycle floor;
+/// the run still lays out, executes and certifies as on a miss.
+#[derive(Clone, Default)]
+struct PlanCache(Arc<Mutex<Plans>>);
+
+/// A [`PlanCache`]'s entries, oldest first.
+type Plans = VecDeque<(PlanKey, Arc<Lowered>)>;
+
+impl PlanCache {
+    fn entries(&self) -> MutexGuard<'_, Plans> {
+        // The lock is held only to look up or push an entry, never while
+        // lowering, so a poisoned lock still guards whole entries.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: &PlanKey) -> Option<Arc<Lowered>> {
+        let entries = self.entries();
+        entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, l)| Arc::clone(l))
+    }
+
+    /// The cached plan for `key`, or else `lower`'s plan, cached. A
+    /// lowering error is returned and not cached.
+    fn get_or_lower(
+        &self,
+        key: PlanKey,
+        lower: impl FnOnce() -> Result<Lowered, LowerError>,
+    ) -> Result<Arc<Lowered>, LowerError> {
+        if let Some(hit) = self.get(&key) {
+            return Ok(hit);
+        }
+        let lowered = Arc::new(lower()?);
+        let mut entries = self.entries();
+        // A clone on another thread may have lowered the same key
+        // meanwhile; both plans are equal, so keep the first.
+        if !entries.iter().any(|(k, _)| *k == key) {
+            if entries.len() == PLAN_CACHE_CAPACITY {
+                entries.pop_front();
+            }
+            entries.push_back((key, Arc::clone(&lowered)));
+        }
+        Ok(lowered)
+    }
+}
+
+impl fmt::Debug for PlanCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PlanCache")
+            .field("entries", &self.entries().len())
+            .finish()
+    }
 }
 
 impl From<Vec<Program>> for Lowered {
@@ -186,6 +285,7 @@ impl PoolingEngine {
             batching: true,
             shard: false,
             auto_tune: false,
+            plans: PlanCache::default(),
         }
     }
 
@@ -268,12 +368,33 @@ impl PoolingEngine {
         }
     }
 
+    /// The plan-cache key of a pooling run, built from the engine's
+    /// fields as they are now.
+    fn plan_key(&self, op: PlanOp, prob: &PoolProblem) -> PlanKey {
+        PlanKey {
+            op,
+            prob: *prob,
+            switches: [
+                self.split_bands,
+                self.double_buffer,
+                self.batching,
+                self.shard,
+                self.auto_tune,
+            ],
+            cores: self.chip.cores,
+            caps: self.chip.caps,
+            cost: self.chip.cost,
+            memory: self.chip.memory,
+        }
+    }
+
     /// Walk a tuner ranking: the first candidate that lowers is
     /// dispatched; candidates that fail to lower before it are counted
-    /// as typed fallbacks; the remaining lowerable candidates are kept
-    /// for post-run certification. An empty (or fully infeasible)
-    /// ranking surfaces the last lowering error.
+    /// as typed fallbacks; each remaining lowerable candidate keeps only
+    /// its [`chip_cycle_floor`], for post-run certification. An empty
+    /// (or fully infeasible) ranking surfaces the last lowering error.
     fn ranked(
+        &self,
         choice: &AlgorithmChoice,
         mut lower: impl FnMut(Algorithm) -> Result<Vec<Program>, LowerError>,
     ) -> Result<Lowered, LowerError> {
@@ -283,7 +404,10 @@ impl PoolingEngine {
         for pred in &choice.ranking {
             match lower(pred.algorithm) {
                 Ok(ps) => match &mut lowered {
-                    Some(l) => l.alternatives.push(ps),
+                    Some(l) => {
+                        l.alt_floors
+                            .push(chip_cycle_floor(&ps, self.chip.cores, &self.chip.cost))
+                    }
                     None => {
                         lowered = Some(Lowered {
                             fallbacks: declines,
@@ -315,11 +439,10 @@ impl PoolingEngine {
     /// never silently dropped.
     fn execute(
         &self,
-        gm: &GmArena,
         inputs: &[(usize, &[F16])],
         lowered: &Lowered,
     ) -> Result<(Vec<u8>, PoolRun), RunError> {
-        let mut image = vec![0u8; gm.size()];
+        let mut image = vec![0u8; lowered.gm_bytes];
         for &(offset, data) in inputs {
             let bytes = dv_fp16::as_bytes(data);
             image[offset..offset + bytes.len()].copy_from_slice(bytes);
@@ -331,11 +454,11 @@ impl PoolingEngine {
             None => self.chip.run(&mut image, &lowered.programs)?,
         };
         run.total.tuner_fallbacks += lowered.fallbacks;
-        for alt in &lowered.alternatives {
-            if chip_cycle_floor(alt, self.chip.cores, &self.chip.cost) < run.cycles {
-                run.total.tuner_mispredicted += 1;
-            }
-        }
+        run.total.tuner_mispredicted += lowered
+            .alt_floors
+            .iter()
+            .filter(|&&floor| floor < run.cycles)
+            .count() as u64;
         Ok((image, run))
     }
 
@@ -482,6 +605,7 @@ impl PoolingEngine {
         with_mask: bool,
     ) -> Result<(Nc1hwc0, Option<PatchTensor>, PoolRun), RunError> {
         let prob = PoolProblem::new(input.n, input.c1, input.h, input.w, params)?;
+        check_len("input", input.data(), prob.in_bytes())?;
         let reduction = match kind {
             PoolKind::Max => Reduction::Max,
             PoolKind::Avg => Reduction::Sum {
@@ -496,40 +620,53 @@ impl PoolingEngine {
             out: arena.alloc(prob.out_bytes()),
             mask: with_mask.then(|| arena.alloc(prob.mask_bytes())),
         };
-        let lowered = if self.auto_tune {
-            let choice = choose_forward_algorithm(
-                &prob,
-                with_mask,
-                kind == PoolKind::Avg,
-                self.chip.cores,
-                &self.schedule(),
-                self.chip.caps,
-                self.shared_bandwidth(),
-            );
-            Self::ranked(&choice, |algo| match algo {
-                Algorithm::Fold => build_forward_batched(
-                    &prob,
-                    reduction,
-                    gm.input,
-                    gm.out,
-                    gm.mask,
-                    self.chip.caps,
-                    self.schedule(),
-                ),
-                _ => self.per_plane_forward(&prob, algo.forward_impl(), reduction, gm, 1),
-            })?
-        } else {
-            Lowered::from(match self.forward_axis(&prob, impl_, with_mask) {
-                PartitionAxis::PerC1 => self.batched_forward_or_fallback(&prob, reduction, gm)?,
-                PartitionAxis::PerRowBand => {
-                    self.per_plane_forward(&prob, impl_, reduction, gm, self.chip.cores)?
-                }
-                PartitionAxis::PerPlane => {
-                    self.per_plane_forward(&prob, impl_, reduction, gm, 1)?
-                }
-            })
+        let op = PlanOp::Forward {
+            impl_,
+            kind,
+            with_mask,
         };
-        let (image, run) = self.execute(&arena, &[(gm.input, input.data())], &lowered)?;
+        let lowered = self.plans.get_or_lower(self.plan_key(op, &prob), || {
+            let lowered = if self.auto_tune {
+                let choice = choose_forward_algorithm(
+                    &prob,
+                    with_mask,
+                    kind == PoolKind::Avg,
+                    self.chip.cores,
+                    &self.schedule(),
+                    self.chip.caps,
+                    self.shared_bandwidth(),
+                );
+                self.ranked(&choice, |algo| match algo {
+                    Algorithm::Fold => build_forward_batched(
+                        &prob,
+                        reduction,
+                        gm.input,
+                        gm.out,
+                        gm.mask,
+                        self.chip.caps,
+                        self.schedule(),
+                    ),
+                    _ => self.per_plane_forward(&prob, algo.forward_impl(), reduction, gm, 1),
+                })?
+            } else {
+                Lowered::from(match self.forward_axis(&prob, impl_, with_mask) {
+                    PartitionAxis::PerC1 => {
+                        self.batched_forward_or_fallback(&prob, reduction, gm)?
+                    }
+                    PartitionAxis::PerRowBand => {
+                        self.per_plane_forward(&prob, impl_, reduction, gm, self.chip.cores)?
+                    }
+                    PartitionAxis::PerPlane => {
+                        self.per_plane_forward(&prob, impl_, reduction, gm, 1)?
+                    }
+                })
+            };
+            Ok(Lowered {
+                gm_bytes: arena.size(),
+                ..lowered
+            })
+        })?;
+        let (image, run) = self.execute(&[(gm.input, input.data())], &lowered)?;
         let (oh, ow) = prob.out_dims();
         let out = read_tensor(&image, gm.out, (prob.n, prob.c1, oh, ow))?;
         let mask = gm.mask.map(|m| read_mask(&image, m, &prob)).transpose()?;
@@ -609,6 +746,10 @@ impl PoolingEngine {
         gradients: &Nc1hwc0,
         merge: MergeImpl,
     ) -> Result<(Nc1hwc0, PoolRun), RunError> {
+        if let Some(m) = mask {
+            check_len("mask", m.data(), prob.mask_bytes())?;
+        }
+        check_len("gradients", gradients.data(), prob.out_bytes())?;
         let mut arena = GmArena::new();
         let gm_mask = mask.map(|m| (arena.alloc(prob.mask_bytes()), m.data()));
         let gm_grad = arena.alloc(prob.out_bytes());
@@ -619,28 +760,36 @@ impl PoolingEngine {
                 scale: avg_scale(prob),
             },
         };
-        let lowered = if self.auto_tune {
-            let choice = choose_backward_algorithm(
-                prob,
-                mask.is_some(),
-                self.chip.cores,
-                &self.schedule(),
-                self.chip.caps,
-                self.shared_bandwidth(),
-            );
-            Self::ranked(&choice, |algo| {
-                self.backward_programs(prob, algo.merge_impl(), source, gm_grad, gm_dx)
-            })?
-        } else if self.backward_axis(prob, merge, mask.is_some()) == PartitionAxis::PerRowBand {
-            self.sharded_backward_or_fallback(prob, merge, source, &mut arena, gm_grad, gm_dx)?
-        } else {
-            Lowered::from(self.backward_programs(prob, merge, source, gm_grad, gm_dx)?)
-        };
+        let masked = mask.is_some();
+        let op = PlanOp::Backward { merge, masked };
+        let lowered = self.plans.get_or_lower(self.plan_key(op, prob), || {
+            let lowered = if self.auto_tune {
+                let choice = choose_backward_algorithm(
+                    prob,
+                    masked,
+                    self.chip.cores,
+                    &self.schedule(),
+                    self.chip.caps,
+                    self.shared_bandwidth(),
+                );
+                self.ranked(&choice, |algo| {
+                    self.backward_programs(prob, algo.merge_impl(), source, gm_grad, gm_dx)
+                })?
+            } else if self.backward_axis(prob, merge, masked) == PartitionAxis::PerRowBand {
+                self.sharded_backward_or_fallback(prob, merge, source, &mut arena, gm_grad, gm_dx)?
+            } else {
+                Lowered::from(self.backward_programs(prob, merge, source, gm_grad, gm_dx)?)
+            };
+            Ok(Lowered {
+                gm_bytes: arena.size(),
+                ..lowered
+            })
+        })?;
         let inputs: Vec<(usize, &[F16])> = gm_mask
             .into_iter()
             .chain([(gm_grad, gradients.data())])
             .collect();
-        let (image, run) = self.execute(&arena, &inputs, &lowered)?;
+        let (image, run) = self.execute(&inputs, &lowered)?;
         let dx = read_tensor(&image, gm_dx, (prob.n, prob.c1, prob.ih, prob.iw))?;
         Ok((dx, run))
     }
@@ -712,6 +861,7 @@ impl PoolingEngine {
         use dv_isa::{Addr, VectorOp};
 
         let plane_bytes = input.h * input.w * C0 * 2;
+        check_len("input", input.data(), input.n * input.c1 * plane_bytes)?;
         let mut gm = GmArena::new();
         let gm_in = gm.alloc(input.byte_len());
         let gm_out = gm.alloc(input.byte_len());
@@ -741,7 +891,11 @@ impl PoolingEngine {
             }
         }
 
-        let (image, run) = self.execute(&gm, &[(gm_in, input.data())], &programs.into())?;
+        let lowered = Lowered {
+            gm_bytes: gm.size(),
+            ..programs.into()
+        };
+        let (image, run) = self.execute(&[(gm_in, input.data())], &lowered)?;
         let mut out = read_tensor(&image, gm_out, (input.n, input.c1, input.h, input.w))?;
         out.orig_c = input.orig_c;
         Ok((out, run))
@@ -781,6 +935,21 @@ impl PoolingEngine {
     }
 }
 
+/// Refuse a tensor whose data length disagrees with the `bytes` its
+/// declared shape implies. The shape fields are public, so an edited
+/// shape would otherwise size a GM region for one tensor and write
+/// another into it.
+fn check_len(what: &str, data: &[F16], bytes: usize) -> Result<(), ShapeError> {
+    if data.len() * F16::SIZE_BYTES == bytes {
+        return Ok(());
+    }
+    Err(ShapeError::Mismatch(format!(
+        "{what} holds {} f16 values, but its declared shape implies {}",
+        data.len(),
+        bytes / F16::SIZE_BYTES
+    )))
+}
+
 /// `len` f16 values from the GM image at `offset`. A region running past
 /// the image reads as empty, which the tensor constructors reject as a
 /// typed length mismatch.
@@ -809,4 +978,62 @@ fn read_mask(image: &[u8], offset: usize, prob: &PoolProblem) -> Result<PatchTen
     let (kh, kw) = (prob.params.kh, prob.params.kw);
     let data = read_f16s(image, offset, prob.n * prob.c1 * kh * kw * oh * ow * C0);
     PatchTensor::from_vec(prob.n, prob.c1, kh, kw, oh, ow, data)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// More distinct shapes than the plan cache holds: the cache never
+    /// grows past its capacity, the oldest plan goes first, and the
+    /// evicted shape lowers again to the same bits and statistics.
+    #[test]
+    fn plan_cache_evicts_oldest_first_and_relowers_bit_identically() {
+        let engine = PoolingEngine::new(Chip::new(1, CostModel::ascend910_like()));
+        let params = PoolParams::K2S2;
+        let run = |h: usize| {
+            let x = Nc1hwc0::from_fn(1, 1, h, 2, |_, _, y, x, c0| {
+                F16::from_f32(((y * 7 + x * 3 + c0) % 11) as f32)
+            });
+            engine
+                .maxpool_forward(&x, params, ForwardImpl::Im2col)
+                .expect("a tiny plane lowers")
+        };
+        let key = |h: usize| {
+            let op = PlanOp::Forward {
+                impl_: ForwardImpl::Im2col,
+                kind: PoolKind::Max,
+                with_mask: false,
+            };
+            engine.plan_key(op, &PoolProblem::new(1, 1, h, 2, params).expect("valid"))
+        };
+        let (first_out, first_run) = run(2);
+        let first_plan = engine.plans.get(&key(2)).expect("a miss caches its plan");
+        let (_, again) = run(2);
+        assert_eq!(again.cycles, first_run.cycles);
+        assert_eq!(engine.plans.entries().len(), 1, "a repeated call is a hit");
+        assert!(Arc::ptr_eq(
+            &first_plan,
+            &engine.plans.get(&key(2)).expect("still cached")
+        ));
+        for h in 3..3 + PLAN_CACHE_CAPACITY {
+            run(h);
+            assert!(engine.plans.entries().len() <= PLAN_CACHE_CAPACITY);
+        }
+        assert_eq!(engine.plans.entries().len(), PLAN_CACHE_CAPACITY);
+        assert!(engine.plans.get(&key(2)).is_none(), "the oldest plan goes");
+        assert!(engine.plans.get(&key(3)).is_some());
+        let (out, run2) = run(2);
+        assert_eq!(out, first_out);
+        assert_eq!(run2.cycles, first_run.cycles);
+        assert_eq!(run2.core_cycles, first_run.core_cycles);
+        assert_eq!(run2.per_core, first_run.per_core);
+        assert_eq!(run2.total, first_run.total);
+        assert_eq!(run2.peaks, first_run.peaks);
+        assert!(engine.plans.get(&key(3)).is_none(), "re-lowering evicts");
+        assert_eq!(
+            format!("{:?}", engine.plans),
+            format!("PlanCache {{ entries: {PLAN_CACHE_CAPACITY} }}")
+        );
+    }
 }

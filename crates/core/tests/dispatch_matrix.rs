@@ -18,10 +18,17 @@
 //! on eight cores), the tuner's ranking with its fallbacks and
 //! mispredictions (the small UB), and the typed refusal of padded
 //! Standard lowerings.
+//!
+//! Every engine runs its case list twice. The engine memoises each
+//! call's lowering, so the second pass is served from its plan cache and
+//! must equal the first call for call: output bits, cycles, per-core and
+//! total counters, and buffer peaks. Further tests check that editing an
+//! engine's public fields never serves a stale plan and that threads
+//! sharing one cache agree.
 
 use dv_core::{ForwardImpl, MergeImpl, PoolingEngine};
 use dv_fp16::F16;
-use dv_sim::{Chip, CostModel, MemoryModel};
+use dv_sim::{BufferPeaks, Chip, CostModel, HwCounters, MemoryModel};
 use dv_tensor::reference;
 use dv_tensor::{Nc1hwc0, Padding, PoolParams};
 
@@ -173,12 +180,39 @@ fn cases() -> Vec<Case> {
 /// The simulated cost of one call, or its typed error.
 type Outcome = Result<[u64; 4], String>;
 
-fn outcome(run: &dv_core::PoolRun) -> Outcome {
+/// Everything one call returns: output bits (`F16` equality compares
+/// bits), the argmax mask when there is one, and the chip statistics.
+#[derive(Debug, PartialEq)]
+struct Full {
+    out: Vec<F16>,
+    mask: Option<Vec<F16>>,
+    cycles: u64,
+    per_core: Vec<HwCounters>,
+    total: HwCounters,
+    peaks: BufferPeaks,
+}
+
+/// One call's full result, or its typed error.
+type Call = Result<Full, String>;
+
+fn full(out: &[F16], mask: Option<&[F16]>, run: dv_core::PoolRun) -> Call {
+    Ok(Full {
+        out: out.to_vec(),
+        mask: mask.map(<[F16]>::to_vec),
+        cycles: run.cycles,
+        per_core: run.per_core,
+        total: run.total,
+        peaks: run.peaks,
+    })
+}
+
+fn outcome(call: &Call) -> Outcome {
+    let f = call.as_ref().map_err(Clone::clone)?;
     Ok([
-        run.cycles,
-        run.total.total_issues(),
-        run.total.tuner_fallbacks,
-        run.total.tuner_mispredicted,
+        f.cycles,
+        f.total.total_issues(),
+        f.total.tuner_fallbacks,
+        f.total.tuner_mispredicted,
     ])
 }
 
@@ -189,7 +223,7 @@ fn assert_bits(got: &[F16], want: &[F16], what: &str) {
 
 /// Run all ten calls (five entry points, two implementations each) of
 /// one case, checking every `Ok` output bit for bit.
-fn calls(e: &PoolingEngine, c: &Case, what: &str) -> Vec<Outcome> {
+fn calls(e: &PoolingEngine, c: &Case, what: &str) -> Vec<Call> {
     let p = c.params;
     let (ih, iw) = (c.x.h, c.x.w);
     let want_max = reference::maxpool_forward(&c.x, &p).expect("reference");
@@ -209,7 +243,7 @@ fn calls(e: &PoolingEngine, c: &Case, what: &str) -> Vec<Outcome> {
                         want_max.data(),
                         &format!("{what} maxpool_forward"),
                     );
-                    outcome(&run)
+                    full(y.data(), None, run)
                 }),
         );
         out.push(
@@ -221,7 +255,7 @@ fn calls(e: &PoolingEngine, c: &Case, what: &str) -> Vec<Outcome> {
                         want_avg.data(),
                         &format!("{what} avgpool_forward"),
                     );
-                    outcome(&run)
+                    full(y.data(), None, run)
                 }),
         );
         out.push(
@@ -231,7 +265,7 @@ fn calls(e: &PoolingEngine, c: &Case, what: &str) -> Vec<Outcome> {
                     let what = format!("{what} maxpool_forward_with_argmax");
                     assert_bits(y.data(), want_max.data(), &what);
                     assert_bits(m.data(), mask.data(), &format!("{what} mask"));
-                    outcome(&run)
+                    full(y.data(), Some(m.data()), run)
                 }),
         );
     }
@@ -246,7 +280,7 @@ fn calls(e: &PoolingEngine, c: &Case, what: &str) -> Vec<Outcome> {
                         want_dx_max.data(),
                         &format!("{what} maxpool_backward"),
                     );
-                    outcome(&run)
+                    full(dx.data(), None, run)
                 }),
         );
         out.push(
@@ -258,7 +292,7 @@ fn calls(e: &PoolingEngine, c: &Case, what: &str) -> Vec<Outcome> {
                         want_dx_avg.data(),
                         &format!("{what} avgpool_backward"),
                     );
-                    outcome(&run)
+                    full(dx.data(), None, run)
                 }),
         );
     }
@@ -268,6 +302,14 @@ fn calls(e: &PoolingEngine, c: &Case, what: &str) -> Vec<Outcome> {
 /// Calls per case in [`calls`]: the first six are forward calls.
 const FORWARD_CALLS: usize = 6;
 
+/// Every call of every case on one engine, in case order.
+fn pass(e: &PoolingEngine, cases: &[Case], what: &str) -> Vec<Call> {
+    cases
+        .iter()
+        .flat_map(|c| calls(e, c, &format!("{what} {}", c.name)))
+        .collect()
+}
+
 /// Run the matrix on one chip and compare it against its half of
 /// [`PINNED`].
 fn check_chip(chip_name: &'static str, chip: Chip) {
@@ -276,10 +318,15 @@ fn check_chip(chip_name: &'static str, chip: Chip) {
     let outcomes: Vec<Vec<Outcome>> = (0..32u32)
         .map(|combo| {
             let e = engine(&chip, combo);
-            cases
-                .iter()
-                .flat_map(|c| calls(&e, c, &format!("{chip_name} [{}] {}", label(combo), c.name)))
-                .collect()
+            let what = format!("{chip_name} [{}]", label(combo));
+            let misses = pass(&e, &cases, &what);
+            // The engine holds fewer plans than its cache's capacity, so
+            // every `Ok` call of this pass is a hit.
+            let hits = pass(&e, &cases, &what);
+            for (i, (miss, hit)) in misses.iter().zip(&hits).enumerate() {
+                assert_eq!(hit, miss, "{what}: call {i} differs on a plan-cache hit");
+            }
+            misses.iter().map(outcome).collect()
         })
         .collect();
 
@@ -355,9 +402,7 @@ fn check_chip(chip_name: &'static str, chip: Chip) {
 
 #[test]
 fn one_core_small_ub() {
-    let mut chip = Chip::new(1, CostModel::ascend910_like());
-    chip.caps.ub = 16 * 1024;
-    check_chip("1core-16k", chip);
+    check_chip("1core-16k", small_ub_chip());
 }
 
 #[test]
@@ -366,4 +411,80 @@ fn eight_cores_shared_l2() {
         "8core-l2",
         Chip::new(8, CostModel::ascend910_like()).with_memory(MemoryModel::ascend910_l2()),
     );
+}
+
+/// The one-core, 16 KiB-UB chip of [`one_core_small_ub`].
+fn small_ub_chip() -> Chip {
+    let mut chip = Chip::new(1, CostModel::ascend910_like());
+    chip.caps.ub = 16 * 1024;
+    chip
+}
+
+/// The plan cache keys on the engine's fields as they are at each call:
+/// a clone (which shares the cache) with an edited field must equal a
+/// fresh engine built with that configuration, and the original engine
+/// must keep returning its first results.
+#[test]
+fn edited_config_never_serves_a_stale_plan() {
+    let cases = cases();
+    let chip = small_ub_chip();
+    // `-- db -- -- --`: double buffering on, batching off.
+    let original = engine(&chip, 1 << 1);
+    let first = pass(&original, &cases, "original");
+
+    let mut clone = original.clone();
+    clone.double_buffer = false;
+    let fresh = engine(&clone.chip, 0);
+    let edited = pass(&clone, &cases, "clone db off");
+    assert_ne!(edited, first, "double buffering moves the cycles here");
+    assert_eq!(edited, pass(&fresh, &cases, "fresh db off"));
+
+    clone.chip.caps.ub = 64 * 1024;
+    let fresh = engine(&clone.chip, 0);
+    assert_eq!(
+        pass(&clone, &cases, "clone ub 64k"),
+        pass(&fresh, &cases, "fresh ub 64k")
+    );
+
+    clone.chip.memory = MemoryModel::ascend910_l2();
+    let fresh = engine(&clone.chip, 0);
+    assert_eq!(
+        pass(&clone, &cases, "clone l2"),
+        pass(&fresh, &cases, "fresh l2")
+    );
+
+    assert_eq!(pass(&original, &cases, "original again"), first);
+}
+
+/// Two threads calling one key through clones of one engine (one shared
+/// cache) get identical results, equal to a fresh engine's.
+#[test]
+fn threads_sharing_a_plan_cache_agree() {
+    let cases = cases();
+    let chip = Chip::new(8, CostModel::ascend910_like()).with_memory(MemoryModel::ascend910_l2());
+    // `-- db ba -- at`: the tuner ranks, lowers and certifies alternatives.
+    let shared = engine(&chip, 1 << 1 | 1 << 2 | 1 << 4);
+    let barrier = std::sync::Barrier::new(2);
+    let results: Vec<Vec<Call>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|t| {
+                let (e, cases, barrier) = (shared.clone(), &cases, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    (0..3)
+                        .flat_map(|_| calls(&e, &cases[0], &format!("thread {t}")))
+                        .collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no thread panics"))
+            .collect()
+    });
+    assert_eq!(results[0], results[1]);
+    let fresh = calls(&engine(&chip, 1 << 1 | 1 << 2 | 1 << 4), &cases[0], "fresh");
+    for round in results[0].chunks(fresh.len()) {
+        assert_eq!(round, fresh.as_slice());
+    }
 }

@@ -165,6 +165,9 @@ pub struct JobResult {
 pub enum ServeError {
     /// The engine rejected or failed the job.
     Run(RunError),
+    /// The job panicked; carries the panic message. The worker that ran
+    /// it survives and serves the next job.
+    Panicked(String),
     /// The server shut down (or its worker died) before the job ran.
     Cancelled,
 }
@@ -173,6 +176,7 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Run(e) => write!(f, "job failed: {e}"),
+            ServeError::Panicked(msg) => write!(f, "job panicked: {msg}"),
             ServeError::Cancelled => write!(f, "job cancelled before completion"),
         }
     }
@@ -183,7 +187,7 @@ impl std::error::Error for ServeError {}
 /// A claim on one submitted job's eventual result.
 pub struct JobHandle {
     id: u64,
-    rx: mpsc::Receiver<Result<JobResult, RunError>>,
+    rx: mpsc::Receiver<Result<JobResult, ServeError>>,
 }
 
 impl JobHandle {
@@ -194,17 +198,14 @@ impl JobHandle {
 
     /// Block until the job completes.
     pub fn wait(self) -> Result<JobResult, ServeError> {
-        match self.rx.recv() {
-            Ok(r) => r.map_err(ServeError::Run),
-            Err(_) => Err(ServeError::Cancelled),
-        }
+        self.rx.recv().unwrap_or(Err(ServeError::Cancelled))
     }
 
     /// Non-blocking check: `None` while the job is still queued or
     /// running, `Some` exactly once when it finishes.
     pub fn poll(&self) -> Option<Result<JobResult, ServeError>> {
         match self.rx.try_recv() {
-            Ok(r) => Some(r.map_err(ServeError::Run)),
+            Ok(r) => Some(r),
             Err(mpsc::TryRecvError::Empty) => None,
             Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::Cancelled)),
         }
@@ -214,8 +215,11 @@ impl JobHandle {
 struct Job {
     id: u64,
     spec: JobSpec,
-    tx: mpsc::Sender<Result<JobResult, RunError>>,
+    tx: mpsc::Sender<Result<JobResult, ServeError>>,
 }
+
+/// How a worker runs one job: [`run_job`] outside tests.
+type JobRunner = fn(u64, &JobSpec) -> Result<JobResult, RunError>;
 
 struct State {
     queue: VecDeque<Job>,
@@ -230,10 +234,10 @@ struct Inner {
 
 /// A fixed pool of worker threads draining a shared job queue.
 ///
-/// Dropping the server closes the queue and joins the workers; jobs
-/// already queued are still drained first (graceful shutdown), so every
-/// issued [`JobHandle`] resolves — with a result or with
-/// [`ServeError::Cancelled`] only if a worker panicked.
+/// A job that panics resolves to [`ServeError::Panicked`] and its worker
+/// lives on. Dropping the server closes the queue and joins the workers;
+/// jobs already queued are still drained first (graceful shutdown), so
+/// every issued [`JobHandle`] resolves with the job's own outcome.
 pub struct Server {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
@@ -242,6 +246,10 @@ pub struct Server {
 impl Server {
     /// Spawn a pool with `workers` threads (at least one).
     pub fn new(workers: usize) -> Server {
+        Server::with_runner(workers, run_job)
+    }
+
+    fn with_runner(workers: usize, run: JobRunner) -> Server {
         let workers = workers.max(1);
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
@@ -254,7 +262,7 @@ impl Server {
         let handles = (0..workers)
             .map(|_| {
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner))
+                std::thread::spawn(move || worker_loop(&inner, run))
             })
             .collect();
         Server {
@@ -298,14 +306,15 @@ impl Drop for Server {
         }
         self.inner.cond.notify_all();
         for h in self.workers.drain(..) {
-            // A worker that panicked already dropped its job senders;
-            // the matching handles resolve to Cancelled.
+            // Jobs cannot kill a worker, but should one die anyway its
+            // job senders are dropped and the matching handles resolve
+            // to Cancelled.
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(inner: &Inner) {
+fn worker_loop(inner: &Inner, run: JobRunner) {
     loop {
         let job = {
             let mut state = inner.state.lock().expect("serve queue poisoned");
@@ -319,10 +328,25 @@ fn worker_loop(inner: &Inner) {
                 state = inner.cond.wait(state).expect("serve queue poisoned");
             }
         };
+        // A panic ends the job, not the worker: it travels back as a
+        // typed error carrying the panic message.
+        let result = match std::panic::catch_unwind(|| run(job.id, &job.spec)) {
+            Ok(r) => r.map_err(ServeError::Run),
+            Err(payload) => Err(ServeError::Panicked(panic_message(payload.as_ref()))),
+        };
         // Send failures mean the handle was dropped — the job's result
         // is unwanted, not an error.
-        let _ = job.tx.send(run_job(job.id, &job.spec));
+        let _ = job.tx.send(result);
     }
+}
+
+/// The message a panic was raised with.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|msg| msg.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a panic without a message".to_string())
 }
 
 /// Run one job synchronously on a fresh engine. Exposed so callers can
@@ -384,4 +408,59 @@ pub fn run_job(job_id: u64, spec: &JobSpec) -> Result<JobResult, RunError> {
         cycles: run.cycles,
         traces: run.traces,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dv_fp16::F16;
+    use std::time::{Duration, Instant};
+
+    fn panics_on_job_0(job_id: u64, spec: &JobSpec) -> Result<JobResult, RunError> {
+        assert_ne!(job_id, 0, "job 0 always panics");
+        run_job(job_id, spec)
+    }
+
+    /// Poll a handle until it resolves, failing after 30 s instead of
+    /// hanging.
+    fn resolve(handle: &JobHandle) -> Result<JobResult, ServeError> {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Some(r) = handle.poll() {
+                return r;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "job {} never resolved",
+                handle.id()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_typed_and_keeps_its_worker() {
+        let input = Nc1hwc0::from_fn(1, 1, 8, 8, |_, _, h, w, c0| {
+            F16::from_f32((h * 8 + w + c0) as f32)
+        });
+        let spec = JobSpec::new(
+            input,
+            PoolParams::K3S2,
+            JobOp::MaxForward(ForwardImpl::Im2col),
+        );
+        let server = Server::with_runner(1, panics_on_job_0);
+        let first = server.submit(spec.clone());
+        let second = server.submit(spec.clone());
+        match resolve(&first) {
+            Err(ServeError::Panicked(msg)) => assert!(msg.contains("job 0 always panics"), "{msg}"),
+            other => panic!("expected a typed panic, got {other:?}"),
+        }
+        let got = resolve(&second).expect("the worker survived");
+        let want = run_job(1, &spec).expect("runs");
+        assert_eq!(got.job_id, 1);
+        assert_eq!(got.output, want.output);
+        assert_eq!(got.cycles, want.cycles);
+        assert_eq!(got.per_core, want.per_core);
+        assert_eq!(got.total, want.total);
+    }
 }

@@ -320,6 +320,52 @@ fn inconsistent_backward_job_fails_typed_and_keeps_the_worker() {
     assert!(good.is_ok(), "the worker must survive: {:?}", good.err());
 }
 
+/// Poll a handle until it resolves, failing after 30 s instead of
+/// hanging on a dead worker.
+fn resolve(handle: &dv_serve::JobHandle) -> Result<dv_serve::JobResult, ServeError> {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        if let Some(r) = handle.poll() {
+            return r;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job {} never resolved",
+            handle.id()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// A forward job whose input data disagrees with its edited shape fields
+/// fails typed on a one-worker server, and the worker goes on to finish
+/// the next job.
+#[test]
+fn edited_shape_job_fails_typed_and_the_next_job_completes() {
+    use dv_core::{LowerError, RunError};
+    use dv_tensor::ShapeError;
+    let server = Server::new(1);
+    let mut x = input(1, 1, 64, 64, 98);
+    (x.h, x.w) = (8, 8);
+    let bad = server.submit(JobSpec::new(
+        x,
+        PoolParams::K3S2,
+        JobOp::MaxForward(ForwardImpl::Im2col),
+    ));
+    let good_spec = JobSpec::new(
+        input(1, 1, 8, 8, 99),
+        PoolParams::K3S2,
+        JobOp::MaxForward(ForwardImpl::Im2col),
+    );
+    let good = server.submit(good_spec.clone());
+    match resolve(&bad) {
+        Err(ServeError::Run(RunError::Lower(LowerError::Shape(ShapeError::Mismatch(_))))) => {}
+        other => panic!("expected a typed shape mismatch, got {other:?}"),
+    }
+    let got = resolve(&good).expect("the worker survived");
+    assert_eq!(got.output, run_job(1, &good_spec).expect("runs").output);
+}
+
 #[test]
 fn shutdown_drains_queued_jobs() {
     let server = Server::new(1);

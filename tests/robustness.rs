@@ -165,6 +165,120 @@ fn relu_with_special_values() {
 }
 
 // ---------------------------------------------------------------------
+// tensors whose data disagrees with their declared shape
+// ---------------------------------------------------------------------
+
+/// The typed refusal every entry point gives a tensor whose public shape
+/// fields were edited after construction.
+fn assert_shape_mismatch<T: std::fmt::Debug>(
+    got: Result<T, davinci_pooling::core::RunError>,
+    what: &str,
+) {
+    use davinci_pooling::core::{LowerError, RunError};
+    use davinci_pooling::tensor::ShapeError;
+    match got {
+        Err(RunError::Lower(LowerError::Shape(ShapeError::Mismatch(msg)))) => {
+            assert!(msg.contains("declared shape"), "{what}: {msg}");
+        }
+        other => panic!("{what}: expected a typed shape mismatch, got {other:?}"),
+    }
+}
+
+/// The two-core engine of the edited-shape cases.
+fn edited_shape_engine() -> PoolingEngine {
+    PoolingEngine::new(Chip::new(2, CostModel::ascend910_like()))
+}
+
+/// After a refusal the engine still pools a consistent 8x8 tensor, and
+/// scatters its gradients back, bit-exactly.
+fn assert_still_bit_exact(eng: &PoolingEngine) {
+    let p = PoolParams::K3S2;
+    let x = seeded(1, 1, 8, 8, 40);
+    let (got, _) = eng.maxpool_forward(&x, p, ForwardImpl::Im2col).unwrap();
+    let want = reference::maxpool_forward(&x, &p).unwrap();
+    assert_eq!(got.data(), want.data(), "forward after a refusal");
+    let mask = reference::maxpool_argmax_mask(&x, &p).unwrap();
+    let grads = seeded(1, 1, 3, 3, 41);
+    let (dx, _) = eng
+        .maxpool_backward(&mask, &grads, p, 8, 8, MergeImpl::Col2Im)
+        .unwrap();
+    let want = reference::maxpool_backward(&mask, &grads, &p, 8, 8).unwrap();
+    assert_eq!(dx.data(), want.data(), "backward after a refusal");
+}
+
+#[test]
+fn oversized_data_under_an_edited_shape_fails_typed() {
+    // 64x64 data declared 8x8: the GM region holds 8x8, so writing the
+    // data in would run off the image.
+    let eng = edited_shape_engine();
+    let mut x = Nc1hwc0::from_fn(1, 1, 64, 64, |_, _, h, w, c0| {
+        F16::from_f32(((h * 64 + w + c0) % 97) as f32)
+    });
+    (x.h, x.w) = (8, 8);
+    let p = PoolParams::K3S2;
+    for impl_ in [ForwardImpl::Standard, ForwardImpl::Im2col] {
+        assert_shape_mismatch(eng.maxpool_forward(&x, p, impl_), "maxpool_forward");
+        assert_shape_mismatch(
+            eng.maxpool_forward_with_argmax(&x, p, impl_),
+            "maxpool_forward_with_argmax",
+        );
+        assert_shape_mismatch(eng.avgpool_forward(&x, p, impl_), "avgpool_forward");
+    }
+    assert_shape_mismatch(eng.relu(&x), "relu");
+    assert_still_bit_exact(&eng);
+}
+
+#[test]
+fn undersized_data_under_an_edited_shape_fails_typed() {
+    // 8x8 data declared 16x16: writing it into the 16x16 region would
+    // leave rows of zeros, and the pool would return Ok over them.
+    let eng = edited_shape_engine();
+    let mut x = seeded(1, 1, 8, 8, 42);
+    (x.h, x.w) = (16, 16);
+    let p = PoolParams::K3S2;
+    for impl_ in [ForwardImpl::Standard, ForwardImpl::Im2col] {
+        assert_shape_mismatch(eng.maxpool_forward(&x, p, impl_), "maxpool_forward");
+        assert_shape_mismatch(
+            eng.maxpool_forward_with_argmax(&x, p, impl_),
+            "maxpool_forward_with_argmax",
+        );
+        assert_shape_mismatch(eng.avgpool_forward(&x, p, impl_), "avgpool_forward");
+    }
+    assert_shape_mismatch(eng.relu(&x), "relu");
+    assert_still_bit_exact(&eng);
+}
+
+#[test]
+fn gradients_under_an_edited_shape_fail_typed() {
+    // The mask of an 8x8 forward with 30x30 gradients declared 3x3: the
+    // declared shapes agree, the gradient data does not.
+    let eng = edited_shape_engine();
+    let p = PoolParams::K3S2;
+    let mask = reference::maxpool_argmax_mask(&seeded(1, 1, 8, 8, 43), &p).unwrap();
+    let mut grads = seeded(1, 1, 30, 30, 44);
+    (grads.h, grads.w) = (3, 3);
+    for merge in [MergeImpl::VAdd, MergeImpl::Col2Im] {
+        assert_shape_mismatch(
+            eng.maxpool_backward(&mask, &grads, p, 8, 8, merge),
+            "maxpool_backward",
+        );
+        assert_shape_mismatch(
+            eng.avgpool_backward(&grads, p, 8, 8, merge),
+            "avgpool_backward",
+        );
+    }
+    // A mask whose data disagrees with its declared patch grid.
+    let mut big_mask = reference::maxpool_argmax_mask(&seeded(1, 1, 30, 30, 45), &p).unwrap();
+    (big_mask.oh, big_mask.ow) = (3, 3);
+    let grads = seeded(1, 1, 3, 3, 46);
+    assert_shape_mismatch(
+        eng.maxpool_backward(&big_mask, &grads, p, 8, 8, MergeImpl::Col2Im),
+        "maxpool_backward mask",
+    );
+    assert_still_bit_exact(&eng);
+}
+
+// ---------------------------------------------------------------------
 // dilated windows on banded, batch-folded and sharded plans
 // ---------------------------------------------------------------------
 
