@@ -8,7 +8,7 @@ use dv_isa::{Addr, BufferId, Mask, Program, VectorOp};
 use dv_sim::{AiCore, CostModel};
 use proptest::prelude::*;
 
-fn run(program: &Program, preload: &[(usize, Vec<F16>)]) -> AiCore {
+fn run(program: &Program, preload: &[(usize, Vec<F16>)]) -> AiCore<'static> {
     let mut core = AiCore::new(CostModel::ascend910_like(), 0);
     for (off, data) in preload {
         core.buffers_mut()

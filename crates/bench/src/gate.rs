@@ -1521,8 +1521,11 @@ mod tests {
                         .map(|i| {
                             let mut row = Row::new(format!("{}/{i}", s.name));
                             for (j, &Column(name, policy)) in s.columns.iter().enumerate() {
+                                // `chosen` is the one categorical column;
+                                // other exact columns are counts that
+                                // derived columns may read.
                                 row = match policy {
-                                    Exact => row.with(name, "label"),
+                                    Exact if name == "chosen" => row.with(name, "label"),
                                     Derived(..) => row,
                                     _ => row.with(name, 100 * i + j as u64),
                                 };

@@ -4,19 +4,20 @@
 //! The cycle gate ([`crate::gate`]) protects the *simulated* numbers; at
 //! production traffic the simulator's own wall-clock is the serving hot
 //! path, so this module makes host speed a gated quantity too. Every
-//! Table I workload's accelerated (Im2col) forward pass is replayed under
-//! each execution [`Backend`] and timed with the vendored criterion
-//! shim's warmup-then-median loop ([`criterion::time_median`]); the
-//! measurements land in `BENCH_host.json` and are compared against the
-//! committed baseline in `crates/bench/baselines/host.json`.
+//! Table I workload's accelerated (Im2col) forward pass, and every pinned
+//! model segment's fused forward (the only rows on the Cube executor), is
+//! replayed under each execution [`Backend`] and timed with the vendored
+//! criterion shim's warmup-then-median loop ([`criterion::time_medians`]);
+//! the measurements land in `BENCH_host.json` and are compared against
+//! the committed baseline in `crates/bench/baselines/host.json`.
 //!
-//! Two contracts are enforced:
+//! Three contracts are enforced:
 //!
 //! * **Bit-identity, in-gate.** On every gated workload, [`collect_host`]
-//!   asserts that all backends produce the same output bytes, the same
-//!   [`HwCounters`](dv_sim::HwCounters), the same chip cycles, and the
-//!   same scratchpad peaks as the `Scalar` reference — backends may only
-//!   move host wall-clock.
+//!   asserts that all backends produce the same output bytes and the same
+//!   simulated observables as the `Scalar` reference — backends may only
+//!   move host wall-clock — and that a one-core chip runs the same
+//!   programs (same output bytes, same instruction count).
 //! * **Relative speed.** Wall times are machine-dependent, so the gate
 //!   does not compare nanoseconds across machines: it gates the
 //!   machine-portable *speedup ratios* (`scalar_ns / sliced_ns` per row)
@@ -24,10 +25,19 @@
 //!   [`collect_host`] asserts in-run that `Sliced` still clears the
 //!   [`SLICED_FLOOR`] on at least one Table I workload — the hoisted
 //!   bounds checks are the whole point of the seam, and losing them is a
-//!   host-speed regression no matter what machine CI runs on. Absolute
-//!   per-backend nanoseconds, host instructions/sec, and
-//!   simulated-cycles-per-wall-second are recorded alongside for
-//!   trending.
+//!   host-speed regression no matter what machine CI runs on.
+//! * **Host time proportional to simulated work.** The 32-core chip under
+//!   `Sliced` runs the same programs as a one-core chip, on one host
+//!   thread either way, so their host times may differ only by per-core
+//!   set-up. [`collect_host`] asserts in-run that the geometric mean of
+//!   `multicore_over_single` stays at or below [`MULTICORE_CEILING`]: a
+//!   reintroduced per-core GM copy or scratchpad allocation fails it on
+//!   any machine.
+//!
+//! Absolute per-backend nanoseconds, host instructions/sec, and
+//! simulated-cycles-per-wall-second are recorded alongside for trending;
+//! the instruction and cycle denominators are deterministic and must
+//! equal the baseline's exactly.
 //!
 //! Host timing is inherently noisy where cycle counts are deterministic:
 //! [`run_host`] takes the best of [`HOST_GATE_RETRIES`] full collections
@@ -37,18 +47,19 @@
 //! through the [`run_host_with`] collector seam.
 //!
 //! `BENCH_host.json` is a [`crate::gate::Document`] ([`HOST`]) with one
-//! declared section: the wall times and their denominators are info
-//! columns, the speedups and throughputs are derived columns, and the
-//! generic comparison only matches rows. [`compare_host`] adds the one
-//! check specific to this section, on the sliced speedup ratio. When the
-//! executor legitimately changes speed, regenerate with
-//! `cargo run --release -p dv-bench --bin repro -- gate` and commit the
-//! refreshed `host.json`.
+//! declared section: the wall times are info columns, the denominators
+//! exact columns, the speedups and throughputs derived columns.
+//! [`compare_host`] adds the one check specific to this section, on the
+//! sliced speedup ratio. When the executor legitimately changes speed,
+//! regenerate with `cargo run --release -p dv-bench --bin repro -- gate`
+//! and commit the refreshed `host.json`.
 
-use crate::gate::{Column, Document, Policy::Derived, Policy::Info, Row, Section};
+use crate::gate::{Column, Document, Policy::Derived, Policy::Exact, Policy::Info, Row, Section};
 use crate::inputs::feature_map;
+use dv_conv::ConvLowering;
 use dv_core::{table1_workloads, ForwardImpl, PoolingEngine};
-use dv_sim::Backend;
+use dv_nn::{pinned_segments, run_fused_conv_pool, Layer, PoolKind, Sequential};
+use dv_sim::{Backend, Chip, CostModel};
 use std::time::Duration;
 
 /// Relative speedup-ratio loss tolerated before the host gate fails
@@ -70,14 +81,20 @@ pub const HOST_GATE_RETRIES: usize = 3;
 /// instructions/sec.
 pub const SLICED_FLOOR: f64 = 2.0;
 
+/// The in-run ceiling on the geometric mean of `multicore_over_single`:
+/// the 32-core chip's `Sliced` host time over a one-core chip's on the
+/// same programs.
+pub const MULTICORE_CEILING: f64 = 1.25;
+
 /// The committed host baseline (regenerate via `repro -- gate` when the
 /// executor legitimately changes speed).
 pub const COMMITTED_HOST_BASELINE: &str = include_str!("../baselines/host.json");
 
-/// `BENCH_host.json`: one row per Table I workload — its accelerated
-/// forward pass timed under every backend, plus the deterministic
-/// denominators (instruction issues and simulated cycles, both
-/// backend-invariant) that turn wall time into throughput.
+/// `BENCH_host.json`: one row per Table I workload and pinned model
+/// segment — its forward pass timed under every backend and on a
+/// one-core chip, plus the deterministic denominators (instruction issues
+/// and simulated cycles, both backend-invariant) that turn wall time into
+/// throughput.
 pub const HOST: Document = Document {
     benchmark: "host",
     header: &[
@@ -87,16 +104,22 @@ pub const HOST: Document = Document {
     sections: &[Section {
         name: "host",
         columns: &[
-            Column("instructions", Info),
-            Column("sim_cycles", Info),
-            // Median host wall time of one run per backend.
+            Column("instructions", Exact),
+            Column("sim_cycles", Exact),
+            // Median host wall time of one run per backend, and under
+            // `Sliced` on a one-core chip.
             Column("scalar_ns", Info),
             Column("sliced_ns", Info),
             Column("threaded_ns", Info),
+            Column("single_core_sliced_ns", Info),
             Column("sliced_speedup", Derived(4, |r, _| Some(sliced_speedup(r)))),
             Column(
                 "threaded_speedup",
                 Derived(4, |r, _| Some(r.ratio("scalar_ns", "threaded_ns"))),
+            ),
+            Column(
+                "multicore_over_single",
+                Derived(4, |r, _| Some(multicore_over_single(r))),
             ),
             Column(
                 "scalar_instr_per_sec",
@@ -122,34 +145,88 @@ fn sliced_speedup(row: &Row) -> f64 {
     row.ratio("scalar_ns", "sliced_ns")
 }
 
+/// Host time of the 32-core chip under `Sliced` over a one-core chip's.
+fn multicore_over_single(row: &Row) -> f64 {
+    row.ratio("sliced_ns", "single_core_sliced_ns")
+}
+
 /// `count` per second of the wall time in the `ns` column.
 fn per_sec(row: &Row, count: &str, ns: &str) -> f64 {
     row.int(count) as f64 * 1e9 / row.int(ns).max(1) as f64
 }
 
-/// Replay every Table I workload's Im2col forward under all three
-/// backends, asserting bit-identity in-gate and timing each backend with
-/// the criterion shim's warmup-then-median loop. Panics if `Sliced`
-/// fails [`SLICED_FLOOR`] on every row.
+/// The default 32-core chip under `backend`.
+fn engine(backend: Backend) -> PoolingEngine {
+    PoolingEngine::ascend910().with_backend(backend)
+}
+
+/// A one-core chip under `Sliced`: the same programs, one simulated core.
+fn single_core() -> PoolingEngine {
+    PoolingEngine::new(Chip::new(1, CostModel::ascend910_like())).with_backend(Backend::Sliced)
+}
+
+/// One row: `call` timed under every backend and on [`single_core`] with
+/// the criterion shim's warmup-then-median loop, the four sampled
+/// round-robin so host-speed drift cancels in their ratios.
+fn timed_row<T>(
+    key: String,
+    instructions: u64,
+    sim_cycles: u64,
+    call: impl Fn(&PoolingEngine) -> T,
+) -> Row {
+    assert!(
+        instructions > 0 && sim_cycles > 0,
+        "{key}: degenerate denominators"
+    );
+    let engines = [
+        engine(Backend::Scalar),
+        engine(Backend::Sliced),
+        engine(Backend::Threaded),
+        single_core(),
+    ];
+    let mut runs = engines.each_ref().map(|eng| {
+        let call = &call;
+        move || {
+            std::hint::black_box(call(eng));
+        }
+    });
+    let ns: Vec<u64> = criterion::time_medians(HOST_SAMPLES, &mut runs)
+        .into_iter()
+        .map(duration_ns)
+        .collect();
+    Row::new(key)
+        .with("instructions", instructions)
+        .with("sim_cycles", sim_cycles)
+        .with("scalar_ns", ns[0])
+        .with("sliced_ns", ns[1])
+        .with("threaded_ns", ns[2])
+        .with("single_core_sliced_ns", ns[3])
+}
+
+/// Replay every Table I workload's Im2col forward and every pinned model
+/// segment's fused forward under all three backends and on a one-core
+/// chip, asserting bit-identity in-gate and timing each with the
+/// criterion shim's warmup-then-median loop. Panics if `Sliced` fails
+/// [`SLICED_FLOOR`] on every Table I row, or if the geometric mean of
+/// `multicore_over_single` exceeds [`MULTICORE_CEILING`].
 pub fn collect_host() -> Vec<Row> {
     let mut out = Vec::new();
     for w in table1_workloads() {
         let shape = format!("{}x{}x{}", w.h, w.w, w.c);
         let key = format!("host/{}-{}/{shape}", w.cnn, w.input_idx);
         let input = feature_map(1, w.c, w.h, w.w, 71);
+        let call = |eng: &PoolingEngine| {
+            eng.maxpool_forward(&input, w.params, ForwardImpl::Im2col)
+                .expect("host gate run")
+        };
 
         // Reference run plus the in-gate bit-identity contract: every
         // backend must reproduce the Scalar run's output bytes, counters,
-        // cycles, and peaks exactly.
-        let scalar_eng = PoolingEngine::ascend910().with_backend(Backend::Scalar);
-        let (o_ref, run_ref) = scalar_eng
-            .maxpool_forward(&input, w.params, ForwardImpl::Im2col)
-            .expect("host gate scalar run");
+        // cycles, and peaks exactly, and one core the same output from
+        // the same programs.
+        let (o_ref, run_ref) = call(&engine(Backend::Scalar));
         for backend in [Backend::Sliced, Backend::Threaded] {
-            let eng = PoolingEngine::ascend910().with_backend(backend);
-            let (o, run) = eng
-                .maxpool_forward(&input, w.params, ForwardImpl::Im2col)
-                .expect("host gate backend run");
+            let (o, run) = call(&engine(backend));
             assert_eq!(
                 o.data(),
                 o_ref.data(),
@@ -168,35 +245,95 @@ pub fn collect_host() -> Vec<Row> {
                 "{key}: {backend} peaks diverged from Scalar"
             );
         }
-        let (instructions, sim_cycles) = (run_ref.total.total_issues(), run_ref.cycles);
-        assert!(
-            instructions > 0 && sim_cycles > 0,
-            "{key}: degenerate denominators"
+        let (o, run) = call(&single_core());
+        assert_eq!(o.data(), o_ref.data(), "{key}: one core diverged");
+        assert_eq!(
+            run.total.total_issues(),
+            run_ref.total.total_issues(),
+            "{key}: one core ran other programs"
         );
-
-        let time_backend = |backend: Backend| -> u64 {
-            let eng = PoolingEngine::ascend910().with_backend(backend);
-            let d = criterion::time_median(HOST_SAMPLES, || {
-                eng.maxpool_forward(&input, w.params, ForwardImpl::Im2col)
-                    .expect("host gate timed run")
-            });
-            duration_ns(d)
-        };
-
-        out.push(
-            Row::new(key)
-                .with("instructions", instructions)
-                .with("sim_cycles", sim_cycles)
-                .with("scalar_ns", time_backend(Backend::Scalar))
-                .with("sliced_ns", time_backend(Backend::Sliced))
-                .with("threaded_ns", time_backend(Backend::Threaded)),
-        );
+        out.push(timed_row(
+            key,
+            run_ref.total.total_issues(),
+            run_ref.cycles,
+            call,
+        ));
     }
     let best = out.iter().map(sliced_speedup).fold(0.0f64, f64::max);
     assert!(
         best >= SLICED_FLOOR,
         "host gate: Sliced must clear {SLICED_FLOOR}x Scalar host \
          instructions/sec on at least one Table I workload (best {best:.2}x)"
+    );
+    for seg in pinned_segments() {
+        let key = format!("host/model/{}", seg.name);
+        let [Layer::Conv2d { weights, params }, Layer::MaxPool2d { params: pool, .. }] =
+            seg.layers.as_slice()
+        else {
+            panic!("{key}: pinned segment must be conv -> maxpool");
+        };
+        let call = |eng: &PoolingEngine| {
+            Sequential::with_layers(eng.clone(), seg.layers.clone())
+                .forward_fused(&seg.input)
+                .expect("host gate segment run")
+        };
+        // `forward_fused` reports cycles only: the fused kernel it runs
+        // on these segments supplies the instruction count, tied to the
+        // timed call by its output and cycles.
+        let fused = |chip: &Chip| {
+            run_fused_conv_pool(
+                chip,
+                &seg.input,
+                weights,
+                params,
+                PoolKind::Max,
+                pool,
+                ConvLowering::Auto,
+            )
+            .expect("host gate fused kernel")
+        };
+        let (o_ref, run_ref) = call(&engine(Backend::Scalar));
+        for backend in [Backend::Sliced, Backend::Threaded] {
+            let (o, run) = call(&engine(backend));
+            assert_eq!(
+                o.data(),
+                o_ref.data(),
+                "{key}: {backend} output diverged from Scalar"
+            );
+            assert_eq!(
+                run.total_cycles(),
+                run_ref.total_cycles(),
+                "{key}: {backend} cycles diverged from Scalar"
+            );
+        }
+        let (o, kernel) = fused(&engine(Backend::Scalar).chip);
+        assert_eq!(o.data(), o_ref.data(), "{key}: fused kernel diverged");
+        assert_eq!(
+            kernel.cycles,
+            run_ref.total_cycles(),
+            "{key}: forward_fused ran another kernel"
+        );
+        let (o, one) = fused(&single_core().chip);
+        assert_eq!(o.data(), o_ref.data(), "{key}: one core diverged");
+        assert_eq!(
+            one.total.total_issues(),
+            kernel.total.total_issues(),
+            "{key}: one core ran other programs"
+        );
+        out.push(timed_row(
+            key,
+            kernel.total.total_issues(),
+            kernel.cycles,
+            call,
+        ));
+    }
+    let rows: Vec<&Row> = out.iter().collect();
+    let multicore = geomean(&rows, multicore_over_single);
+    assert!(
+        multicore <= MULTICORE_CEILING,
+        "host gate: the 32-core chip must run its programs within \
+         {MULTICORE_CEILING}x a one-core chip's Sliced host time \
+         (geomean {multicore:.2}x): per-core set-up is back"
     );
     out
 }
@@ -210,10 +347,15 @@ fn duration_ns(d: Duration) -> u64 {
 /// Table I rows is stable, and any executor regression (the fast paths
 /// are shared by every row) moves it.
 pub fn geomean_sliced_speedup(rows: &[&Row]) -> f64 {
+    geomean(rows, sliced_speedup)
+}
+
+/// Geometric mean of one per-row ratio (0 for no rows).
+fn geomean(rows: &[&Row], ratio: fn(&Row) -> f64) -> f64 {
     if rows.is_empty() {
         return 0.0;
     }
-    let log_sum: f64 = rows.iter().map(|r| sliced_speedup(r).ln()).sum();
+    let log_sum: f64 = rows.iter().map(|r| ratio(r).ln()).sum();
     (log_sum / rows.len() as f64).exp()
 }
 
@@ -307,6 +449,7 @@ mod tests {
             .with("scalar_ns", scalar_ns)
             .with("sliced_ns", sliced_ns)
             .with("threaded_ns", sliced_ns / 2 + 1)
+            .with("single_core_sliced_ns", sliced_ns)
     }
 
     #[test]
@@ -428,8 +571,8 @@ mod tests {
             .remove(0);
         assert_eq!(
             base.len(),
-            table1_workloads().len(),
-            "host baseline must track every Table I workload"
+            table1_workloads().len() + pinned_segments().len(),
+            "host baseline must track every Table I workload and model segment"
         );
         assert!(
             base.iter().any(|m| sliced_speedup(m) >= SLICED_FLOOR),

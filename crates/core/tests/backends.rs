@@ -11,9 +11,13 @@ use dv_tensor::{Nc1hwc0, PoolParams};
 use proptest::prelude::*;
 
 fn engine(issue: IssueModel, backend: Backend) -> PoolingEngine {
+    engine_on(2, issue, backend)
+}
+
+fn engine_on(cores: usize, issue: IssueModel, backend: Backend) -> PoolingEngine {
     let mut cost = CostModel::ascend910_like().with_backend(backend);
     cost.issue_model = issue;
-    PoolingEngine::new(Chip::new(2, cost)).with_trace(TraceConfig::ON)
+    PoolingEngine::new(Chip::new(cores, cost)).with_trace(TraceConfig::ON)
 }
 
 fn geometry() -> impl Strategy<Value = (PoolParams, usize, usize)> {
@@ -167,6 +171,62 @@ proptest! {
                     &observe(&dx, &run), &want_bwd,
                     "avg bwd {:?}/{:?} diverged from Scalar", backend, issue
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// An 8-core chip on 9–11 channel planes: every simulated core runs
+    /// at least one program and core 0 more than one, so `Sliced` walks
+    /// eight simulated cores through one reused scratchpad set (core 0
+    /// re-reading GM through its own pages) and `Threaded` maps several
+    /// simulated cores onto each host thread wherever the host has fewer
+    /// than eight CPUs. Every op still matches `Scalar` exactly.
+    #[test]
+    fn backend_is_bit_identical_on_eight_cores(
+        (params, ih, iw) in geometry(), c1 in 9usize..=11, seed in any::<u64>()
+    ) {
+        let x = input(c1, ih, iw, seed);
+        let mask = dv_tensor::reference::maxpool_argmax_mask(&x, &params).unwrap();
+        let (oh, ow) = params.out_dims(ih, iw).unwrap();
+        let mut s = seed ^ 0xBEEF;
+        let grads = Nc1hwc0::from_fn(1, c1, oh, ow, |_, _, _, _, _| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(5);
+            F16::from_f32(((s >> 42) % 8) as f32)
+        });
+        type Op = fn(&PoolingEngine, &Nc1hwc0, &dv_tensor::PatchTensor, &Nc1hwc0, PoolParams)
+            -> Observables;
+        let ops: [(&str, Op); 4] = [
+            ("max fwd", |e, x, _, _, p| {
+                let (out, run) = e.maxpool_forward(x, p, ForwardImpl::Im2col).unwrap();
+                observe(&out, &run)
+            }),
+            ("max bwd", |e, x, m, g, p| {
+                let (dx, run) = e
+                    .maxpool_backward(m, g, p, x.h, x.w, MergeImpl::Col2Im)
+                    .unwrap();
+                observe(&dx, &run)
+            }),
+            ("avg fwd", |e, x, _, _, p| {
+                let (out, run) = e.avgpool_forward(x, p, ForwardImpl::Im2col).unwrap();
+                observe(&out, &run)
+            }),
+            ("avg bwd", |e, x, _, g, p| {
+                let (dx, run) = e
+                    .avgpool_backward(g, p, x.h, x.w, MergeImpl::Col2Im)
+                    .unwrap();
+                observe(&dx, &run)
+            }),
+        ];
+        for (name, op) in ops {
+            let want = op(&engine_on(8, IssueModel::DualPipe, Backend::Scalar), &x, &mask, &grads, params);
+            prop_assert_eq!(want.per_core.len(), 8, "{}: all eight cores run", name);
+            for backend in [Backend::Sliced, Backend::Threaded] {
+                let got = op(&engine_on(8, IssueModel::DualPipe, backend), &x, &mask, &grads, params);
+                prop_assert_eq!(&got, &want, "{} on {:?} diverged from Scalar", name, backend);
             }
         }
     }

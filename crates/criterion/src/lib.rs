@@ -94,17 +94,32 @@ fn median_of(samples: &mut [Duration]) -> Duration {
 /// the median per-call wall time. `samples == 0` skips timing entirely
 /// and returns [`Duration::ZERO`] (no zero division). This is the exact
 /// loop [`Bencher::iter`] uses, exposed for tools that need the number
-/// back — the host-throughput gate builds on it.
+/// back.
 pub fn time_median<R, F: FnMut() -> R>(samples: usize, mut f: F) -> Duration {
-    std_black_box(f()); // warm-up
-    let mut timed: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
+    time_medians(
+        samples,
+        &mut [|| {
             std_black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    median_of(&mut timed)
+        }],
+    )[0]
+}
+
+/// [`time_median`] for several closures at once, sampled round-robin:
+/// one warm-up round, then `samples` rounds that time each closure once.
+/// Host-speed drift during the measurement then moves every closure
+/// alike, so ratios between the medians hold on a loaded host — the
+/// host-throughput gate builds on it.
+pub fn time_medians<F: FnMut()>(samples: usize, fs: &mut [F]) -> Vec<Duration> {
+    fs.iter_mut().for_each(|f| f()); // warm-up
+    let mut timed = vec![Vec::with_capacity(samples); fs.len()];
+    for _ in 0..samples {
+        for (f, t) in fs.iter_mut().zip(&mut timed) {
+            let start = Instant::now();
+            f();
+            t.push(start.elapsed());
+        }
+    }
+    timed.iter_mut().map(|t| median_of(t)).collect()
 }
 
 /// Timing loop handle passed to bench closures.

@@ -40,7 +40,7 @@ pub use encode::DecodeError;
 pub use mask::Mask;
 pub use mte::DataMove;
 pub use program::{Instr, IsaError, Program};
-pub use scu::{Col2Im, Im2Col, Im2ColGeometry, RepeatMode};
+pub use scu::{Col2Im, Im2Col, Im2ColGeometry, PatchWalk, RepeatMode};
 pub use unit::Unit;
 pub use vector::{VectorInstr, VectorOp};
 

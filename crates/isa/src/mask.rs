@@ -50,6 +50,12 @@ impl Mask {
         Mask { bits: [lo, hi] }
     }
 
+    /// The pair of words [`Mask::from_words`] takes (`lo` holds lanes
+    /// 0–63).
+    pub const fn to_words(&self) -> (u64, u64) {
+        (self.bits[0], self.bits[1])
+    }
+
     /// Is lane `i` enabled?
     #[inline]
     pub fn lane(&self, i: usize) -> bool {

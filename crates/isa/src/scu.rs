@@ -69,21 +69,35 @@ impl Im2ColGeometry {
     /// Construct and validate the geometry (Equation 1 must be
     /// satisfiable).
     pub fn new(ih: usize, iw: usize, c1_len: usize, params: PoolParams) -> Result<Self, IsaError> {
-        params.out_dims(ih, iw).map_err(IsaError::Shape)?;
-        if c1_len == 0 {
-            return Err(IsaError::Shape(dv_tensor::ShapeError::Mismatch(
-                "c1_len must be nonzero".into(),
-            )));
-        }
-        Ok(Im2ColGeometry {
+        let geom = Im2ColGeometry {
             ih,
             iw,
             c1_len,
             params,
-        })
+        };
+        geom.validate()?;
+        Ok(geom)
     }
 
-    /// `(Oh, Ow)` patch counts (Equation 1).
+    /// Re-derive `(Oh, Ow)` (Equation 1) and check `c1_len`. The fields
+    /// are public, so a geometry edited after [`Self::new`] is checked
+    /// again here by every instruction's `validate` — a typed error, never
+    /// the panic of [`Self::out_dims`].
+    pub fn validate(&self) -> Result<(usize, usize), IsaError> {
+        let dims = self
+            .params
+            .out_dims(self.ih, self.iw)
+            .map_err(IsaError::Shape)?;
+        if self.c1_len == 0 {
+            return Err(IsaError::Shape(dv_tensor::ShapeError::Mismatch(
+                "c1_len must be nonzero".into(),
+            )));
+        }
+        Ok(dims)
+    }
+
+    /// `(Oh, Ow)` patch counts (Equation 1). Panics on a geometry that
+    /// [`Self::validate`] rejects.
     pub fn out_dims(&self) -> (usize, usize) {
         self.params
             .out_dims(self.ih, self.iw)
@@ -170,6 +184,91 @@ impl Im2ColGeometry {
     }
 }
 
+/// Consecutive patch slots at one kernel offset, resolved to source
+/// elements: slot `i` yields what [`Im2ColGeometry::element_coord`] gives
+/// for patch `first_patch + i`, but `(Oh, Ow)` is derived once per walk
+/// and the patch position `(p, q)` advances by addition. This is the
+/// per-instruction indirection walk the simulator's fast `Im2Col` and
+/// `Col2Im` executors share. The walk never ends: slots past the patch
+/// grid resolve to `None` (zero-fill for `Im2Col`, skipped by `Col2Im`).
+#[derive(Clone, Debug)]
+pub struct PatchWalk {
+    grid: usize,
+    ow: usize,
+    ih: isize,
+    iw: isize,
+    sh: isize,
+    sw: isize,
+    params: PoolParams,
+    /// Patches left on the grid from the current slot on.
+    left: usize,
+    q: usize,
+    h: isize,
+    w: isize,
+    /// `w` at `q = 0` for the current kernel offset.
+    w0: isize,
+}
+
+impl PatchWalk {
+    /// Continue from patch `first_patch` at kernel offset `k_off`,
+    /// keeping the derived grid — one call per mode-0 repeat.
+    pub fn restart(&mut self, first_patch: usize, k_off: (usize, usize)) {
+        let pr = &self.params;
+        let (p, q) = (first_patch / self.ow, first_patch % self.ow);
+        self.left = self.grid.saturating_sub(first_patch);
+        self.q = q;
+        self.w0 = (k_off.1 * pr.dw) as isize - pr.padding.left as isize;
+        self.w = self.w0 + (q * pr.sw) as isize;
+        self.h = (p * pr.sh + k_off.0 * pr.dh) as isize - pr.padding.top as isize;
+    }
+}
+
+impl Iterator for PatchWalk {
+    type Item = Option<(usize, usize)>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return Some(None);
+        }
+        self.left -= 1;
+        let (h, w) = (self.h, self.w);
+        self.q += 1;
+        self.w += self.sw;
+        if self.q == self.ow {
+            self.q = 0;
+            self.w = self.w0;
+            self.h += self.sh;
+        }
+        let inside = h >= 0 && w >= 0 && h < self.ih && w < self.iw;
+        Some(inside.then_some((h as usize, w as usize)))
+    }
+}
+
+impl Im2ColGeometry {
+    /// A [`PatchWalk`] from patch `first_patch` at kernel offset `k_off`.
+    /// Panics on a geometry that [`Self::validate`] rejects.
+    pub fn patch_walk(&self, first_patch: usize, k_off: (usize, usize)) -> PatchWalk {
+        let (oh, ow) = self.out_dims();
+        let mut walk = PatchWalk {
+            grid: oh * ow,
+            ow,
+            ih: self.ih as isize,
+            iw: self.iw as isize,
+            sh: self.params.sh as isize,
+            sw: self.params.sw as isize,
+            params: self.params,
+            left: 0,
+            q: 0,
+            h: 0,
+            w: 0,
+            w0: 0,
+        };
+        walk.restart(first_patch, k_off);
+        walk
+    }
+}
+
 /// The `Im2Col` load instruction.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Im2Col {
@@ -216,6 +315,8 @@ impl Im2Col {
                 role: "dst",
             });
         }
+        let (oh, ow) = self.geom.validate()?;
+        let patches = oh * ow;
         let (kh, kw) = (self.geom.params.kh, self.geom.params.kw);
         if self.k_off.0 >= kh || self.k_off.1 >= kw {
             return Err(IsaError::BadPosition(format!(
@@ -229,20 +330,15 @@ impl Im2Col {
                 self.c1, self.geom.c1_len
             )));
         }
-        if self.first_patch >= self.geom.patch_count() {
+        if self.first_patch >= patches {
             return Err(IsaError::BadPosition(format!(
-                "first patch {} outside patch grid {}",
+                "first patch {} outside patch grid {patches}",
                 self.first_patch,
-                self.geom.patch_count()
             )));
         }
         // Mode-1 repeats must not run off the padded patch grid.
         if self.mode == RepeatMode::Mode1 {
-            let max_fractals = self
-                .geom
-                .patch_count()
-                .saturating_sub(self.first_patch)
-                .div_ceil(FRACTAL_ROWS);
+            let max_fractals = (patches - self.first_patch).div_ceil(FRACTAL_ROWS);
             if (self.repeat as usize) > max_fractals {
                 return Err(IsaError::BadPosition(format!(
                     "mode-1 repeat {} exceeds remaining fractals {max_fractals}",
@@ -293,6 +389,19 @@ impl Im2Col {
         }
         out
     }
+
+    /// The `[c1_min, c1_max]` source planes the repeats gather from
+    /// (mode 0 walks `c1` forward; mode 1 stays on one plane).
+    pub fn c1_range(&self) -> (usize, usize) {
+        match self.mode {
+            RepeatMode::Mode1 => (self.c1, self.c1),
+            RepeatMode::Mode0 => {
+                let taps = self.geom.params.kh * self.geom.params.kw;
+                let first = self.c1 * taps + self.k_off.0 * self.geom.params.kw + self.k_off.1;
+                (self.c1, (first + self.repeat as usize - 1) / taps)
+            }
+        }
+    }
 }
 
 /// The `Col2Im` scatter-add instruction (UB -> UB, repeat mode 1 only).
@@ -331,6 +440,8 @@ impl Col2Im {
                 });
             }
         }
+        let (oh, ow) = self.geom.validate()?;
+        let patches = oh * ow;
         let (kh, kw) = (self.geom.params.kh, self.geom.params.kw);
         if self.k_off.0 >= kh || self.k_off.1 >= kw {
             return Err(IsaError::BadPosition(format!(
@@ -344,14 +455,13 @@ impl Col2Im {
                 self.c1, self.geom.c1_len
             )));
         }
-        if self.first_patch >= self.geom.patch_count() {
+        if self.first_patch >= patches {
             return Err(IsaError::BadPosition(format!(
-                "first patch {} outside patch grid {}",
+                "first patch {} outside patch grid {patches}",
                 self.first_patch,
-                self.geom.patch_count()
             )));
         }
-        let max_fractals = (self.geom.patch_count() - self.first_patch).div_ceil(FRACTAL_ROWS);
+        let max_fractals = (patches - self.first_patch).div_ceil(FRACTAL_ROWS);
         if (self.repeat as usize) > max_fractals {
             return Err(IsaError::BadPosition(format!(
                 "repeat {} exceeds remaining fractals {max_fractals}",
@@ -566,6 +676,52 @@ mod tests {
         assert_eq!(g.patch_index_of_xy(-1, -1), Ok(0));
         assert_eq!(g.patch_index_of_xy(1, -1), Ok(g.out_dims().1));
         assert!(g.patch_index_of_xy(-2, 0).is_err());
+    }
+
+    /// The geometry's fields are public: one edited after `new` must
+    /// fail both instructions' `validate` with a typed error, never the
+    /// `out_dims` panic, so `Program::push` refuses it cleanly.
+    #[test]
+    fn edited_geometry_fails_typed_through_push() {
+        use crate::program::{Instr, Program};
+        let kernel_9x9 = |mut g: Im2ColGeometry| {
+            g.params = PoolParams::new((9, 9), (1, 1));
+            g
+        };
+        let no_planes = |mut g: Im2ColGeometry| {
+            g.c1_len = 0;
+            g
+        };
+        for edit in [kernel_9x9, no_planes] {
+            let mut p = Program::new();
+            let im2col = Im2Col {
+                geom: edit(fig5_geom()),
+                ..fig5_im2col(RepeatMode::Mode0, 1)
+            };
+            assert!(matches!(
+                p.push(Instr::Im2Col(im2col)),
+                Err(IsaError::Shape(_))
+            ));
+            let col2im = Col2Im {
+                geom: edit(fig5_geom()),
+                src: Addr::ub(0),
+                dst: Addr::ub(4096),
+                first_patch: 0,
+                k_off: (0, 0),
+                c1: 0,
+                repeat: 1,
+            };
+            assert!(matches!(
+                p.push(Instr::Col2Im(col2im)),
+                Err(IsaError::Shape(_))
+            ));
+            assert!(p.is_empty());
+        }
+        let err = kernel_9x9(fig5_geom()).validate().unwrap_err();
+        assert!(matches!(
+            err,
+            IsaError::Shape(dv_tensor::ShapeError::KernelLargerThanInput { .. })
+        ));
     }
 
     #[test]

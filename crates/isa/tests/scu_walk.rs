@@ -9,7 +9,7 @@
 //! the div/mod arithmetic inside `Im2Col::repeat_positions`.
 
 use dv_isa::{Addr, Im2Col, Im2ColGeometry, Instr, Program, RepeatMode};
-use dv_tensor::{PoolParams, FRACTAL_ROWS};
+use dv_tensor::{Padding, PoolParams, FRACTAL_ROWS};
 use proptest::prelude::*;
 
 /// Scalar reference for the Mode-0 walk: a literal `[c1][xk][yk]`
@@ -230,4 +230,66 @@ fn mode0_repeat_chain_encodes_and_disassembles() {
     assert!(text.contains("mode=0"), "disasm missing mode: {text}");
     assert!(text.contains("rep=36"), "disasm missing repeat: {text}");
     assert!(text.contains("patch=16"), "disasm missing patch: {text}");
+}
+
+/// A random geometry with padding, dilation and ceil-mode overhang, which
+/// the patch walk's incremental arithmetic must resolve exactly like
+/// `element_coord`.
+fn arb_padded_geom() -> impl Strategy<Value = Im2ColGeometry> {
+    (
+        (1usize..=4, 1usize..=4, 1usize..=3, 1usize..=3),
+        (1usize..=2, 1usize..=2, 0usize..=2, 0usize..=2),
+        (4usize..=20, 4usize..=20, any::<bool>()),
+    )
+        .prop_filter_map(
+            "valid geometry",
+            |((kh, kw, sh, sw), (dh, dw, pv, ph), (ih, iw, ceil))| {
+                let params = PoolParams::with_padding((kh, kw), (sh, sw), Padding::uniform(pv))
+                    .with_dilation((dh, dw))
+                    .with_ceil_mode(ceil);
+                let params = PoolParams {
+                    padding: Padding {
+                        left: ph,
+                        right: ph,
+                        ..params.padding
+                    },
+                    ..params
+                };
+                Im2ColGeometry::new(ih, iw, 1, params).ok()
+            },
+        )
+}
+
+proptest! {
+    /// Every slot of a patch walk — on the grid, in the padding border
+    /// and past the grid's end — resolves like `element_coord`, also
+    /// after a restart at another patch and kernel offset.
+    #[test]
+    fn patch_walk_matches_element_coord(
+        geom in arb_padded_geom(),
+        starts in (any::<u16>(), any::<u16>()),
+        offs in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+    ) {
+        let (kh, kw) = (geom.params.kh, geom.params.kw);
+        let patches = geom.patch_count();
+        let first = starts.0 as usize % patches;
+        let k_off = (offs.0 as usize % kh, offs.1 as usize % kw);
+        let slots = patches - first + 2 * FRACTAL_ROWS;
+        let walk: Vec<_> = geom.patch_walk(first, k_off).take(slots).collect();
+        let want: Vec<_> = (first..first + slots)
+            .map(|p| geom.element_coord(p, k_off.0, k_off.1))
+            .collect();
+        prop_assert_eq!(walk, want);
+
+        let mut walk = geom.patch_walk(first, k_off);
+        walk.nth(starts.1 as usize % slots);
+        let again = starts.1 as usize % patches;
+        let k_off = (offs.2 as usize % kh, offs.3 as usize % kw);
+        walk.restart(again, k_off);
+        let walk: Vec<_> = walk.take(FRACTAL_ROWS).collect();
+        let want: Vec<_> = (again..again + FRACTAL_ROWS)
+            .map(|p| geom.element_coord(p, k_off.0, k_off.1))
+            .collect();
+        prop_assert_eq!(walk, want);
+    }
 }

@@ -223,32 +223,180 @@ impl BufferPeaks {
     }
 }
 
-/// All memories reachable from one AI Core, including its view of global
-/// memory.
+/// Bytes per copy-on-write page of a core's GM view.
+const GM_PAGE: usize = 4096;
+
+/// What an unwritten page of a GM view without a shared image reads as.
+static ZERO_PAGE: [u8; GM_PAGE] = [0; GM_PAGE];
+
+/// One core's view of global memory: a shared, read-only image plus the
+/// pages this core has written, which it reads back through. Every core
+/// of a chip run borrows the caller's one image; a standalone core's
+/// image is empty and its unwritten pages read as zeros.
 #[derive(Clone, Debug)]
-pub struct BufferSet {
-    gm: Vec<u8>,
-    l1: Vec<u8>,
-    l0a: Vec<u8>,
-    l0b: Vec<u8>,
-    l0c: Vec<u8>,
-    ub: Vec<u8>,
+struct GmView<'g> {
+    /// The shared image: empty, or exactly `len` bytes.
+    base: &'g [u8],
+    len: usize,
+    /// Written pages by page number, each a private copy of its base
+    /// page taken on the first write.
+    pages: Vec<Option<Box<[u8]>>>,
+    /// Numbers of the `Some` entries of `pages`.
+    dirty: Vec<usize>,
+}
+
+impl<'g> GmView<'g> {
+    fn new(base: &'g [u8], len: usize) -> GmView<'g> {
+        GmView {
+            base,
+            len,
+            pages: vec![None; len.div_ceil(GM_PAGE)],
+            dirty: Vec::new(),
+        }
+    }
+
+    /// The current bytes of page `p`.
+    fn page(&self, p: usize) -> &[u8] {
+        let (start, end) = (p * GM_PAGE, ((p + 1) * GM_PAGE).min(self.len));
+        match &self.pages[p] {
+            Some(page) => page,
+            None if self.base.is_empty() => &ZERO_PAGE[..end - start],
+            None => &self.base[start..end],
+        }
+    }
+
+    /// Page `p`, copied out of the base on its first write.
+    fn page_mut(&mut self, p: usize) -> &mut [u8] {
+        if self.pages[p].is_none() {
+            self.pages[p] = Some(self.page(p).into());
+            self.dirty.push(p);
+        }
+        self.pages[p].as_deref_mut().expect("materialised above")
+    }
+
+    /// Copy `[off, off + out.len())` into `out` (range pre-checked).
+    fn read(&self, off: usize, out: &mut [u8]) {
+        for (p, at, done, n) in page_pieces(off, out.len()) {
+            out[done..done + n].copy_from_slice(&self.page(p)[at..at + n]);
+        }
+    }
+
+    /// Copy `data` to `[off, off + data.len())` (range pre-checked).
+    fn write(&mut self, off: usize, data: &[u8]) {
+        for (p, at, done, n) in page_pieces(off, data.len()) {
+            self.page_mut(p)[at..at + n].copy_from_slice(&data[done..done + n]);
+        }
+    }
+
+    /// Move the written pages out, leaving the view equal to its image.
+    fn take_pages(&mut self) -> GmPages {
+        let mut pages: Vec<(usize, Box<[u8]>)> = self
+            .dirty
+            .drain(..)
+            .map(|p| (p, self.pages[p].take().expect("dirty pages are written")))
+            .collect();
+        pages.sort_unstable_by_key(|&(p, _)| p);
+        GmPages { pages }
+    }
+}
+
+/// The GM pages one core wrote, taken out of its view so the chip can
+/// merge the observed write spans back after every core has finished.
+#[derive(Debug)]
+pub(crate) struct GmPages {
+    /// `(page number, bytes)`, sorted by page number.
+    pages: Vec<(usize, Box<[u8]>)>,
+}
+
+impl GmPages {
+    /// Copy `gm[start..end)` from these pages. Every byte of the span
+    /// must have been written (execution-observed write spans are).
+    pub(crate) fn copy_span_into(&self, gm: &mut [u8], start: usize, end: usize) {
+        for (p, at, done, n) in page_pieces(start, end - start) {
+            let i = self
+                .pages
+                .binary_search_by_key(&p, |&(q, _)| q)
+                .expect("an observed GM write materialised its page");
+            gm[start + done..start + done + n].copy_from_slice(&self.pages[i].1[at..at + n]);
+        }
+    }
+}
+
+/// Split the GM span `[off, off + len)` at page boundaries into pieces
+/// `(page number, offset in the page, offset in the span, length)`.
+fn page_pieces(off: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = off + done;
+            let n = (GM_PAGE - at % GM_PAGE).min(len - done);
+            let piece = (at / GM_PAGE, at % GM_PAGE, done, n);
+            done += n;
+            piece
+        })
+    })
+}
+
+/// Index of a scratchpad in [`BufferSet`]'s array (`None` for GM).
+fn scratch_slot(id: BufferId) -> Option<usize> {
+    peak_index(id).checked_sub(1)
+}
+
+/// All memories reachable from one AI Core: its five scratchpads and its
+/// view of global memory.
+#[derive(Clone, Debug)]
+pub struct BufferSet<'g> {
+    gm: GmView<'g>,
+    /// L1, L0A, L0B, L0C and UB, in [`TRACKED`] order after GM.
+    scratch: [Vec<u8>; 5],
     peaks: BufferPeaks,
 }
 
-impl BufferSet {
-    /// Allocate scratchpads at the given capacities plus a `gm_bytes`-byte
-    /// global memory image. All memories are zero-initialised.
-    pub fn new(caps: Capacities, gm_bytes: usize) -> BufferSet {
+impl BufferSet<'static> {
+    /// Allocate scratchpads at the given capacities plus a private
+    /// `gm_bytes`-byte global memory. All memories are zero-initialised.
+    pub fn new(caps: Capacities, gm_bytes: usize) -> BufferSet<'static> {
+        BufferSet::on_gm(caps, &[], gm_bytes)
+    }
+}
+
+impl<'g> BufferSet<'g> {
+    /// Scratchpads at `caps` over a GM view of `len` bytes reading
+    /// `base` (empty: all zeros).
+    fn on_gm(caps: Capacities, base: &'g [u8], len: usize) -> BufferSet<'g> {
         BufferSet {
-            gm: vec![0; gm_bytes],
-            l1: vec![0; caps.l1],
-            l0a: vec![0; caps.l0a],
-            l0b: vec![0; caps.l0b],
-            l0c: vec![0; caps.l0c],
-            ub: vec![0; caps.ub],
+            gm: GmView::new(base, len),
+            scratch: [
+                vec![0; caps.l1],
+                vec![0; caps.l0a],
+                vec![0; caps.l0b],
+                vec![0; caps.l0c],
+                vec![0; caps.ub],
+            ],
             peaks: BufferPeaks::default(),
         }
+    }
+
+    /// Scratchpads at `caps` over a view of the shared image `gm`: reads
+    /// see `gm` until this set writes a page, writes never reach it.
+    pub(crate) fn shared(caps: Capacities, gm: &'g [u8]) -> BufferSet<'g> {
+        BufferSet::on_gm(caps, gm, gm.len())
+    }
+
+    /// Return to the state of a freshly built set over the same image:
+    /// each scratchpad is re-zeroed up to its high-water mark (every
+    /// write notes one), the peaks clear and the written GM pages drop.
+    pub(crate) fn reset(&mut self) {
+        for (buf, &peak) in self.scratch.iter_mut().zip(&self.peaks.peaks[1..]) {
+            buf[..peak].fill(0);
+        }
+        self.peaks = BufferPeaks::default();
+        drop(self.gm.take_pages());
+    }
+
+    /// Move the GM pages written so far out of this set.
+    pub(crate) fn take_gm_pages(&mut self) -> GmPages {
+        self.gm.take_pages()
     }
 
     /// Occupancy high-water marks accumulated over all writes so far.
@@ -258,34 +406,36 @@ impl BufferSet {
 
     /// Capacity in bytes of one buffer.
     pub fn capacity(&self, id: BufferId) -> usize {
-        self.raw(id).len()
-    }
-
-    /// Raw byte view of one buffer — the `Sliced` executor fast paths
-    /// read operands through this after validating the full span once.
-    pub(crate) fn raw(&self, id: BufferId) -> &Vec<u8> {
-        match id {
-            BufferId::Gm => &self.gm,
-            BufferId::L1 => &self.l1,
-            BufferId::L0A => &self.l0a,
-            BufferId::L0B => &self.l0b,
-            BufferId::L0C => &self.l0c,
-            BufferId::Ub => &self.ub,
+        match scratch_slot(id) {
+            Some(s) => self.scratch[s].len(),
+            None => self.gm.len,
         }
     }
 
-    /// Mutable raw byte view. The fast paths `mem::take` the destination
-    /// buffer through this (so source buffers stay readable), run the
-    /// unchecked element loop, and put it back — callers must restore
-    /// the vector before returning.
-    pub(crate) fn raw_mut(&mut self, id: BufferId) -> &mut Vec<u8> {
-        match id {
-            BufferId::Gm => &mut self.gm,
-            BufferId::L1 => &mut self.l1,
-            BufferId::L0A => &mut self.l0a,
-            BufferId::L0B => &mut self.l0b,
-            BufferId::L0C => &mut self.l0c,
-            BufferId::Ub => &mut self.ub,
+    /// One scratchpad's bytes — the fast executors read operands through
+    /// this after validating the full span once. Panics on GM, which only
+    /// [`BufferSet::copy`] and the element accessors reach.
+    pub(crate) fn scratch(&self, id: BufferId) -> &[u8] {
+        &self.scratch[scratch_slot(id).expect("GM is not a scratchpad")]
+    }
+
+    /// One scratchpad's bytes, mutably. Callers note the peak of what
+    /// they write with [`BufferSet::note_peak`].
+    pub(crate) fn scratch_mut(&mut self, id: BufferId) -> &mut [u8] {
+        &mut self.scratch[scratch_slot(id).expect("GM is not a scratchpad")]
+    }
+
+    /// Two distinct scratchpads: `src` to read, `dst` to write.
+    pub(crate) fn scratch_pair(&mut self, src: BufferId, dst: BufferId) -> (&[u8], &mut [u8]) {
+        let s = scratch_slot(src).expect("GM is not a scratchpad");
+        let d = scratch_slot(dst).expect("GM is not a scratchpad");
+        assert_ne!(s, d, "scratch_pair needs two distinct buffers");
+        if s < d {
+            let (lo, hi) = self.scratch.split_at_mut(d);
+            (&lo[s], &mut hi[0])
+        } else {
+            let (lo, hi) = self.scratch.split_at_mut(s);
+            (&hi[0], &mut lo[d])
         }
     }
 
@@ -318,6 +468,23 @@ impl BufferSet {
         Ok(())
     }
 
+    /// Copy checked bytes `[offset, offset + out.len())` of any buffer.
+    fn read_bytes(&self, id: BufferId, offset: usize, out: &mut [u8]) {
+        match scratch_slot(id) {
+            Some(s) => out.copy_from_slice(&self.scratch[s][offset..offset + out.len()]),
+            None => self.gm.read(offset, out),
+        }
+    }
+
+    /// Write checked bytes at `offset` of any buffer, noting the peak.
+    fn write_bytes(&mut self, id: BufferId, offset: usize, data: &[u8]) {
+        self.peaks.note(id, offset + data.len());
+        match scratch_slot(id) {
+            Some(s) => self.scratch[s][offset..offset + data.len()].copy_from_slice(data),
+            None => self.gm.write(offset, data),
+        }
+    }
+
     /// Read one f16 element at a byte offset.
     pub fn read_f16(&self, id: BufferId, offset: usize) -> Result<F16, SimError> {
         if id == BufferId::L0C {
@@ -327,11 +494,9 @@ impl BufferSet {
             });
         }
         self.check(id, offset, 2, 2)?;
-        let b = self.raw(id);
-        Ok(F16::from_bits(u16::from_le_bytes([
-            b[offset],
-            b[offset + 1],
-        ])))
+        let mut b = [0; 2];
+        self.read_bytes(id, offset, &mut b);
+        Ok(F16::from_bits(u16::from_le_bytes(b)))
     }
 
     /// Write one f16 element at a byte offset.
@@ -343,37 +508,29 @@ impl BufferSet {
             });
         }
         self.check(id, offset, 2, 2)?;
-        let bytes = v.to_bits().to_le_bytes();
-        self.peaks.note(id, offset + 2);
-        let b = self.raw_mut(id);
-        b[offset] = bytes[0];
-        b[offset + 1] = bytes[1];
+        self.write_bytes(id, offset, &v.to_bits().to_le_bytes());
         Ok(())
     }
 
     /// Read one f32 accumulator from L0C.
     pub fn read_f32_l0c(&self, offset: usize) -> Result<f32, SimError> {
         self.check(BufferId::L0C, offset, 4, 4)?;
-        let b = &self.l0c;
-        Ok(f32::from_le_bytes([
-            b[offset],
-            b[offset + 1],
-            b[offset + 2],
-            b[offset + 3],
-        ]))
+        let mut b = [0; 4];
+        self.read_bytes(BufferId::L0C, offset, &mut b);
+        Ok(f32::from_le_bytes(b))
     }
 
     /// Write one f32 accumulator to L0C.
     pub fn write_f32_l0c(&mut self, offset: usize, v: f32) -> Result<(), SimError> {
         self.check(BufferId::L0C, offset, 4, 4)?;
-        self.peaks.note(BufferId::L0C, offset + 4);
-        self.l0c[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
+        self.write_bytes(BufferId::L0C, offset, &v.to_le_bytes());
         Ok(())
     }
 
     /// Bulk byte copy between buffers (the MTE's work). Overlapping
-    /// same-buffer copies are copied through a temporary, like a DMA
-    /// engine with a store queue.
+    /// same-buffer copies behave like a DMA engine with a store queue:
+    /// the destination receives the source bytes as they were before
+    /// the copy.
     pub fn copy(
         &mut self,
         src: BufferId,
@@ -385,13 +542,27 @@ impl BufferSet {
         self.check(src, src_off, len, 1)?;
         self.check(dst, dst_off, len, 1)?;
         self.peaks.note(dst, dst_off + len);
-        if src == dst {
-            let buf = self.raw_mut(src);
-            buf.copy_within(src_off..src_off + len, dst_off);
-        } else {
-            // Split borrows: temporaries avoid unsafe double-borrow.
-            let tmp = self.raw(src)[src_off..src_off + len].to_vec();
-            self.raw_mut(dst)[dst_off..dst_off + len].copy_from_slice(&tmp);
+        match (scratch_slot(src), scratch_slot(dst)) {
+            (Some(s), Some(d)) if s == d => {
+                self.scratch[s].copy_within(src_off..src_off + len, dst_off);
+            }
+            (Some(_), Some(_)) => {
+                let (from, to) = self.scratch_pair(src, dst);
+                to[dst_off..dst_off + len].copy_from_slice(&from[src_off..src_off + len]);
+            }
+            (None, Some(d)) => self
+                .gm
+                .read(src_off, &mut self.scratch[d][dst_off..dst_off + len]),
+            (Some(s), None) => self
+                .gm
+                .write(dst_off, &self.scratch[s][src_off..src_off + len]),
+            (None, None) => {
+                // No instruction moves GM to GM; the public API still
+                // may, through a staging copy.
+                let mut tmp = vec![0; len];
+                self.gm.read(src_off, &mut tmp);
+                self.gm.write(dst_off, &tmp);
+            }
         }
         Ok(())
     }
@@ -412,8 +583,7 @@ impl BufferSet {
         }
         let bytes = dv_fp16::as_bytes(data);
         self.check(id, offset, bytes.len(), 2)?;
-        self.peaks.note(id, offset + bytes.len());
-        self.raw_mut(id)[offset..offset + bytes.len()].copy_from_slice(bytes);
+        self.write_bytes(id, offset, bytes);
         Ok(())
     }
 
@@ -431,24 +601,21 @@ impl BufferSet {
             });
         }
         self.check(id, offset, len * 2, 2)?;
-        let b = self.raw(id);
-        Ok((0..len)
-            .map(|i| {
-                let o = offset + i * 2;
-                F16::from_bits(u16::from_le_bytes([b[o], b[o + 1]]))
-            })
+        let mut bytes = vec![0; len * 2];
+        self.read_bytes(id, offset, &mut bytes);
+        Ok(bytes
+            .chunks_exact(2)
+            .map(|b| F16::from_bits(u16::from_le_bytes([b[0], b[1]])))
             .collect())
     }
 
-    /// Direct byte view of global memory (for the chip-level merge of
-    /// per-core writes).
-    pub fn gm_bytes(&self) -> &[u8] {
-        &self.gm
-    }
-
-    /// Mutable byte view of global memory.
-    pub fn gm_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.gm
+    /// Every byte of one buffer — test convenience for whole-state
+    /// comparisons.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self, id: BufferId) -> Vec<u8> {
+        let mut out = vec![0; self.capacity(id)];
+        self.read_bytes(id, 0, &mut out);
+        out
     }
 }
 
@@ -456,7 +623,7 @@ impl BufferSet {
 mod tests {
     use super::*;
 
-    fn small() -> BufferSet {
+    fn small() -> BufferSet<'static> {
         BufferSet::new(
             Capacities {
                 l1: 128,

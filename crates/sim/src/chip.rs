@@ -10,10 +10,17 @@
 //! core's MTE streams lose to L2/HBM contention (see
 //! [`crate::contention`]).
 //!
-//! Concurrency model: each core gets a private copy of the global-memory
-//! image (real cores share GM, but our kernels never communicate through
-//! GM mid-run); after all cores join, the byte ranges each program wrote
-//! to GM are merged back. Two safety nets guard the merge:
+//! Concurrency model: every core reads the caller's one global-memory
+//! image through a shared borrow and writes into copy-on-write pages of
+//! its own, which it also reads back through (real cores share GM, but
+//! our kernels never communicate through GM mid-run: a program sees its
+//! own core's earlier writes, never another core's). The active cores run
+//! on `min(active cores, available_parallelism())` scoped host threads
+//! under [`Backend::Threaded`] and on the calling thread otherwise; each
+//! host thread reuses one scratchpad set, re-zeroed up to its high-water
+//! marks between simulated cores. After all cores join, the byte ranges
+//! each program was observed writing are copied from its core's pages
+//! into GM. Two safety nets guard the merge:
 //!
 //! 1. **Pre-flight disjointness.** Each program's *declared* GM output
 //!    ranges (its `Move`-to-GM instructions) are checked pairwise-disjoint
@@ -45,7 +52,7 @@
 //! fiction as the copy merge-back; the staging traffic that feeds it was
 //! paid for by the real `Move` instructions that wrote the strips.
 
-use crate::buffers::{BufferPeaks, SimError};
+use crate::buffers::{BufferPeaks, GmPages, SimError};
 use crate::contention::{contention_stalls, l2_hit_lines};
 pub use crate::contention::{L2Model, MemoryModel};
 use crate::core::AiCore;
@@ -372,15 +379,17 @@ impl Chip {
         declared: &[Vec<(usize, usize)>],
         halo_decls: &[GmDeclaration],
     ) -> Result<ChipRun, SimError> {
-        // Round-robin programs onto cores.
-        let groups: Vec<Vec<usize>> = (0..self.cores)
-            .map(|c| (c..programs.len()).step_by(self.cores).collect::<Vec<_>>())
-            .collect();
+        // Round-robin programs onto cores: core `c` runs programs `c`,
+        // `c + cores`, ..., so exactly the first `active` cores have work.
+        let active = self.cores.min(programs.len());
 
         struct CoreResult {
             counters: HwCounters,
             cycles: u64,
-            writes: Vec<(usize, Vec<u8>)>,
+            /// Observed GM write spans, checked against the declarations,
+            /// and the pages they were written into.
+            writes: Vec<(usize, usize)>,
+            pages: GmPages,
             /// Coalesced GM read spans — the L2 locality stage's input
             /// (unused, and cheap, under the other memory models).
             reads: Vec<(usize, usize)>,
@@ -389,24 +398,17 @@ impl Chip {
             peaks: BufferPeaks,
         }
 
-        let gm_ref: &[u8] = gm;
-        // Per-core body, shared by the threaded and sequential paths so the
-        // backend choice cannot fork simulated semantics.
-        let run_core = |core_id: usize, jobs: &[usize]| -> Result<Option<CoreResult>, SimError> {
-            if jobs.is_empty() {
-                return Ok(None);
-            }
-            let mut core = AiCore::with_capacities(self.cost, self.caps, gm_ref.len());
-            core.set_trace(self.trace);
-            core.buffers_mut().gm_bytes_mut().copy_from_slice(gm_ref);
+        // Simulated core `core_id` on `core`, fresh or recycled; shared by
+        // every backend so the choice of host threads cannot fork
+        // simulated semantics.
+        let run_core = |core: &mut AiCore<'_>, core_id: usize| -> Result<CoreResult, SimError> {
             let mut dispatch = 0u64;
             let mut writes = Vec::new();
-            for &j in jobs {
+            for j in (core_id..programs.len()).step_by(self.cores) {
                 core.run(&programs[j])?;
                 dispatch += self.cost.core_dispatch;
-                // Cross-check the write spans execution
-                // observed against the declaration, and merge
-                // back exactly what was observed.
+                // Cross-check the write spans execution observed against
+                // the declaration; merge-back copies exactly these.
                 let observed = coalesce(core.take_gm_writes());
                 let allowed = coalesce(
                     declared[j]
@@ -421,53 +423,77 @@ impl Chip {
                             observed: (start, end),
                         });
                     }
-                    writes.push((start, core.buffers().gm_bytes()[start..end].to_vec()));
                 }
+                writes.extend(observed);
             }
             let counters = core.counters().clone();
             let cycles = counters.cycles + dispatch;
-            let peaks = *core.buffers().peaks();
-            let reads = coalesce(core.take_gm_reads());
             let mut trace = core.take_trace();
             trace.core = core_id;
             let mut lifetimes = core.take_lifetimes();
             lifetimes.core = core_id;
-            Ok(Some(CoreResult {
+            Ok(CoreResult {
                 counters,
                 cycles,
                 writes,
-                reads,
+                pages: core.take_gm_pages(),
+                reads: coalesce(core.take_gm_reads()),
                 trace,
                 lifetimes,
-                peaks,
-            }))
+                peaks: *core.buffers().peaks(),
+            })
         };
 
-        // `Threaded` runs independent cores on host threads; the other
-        // backends walk the cores sequentially. Both produce identical
-        // results — only host wall-clock differs.
-        let results: Vec<Option<CoreResult>> = if self.cost.backend == Backend::Threaded {
-            std::thread::scope(|s| {
-                let run_core = &run_core;
-                let handles: Vec<_> = groups
-                    .iter()
-                    .enumerate()
-                    .map(|(core_id, jobs)| s.spawn(move || run_core(core_id, jobs)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("core thread panicked"))
-                    .collect::<Result<Vec<_>, _>>()
-            })?
-        } else {
-            groups
-                .iter()
-                .enumerate()
-                .map(|(core_id, jobs)| run_core(core_id, jobs))
-                .collect::<Result<Vec<_>, _>>()?
+        // Host thread `t` of `hosts` runs simulated cores `t`, `t + hosts`,
+        // ... on one reused scratchpad set, stopping at its first failure
+        // (no later core of its own can be the lowest failing one).
+        let gm_ref: &[u8] = gm;
+        let run_host = |first: usize, hosts: usize| {
+            let mut core = AiCore::on_shared_gm(self.cost, self.caps, gm_ref);
+            core.set_trace(self.trace);
+            let mut out = Vec::new();
+            for (k, core_id) in (first..active).step_by(hosts).enumerate() {
+                if k > 0 {
+                    core.recycle();
+                }
+                let result = run_core(&mut core, core_id);
+                let failed = result.is_err();
+                out.push((core_id, result));
+                if failed {
+                    break;
+                }
+            }
+            out
         };
 
-        let mut active: Vec<CoreResult> = results.into_iter().flatten().collect();
+        // `Threaded` spreads the active cores over as many host threads
+        // as the host has cores, the calling thread included; the other
+        // backends run them all on the calling thread. Either way the
+        // lowest failing core's error wins, so results never depend on
+        // the host.
+        let hosts = match self.cost.backend {
+            Backend::Threaded => {
+                let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+                active.min(cpus).max(1)
+            }
+            Backend::Scalar | Backend::Sliced => 1,
+        };
+        let mut results = std::thread::scope(|s| {
+            let run_host = &run_host;
+            let handles: Vec<_> = (1..hosts)
+                .map(|t| s.spawn(move || run_host(t, hosts)))
+                .collect();
+            let mut all = run_host(0, hosts);
+            for h in handles {
+                all.extend(h.join().expect("host thread panicked"));
+            }
+            all
+        });
+        results.sort_unstable_by_key(|&(core_id, _)| core_id);
+        let mut active: Vec<CoreResult> = results
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect::<Result<_, _>>()?;
 
         // Memory-hierarchy stage: book the completion time each core's
         // MTE streams lose to the shared L2/HBM path. Independent cores
@@ -516,8 +542,8 @@ impl Chip {
         let mut peaks = BufferPeaks::default();
         let mut max_cycles = 0u64;
         for (i, (mut r, stall)) in active.drain(..).zip(stalls).enumerate() {
-            for (off, bytes) in &r.writes {
-                gm[*off..*off + bytes.len()].copy_from_slice(bytes);
+            for &(start, end) in &r.writes {
+                r.pages.copy_span_into(gm, start, end);
             }
             match &l2_hits {
                 Some(hits) => {
@@ -930,6 +956,99 @@ mod tests {
         assert!(untraced.traces.is_empty());
         assert!(untraced.lifetimes.is_empty());
         assert_eq!(untraced.total, run.total);
+    }
+
+    /// Every core reads the one shared image through its own written
+    /// pages: a later program on the same core sees that core's earlier
+    /// GM write, a program on another core sees the original image, and
+    /// merge-back lands both. Same on every backend.
+    #[test]
+    fn gm_writes_stay_private_to_their_core_until_merge_back() {
+        let x: Vec<F16> = (0..128).map(|i| F16::from_f32(i as f32)).collect();
+        let y: Vec<F16> = (0..128).map(|i| F16::from_f32(-(i as f32))).collect();
+        let mut image = gm_with(&x, 8192);
+        image[512..768].copy_from_slice(dv_fp16::as_bytes(&y));
+        // Core 0 runs p0 then p2; core 1 runs p1.
+        let programs = [
+            streamer(512, 0, 256),  // p0: GM[0..256) = y
+            streamer(0, 1024, 256), // p1: copies GM[0..256)
+            streamer(0, 2048, 256), // p2: copies GM[0..256)
+        ];
+        for backend in Backend::ALL {
+            let mut gm = image.clone();
+            Chip::new(2, CostModel::ascend910_like())
+                .with_backend(backend)
+                .run(&mut gm, &programs)
+                .unwrap();
+            assert_eq!(dv_fp16::from_bytes(&gm[0..256]), &y[..], "{backend}");
+            assert_eq!(
+                dv_fp16::from_bytes(&gm[1024..1280]),
+                &x[..],
+                "{backend}: another core sees the image"
+            );
+            assert_eq!(
+                dv_fp16::from_bytes(&gm[2048..2304]),
+                &y[..],
+                "{backend}: the same core reads its own write"
+            );
+        }
+    }
+
+    /// A move past the end of the shared image is still a typed
+    /// out-of-bounds error on every backend.
+    #[test]
+    fn out_of_range_gm_move_is_out_of_bounds() {
+        let programs = [streamer(0, 1024, 256), streamer(4096 - 128, 2048, 256)];
+        for backend in Backend::ALL {
+            let mut gm = vec![0u8; 4096];
+            let err = Chip::new(2, CostModel::ascend910_like())
+                .with_backend(backend)
+                .run(&mut gm, &programs)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SimError::OutOfBounds {
+                    buffer: BufferId::Gm,
+                    offset: 4096 - 128,
+                    len: 256,
+                    capacity: 4096,
+                },
+                "{backend}"
+            );
+        }
+    }
+
+    /// When programs fail on two cores, every backend reports the lowest
+    /// failing core's error, however the cores map onto host threads.
+    #[test]
+    fn lowest_failing_core_error_wins_on_every_backend() {
+        // Program `c` reads 64 * c bytes past the end of GM.
+        let fails = |c: usize| streamer(16384 - 64 * c, 8192 + 512 * c, 256);
+        for (bad, lowest) in [([2, 3], 2), ([1, 3], 1)] {
+            let programs: Vec<Program> = (0..4)
+                .map(|c| {
+                    if bad.contains(&c) {
+                        fails(c)
+                    } else {
+                        doubler(c * 256, 4096 + c * 256)
+                    }
+                })
+                .collect();
+            let want = SimError::OutOfBounds {
+                buffer: BufferId::Gm,
+                offset: 16384 - 64 * lowest,
+                len: 256,
+                capacity: 16384,
+            };
+            for backend in Backend::ALL {
+                let mut gm = vec![0u8; 16384];
+                let err = Chip::new(4, CostModel::ascend910_like())
+                    .with_backend(backend)
+                    .run(&mut gm, &programs)
+                    .unwrap_err();
+                assert_eq!(err, want, "{backend}, failing cores {bad:?}");
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! differs. A program boundary is a full barrier: both pipes join before
 //! the next program begins.
 
-use crate::buffers::{BufferSet, SimError};
+use crate::buffers::{BufferSet, GmPages, SimError};
 use crate::cost::{Capacities, CostModel, IssueModel};
 use crate::counters::HwCounters;
 use crate::exec::{execute_info, ExecInfo, MemSpan};
@@ -57,7 +57,7 @@ struct BoardEntry {
 /// configured issue model, and report each instruction's timing to
 /// `sink(pc, info, start, stall, raw_dep)`.
 fn run_program(
-    bufs: &mut BufferSet,
+    bufs: &mut BufferSet<'_>,
     cost: &CostModel,
     counters: &mut HwCounters,
     issued: &mut usize,
@@ -160,14 +160,17 @@ fn run_program(
     Ok(())
 }
 
-/// A single simulated AI Core with a private global-memory image.
+/// A single simulated AI Core with its own view of global memory.
 ///
-/// For multi-core runs, [`crate::chip::Chip`] gives each core a copy of
-/// global memory and merges the (disjoint) written ranges afterwards —
-/// the cores in our workloads never communicate through GM mid-kernel.
+/// A standalone core ([`AiCore::new`]) owns a private, zero-initialised
+/// GM. In a multi-core run, [`crate::chip::Chip`] gives every core a view
+/// of the caller's one image (`'g` is that borrow): a core reads through
+/// the pages it has written and never writes the image itself, and the
+/// chip merges the (disjoint) written ranges afterwards — the cores in
+/// our workloads never communicate through GM mid-kernel.
 #[derive(Clone, Debug)]
-pub struct AiCore {
-    bufs: BufferSet,
+pub struct AiCore<'g> {
+    bufs: BufferSet<'g>,
     counters: HwCounters,
     cost: CostModel,
     trace_cfg: TraceConfig,
@@ -189,18 +192,29 @@ pub struct AiCore {
     gm_reads: Vec<(usize, usize)>,
 }
 
-impl AiCore {
+impl AiCore<'static> {
     /// A core with Ascend-910 scratchpad capacities and a `gm_bytes`-byte
     /// global memory.
-    pub fn new(cost: CostModel, gm_bytes: usize) -> AiCore {
+    pub fn new(cost: CostModel, gm_bytes: usize) -> AiCore<'static> {
         AiCore::with_capacities(cost, Capacities::ASCEND910, gm_bytes)
     }
 
     /// A core with explicit scratchpad capacities (used by tests and by
     /// the tiling-threshold experiments).
-    pub fn with_capacities(cost: CostModel, caps: Capacities, gm_bytes: usize) -> AiCore {
+    pub fn with_capacities(cost: CostModel, caps: Capacities, gm_bytes: usize) -> AiCore<'static> {
+        AiCore::on_buffers(cost, BufferSet::new(caps, gm_bytes))
+    }
+}
+
+impl<'g> AiCore<'g> {
+    /// A core whose GM is a view of the shared image `gm`.
+    pub(crate) fn on_shared_gm(cost: CostModel, caps: Capacities, gm: &'g [u8]) -> AiCore<'g> {
+        AiCore::on_buffers(cost, BufferSet::shared(caps, gm))
+    }
+
+    fn on_buffers(cost: CostModel, bufs: BufferSet<'g>) -> AiCore<'g> {
         AiCore {
-            bufs: BufferSet::new(caps, gm_bytes),
+            bufs,
             counters: HwCounters::default(),
             cost,
             trace_cfg: TraceConfig::OFF,
@@ -322,55 +336,17 @@ impl AiCore {
         Ok(())
     }
 
-    /// Execute a program and return a per-instruction trace of
-    /// `(pc, mnemonic, cycles charged)` — the debugging view behind
-    /// `Program::disassemble`. For the full structured trace, enable
-    /// [`AiCore::set_trace`] and use [`AiCore::trace`] instead.
-    pub fn run_traced(
-        &mut self,
-        program: &Program,
-    ) -> Result<Vec<(usize, &'static str, u64)>, SimError> {
-        let mut out = Vec::with_capacity(program.len());
-        let AiCore {
-            bufs,
-            counters,
-            cost,
-            issued,
-            gm_writes,
-            gm_reads,
-            ..
-        } = self;
-        run_program(
-            bufs,
-            cost,
-            counters,
-            issued,
-            program,
-            |pc, info, _, _, _| {
-                if let Some(w) = info.write {
-                    if w.buffer == BufferId::Gm {
-                        gm_writes.push((w.start, w.end));
-                    }
-                }
-                for r in info.reads.iter().flatten() {
-                    if r.buffer == BufferId::Gm {
-                        gm_reads.push((r.start, r.end));
-                    }
-                }
-                out.push((pc, info.mnemonic, info.cycles));
-            },
-        )?;
-        self.programs_run += 1;
-        Ok(out)
-    }
-
     /// The hardware counters accumulated so far.
     pub fn counters(&self) -> &HwCounters {
         &self.counters
     }
 
-    /// Reset the counters and any recorded trace (keeps buffer contents).
-    pub fn reset_counters(&mut self) {
+    /// Return to the state of a freshly built core over the same GM
+    /// image and trace configuration, reusing the scratchpad allocations
+    /// (re-zeroed up to their high-water marks). Written GM pages not
+    /// taken with [`AiCore::take_gm_pages`] are dropped.
+    pub(crate) fn recycle(&mut self) {
+        self.bufs.reset();
         self.counters = HwCounters::default();
         self.trace = Trace::default();
         self.lifetimes = LifetimeRecorder::default();
@@ -380,18 +356,24 @@ impl AiCore {
         self.gm_reads.clear();
     }
 
+    /// Move out the GM pages this core has written — where the chip
+    /// merges its observed write spans back from.
+    pub(crate) fn take_gm_pages(&mut self) -> GmPages {
+        self.bufs.take_gm_pages()
+    }
+
     /// The cost model in effect.
     pub fn cost(&self) -> &CostModel {
         &self.cost
     }
 
     /// Direct buffer access for white-box tests.
-    pub fn buffers(&self) -> &BufferSet {
+    pub fn buffers(&self) -> &BufferSet<'g> {
         &self.bufs
     }
 
-    /// Mutable buffer access for white-box tests and chip-level merges.
-    pub fn buffers_mut(&mut self) -> &mut BufferSet {
+    /// Mutable buffer access for white-box tests.
+    pub fn buffers_mut(&mut self) -> &mut BufferSet<'g> {
         &mut self.bufs
     }
 }
@@ -399,7 +381,8 @@ impl AiCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dv_isa::{Addr, DataMove, Instr, Mask, VectorInstr, VectorOp};
+    use crate::cost::Backend;
+    use dv_isa::{Addr, CubeMatmul, DataMove, Instr, Mask, VectorInstr, VectorOp};
 
     #[test]
     fn run_executes_sequentially_and_counts() {
@@ -439,48 +422,6 @@ mod tests {
         // [1024, 1280) — and draining it leaves the list empty.
         assert_eq!(core.take_gm_writes(), vec![(1024, 1280)]);
         assert!(core.take_gm_writes().is_empty());
-    }
-
-    #[test]
-    fn reset_counters_keeps_buffers() {
-        let mut core = AiCore::new(CostModel::ascend910_like(), 1024);
-        core.load_gm(0, &[F16::ONE]).unwrap();
-        let mut p = Program::new();
-        p.push(Instr::Move(DataMove::new(Addr::gm(0), Addr::l1(0), 2)))
-            .unwrap();
-        core.run(&p).unwrap();
-        assert!(core.counters().cycles > 0);
-        core.reset_counters();
-        assert_eq!(core.counters().cycles, 0);
-        assert_eq!(core.read_gm(0, 1).unwrap()[0], F16::ONE);
-    }
-
-    #[test]
-    fn run_traced_reports_per_instruction_cycles() {
-        let mut core = AiCore::new(CostModel::ascend910_like(), 1024);
-        core.load_gm(0, &[F16::ONE; 128]).unwrap();
-        let mut p = Program::new();
-        p.push(Instr::Move(DataMove::new(Addr::gm(0), Addr::ub(0), 256)))
-            .unwrap();
-        p.push(Instr::Vector(VectorInstr::unit_stride(
-            VectorOp::Relu,
-            Addr::ub(256),
-            Addr::ub(0),
-            Addr::ub(0),
-            Mask::FULL,
-            1,
-        )))
-        .unwrap();
-        let trace = core.run_traced(&p).unwrap();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].1, "mte_move");
-        assert_eq!(trace[1], (1, "vrelu", core.cost().issue_overhead + 1));
-        // The vrelu reads what the move wrote (RAW), so even under the
-        // dual-pipe model this chain fully serialises: makespan == sum,
-        // and the vector pipe's wait for the move is booked as stall.
-        let total: u64 = trace.iter().map(|(_, _, c)| c).sum();
-        assert_eq!(total, core.counters().cycles);
-        assert_eq!(core.counters().stall_cycles, trace[0].2);
     }
 
     #[test]
@@ -710,5 +651,174 @@ mod tests {
         assert!(dual.counters().cycles < single.counters().cycles);
         assert_eq!(dual.counters().busy_cycles(), single.counters().cycles);
         assert_eq!(dual.counters().issues, single.counters().issues);
+    }
+
+    /// A program touching every scratchpad, ending near the top of each
+    /// so the high-water marks are large, and storing back to GM.
+    fn writes_everything(caps: Capacities) -> Program {
+        let mut p = Program::new();
+        let moves = [
+            (Addr::gm(0), Addr::l1(caps.l1 - 1024), 1024),
+            (Addr::l1(caps.l1 - 1024), Addr::new(BufferId::L0A, 0), 512),
+            (Addr::l1(caps.l1 - 512), Addr::new(BufferId::L0B, 0), 512),
+        ];
+        for (src, dst, bytes) in moves {
+            p.push(Instr::Move(DataMove::new(src, dst, bytes))).unwrap();
+        }
+        p.push(Instr::Cube(CubeMatmul {
+            a: Addr::new(BufferId::L0A, 0),
+            b: Addr::new(BufferId::L0B, 0),
+            c: Addr::new(BufferId::L0C, caps.l0c - 1024),
+            m_fractals: 1,
+            k_fractals: 1,
+            n_fractals: 1,
+            accumulate: false,
+        }))
+        .unwrap();
+        let tail = [
+            (
+                Addr::new(BufferId::L0C, caps.l0c - 1024),
+                Addr::ub(4096),
+                1024,
+            ),
+            (Addr::l1(caps.l1 - 1024), Addr::ub(caps.ub - 1024), 1024),
+            (Addr::ub(4096), Addr::gm(4096), 512),
+        ];
+        for (src, dst, bytes) in tail {
+            p.push(Instr::Move(DataMove::new(src, dst, bytes))).unwrap();
+        }
+        p
+    }
+
+    /// A program that writes UB, then fails partway through a vector
+    /// instruction whose third repeat leaves UB: two blocks land first.
+    fn fails_partway(caps: Capacities) -> Program {
+        let mut p = Program::new();
+        p.push(Instr::Move(DataMove::new(Addr::gm(256), Addr::ub(0), 256)))
+            .unwrap();
+        p.push(Instr::Vector(VectorInstr {
+            op: VectorOp::Copy,
+            dst: Addr::ub(caps.ub - 512),
+            src0: Addr::ub(0),
+            src1: Addr::ub(0),
+            mask: Mask::FULL,
+            repeat: 3,
+            dst_stride: 256,
+            src0_stride: 0,
+            src1_stride: 0,
+        }))
+        .unwrap();
+        p
+    }
+
+    /// Reads what earlier programs left in every buffer, and GM that
+    /// `writes_everything` overwrote on this core.
+    fn probe(caps: Capacities) -> Program {
+        let mut p = Program::new();
+        let moves = [
+            (Addr::gm(4096), Addr::ub(8192), 512),
+            (Addr::l1(caps.l1 - 1024), Addr::ub(9216), 1024),
+            (
+                Addr::new(BufferId::L0C, caps.l0c - 1024),
+                Addr::ub(10240),
+                1024,
+            ),
+        ];
+        for (src, dst, bytes) in moves {
+            p.push(Instr::Move(DataMove::new(src, dst, bytes))).unwrap();
+        }
+        p.push(Instr::Cube(CubeMatmul {
+            a: Addr::new(BufferId::L0A, 0),
+            b: Addr::new(BufferId::L0B, 0),
+            c: Addr::new(BufferId::L0C, 0),
+            m_fractals: 1,
+            k_fractals: 1,
+            n_fractals: 1,
+            accumulate: true,
+        }))
+        .unwrap();
+        p.push(Instr::Vector(VectorInstr::unit_stride(
+            VectorOp::Max,
+            Addr::ub(12288),
+            Addr::ub(caps.ub - 1024),
+            Addr::ub(8192),
+            Mask::FULL,
+            4,
+        )))
+        .unwrap();
+        p.push(Instr::Move(DataMove::new(
+            Addr::ub(8192),
+            Addr::gm(6144),
+            1024,
+        )))
+        .unwrap();
+        p
+    }
+
+    /// A core recycled after a program that wrote every scratchpad, one
+    /// that failed partway and one that wrote GM runs the next program
+    /// byte for byte like a freshly built core over the same image:
+    /// never-written scratch reads zeros, GM reads the image, and the
+    /// counters, peaks, traces, live ranges and GM spans are equal.
+    #[test]
+    fn recycled_core_runs_like_a_fresh_one() {
+        let caps = Capacities::ASCEND910;
+        let image: Vec<u8> = (0..8192u32).map(|i| (i * 37 % 61) as u8).collect();
+        for backend in Backend::ALL {
+            let cost = CostModel::ascend910_like().with_backend(backend);
+            let mut used = AiCore::on_shared_gm(cost, caps, &image);
+            used.set_trace(TraceConfig::ON);
+            used.run(&writes_everything(caps)).unwrap();
+            used.recycle();
+            assert!(used.run(&fails_partway(caps)).is_err());
+            used.recycle();
+            used.run(&streamer_to(2048)).unwrap();
+            used.recycle();
+
+            let mut fresh = AiCore::on_shared_gm(cost, caps, &image);
+            fresh.set_trace(TraceConfig::ON);
+            for core in [&mut used, &mut fresh] {
+                core.run(&probe(caps)).unwrap();
+            }
+            assert_eq!(used.counters(), fresh.counters(), "{backend}");
+            assert_eq!(used.buffers().peaks(), fresh.buffers().peaks(), "{backend}");
+            assert_eq!(used.trace().events, fresh.trace().events, "{backend}");
+            assert_eq!(
+                used.take_lifetimes().ranges,
+                fresh.take_lifetimes().ranges,
+                "{backend}"
+            );
+            assert_eq!(used.take_gm_writes(), fresh.take_gm_writes(), "{backend}");
+            assert_eq!(used.take_gm_reads(), fresh.take_gm_reads(), "{backend}");
+            for id in [
+                BufferId::Gm,
+                BufferId::L1,
+                BufferId::L0A,
+                BufferId::L0B,
+                BufferId::L0C,
+                BufferId::Ub,
+            ] {
+                assert!(
+                    used.buffers().bytes(id) == fresh.buffers().bytes(id),
+                    "{backend}: {id} differs from a fresh core"
+                );
+            }
+            // The probe's GM read saw the image, not the recycled core's
+            // earlier store to the same bytes.
+            assert_eq!(
+                used.buffers().bytes(BufferId::Ub)[8192..8704],
+                image[4096..4608]
+            );
+        }
+    }
+
+    /// GM[0..256) -> UB -> GM[out..out + 256).
+    fn streamer_to(out: usize) -> Program {
+        let mut p = Program::new();
+        p.push(Instr::Move(DataMove::new(Addr::gm(0), Addr::ub(0), 256)))
+            .unwrap();
+        p.push(Instr::Move(DataMove::new(Addr::ub(0), Addr::gm(out), 256)))
+            .unwrap();
+        p
     }
 }

@@ -57,18 +57,21 @@ pub enum Backend {
     /// differentially tested against.
     Scalar,
     /// Each executor validates every operand's full byte span once per
-    /// instruction, then runs the element loop over raw slices with no
-    /// per-element checks. Instructions whose conservative span
-    /// validation declines (an out-of-range operand, an odd stride, an
-    /// f16 view of L0C) fall back to the `Scalar` interpreter so error
-    /// values and partial-write effects stay bit-identical. Cores still
-    /// run sequentially.
+    /// instruction, decodes what is fixed for the whole instruction once
+    /// (the vector op and its mask's lane runs, an SCU patch walk, the
+    /// Cube's f32 operand tiles), then runs the element loop over raw
+    /// slices with no per-element checks. Instructions whose conservative
+    /// span validation declines (an out-of-range operand, an odd stride,
+    /// an f16 view of L0C) fall back to the `Scalar` interpreter so error
+    /// values and partial-write effects stay bit-identical. Cores run one
+    /// after another on the calling thread, reusing one scratchpad set.
     Sliced,
-    /// `Sliced` element loops plus host threads across the chip's
-    /// independent cores in [`crate::chip::Chip::run`] (each core owns a
-    /// private buffer set and GM image, so core-level parallelism never
-    /// reorders anything observable). The default: it is the behaviour
-    /// the chip has always had, with the fast executors underneath.
+    /// `Sliced` executors, with the chip's active cores spread over
+    /// `min(active cores, available_parallelism())` host threads in
+    /// [`crate::chip::Chip::run`]. Each host thread reuses one scratchpad
+    /// set across its simulated cores, and every simulated core writes
+    /// GM only into its own copy-on-write pages, so core-level
+    /// parallelism never reorders anything observable. The default.
     #[default]
     Threaded,
 }

@@ -5,8 +5,8 @@ use crate::cost::{Backend, CostModel};
 use crate::counters::{HwCounters, Unit};
 use dv_fp16::F16;
 use dv_isa::{
-    Addr, BufferId, Col2Im, CubeMatmul, DataMove, Im2Col, Instr, VectorInstr, VectorOp,
-    VECTOR_BYTES, VECTOR_LANES,
+    Addr, BufferId, Col2Im, CubeMatmul, DataMove, Im2Col, Instr, Mask, RepeatMode, VectorInstr,
+    VectorOp, VECTOR_BYTES, VECTOR_LANES,
 };
 use dv_tensor::{C0, FRACTAL_BYTES, FRACTAL_ROWS};
 
@@ -59,6 +59,9 @@ fn put16(b: &mut [u8], off: usize, v: F16) {
     b[off + 1] = x[1];
 }
 
+/// Bytes of one fractal row: the C0 channel group of one patch.
+const ROW_BYTES: usize = C0 * 2;
+
 /// Can `reps` blocks of `block_bytes` f16 bytes, `stride` apart starting
 /// at `addr`, be accessed through the unchecked slice path? Declines —
 /// conservatively, sending the instruction to the reference interpreter —
@@ -66,7 +69,7 @@ fn put16(b: &mut [u8], off: usize, v: F16) {
 /// misaligned offsets, odd strides, and any span not provably inside the
 /// buffer. `reps` must be at least 1.
 fn f16_rect_ok(
-    bufs: &BufferSet,
+    bufs: &BufferSet<'_>,
     addr: Addr,
     stride: usize,
     reps: usize,
@@ -176,7 +179,7 @@ impl ExecInfo {
 /// into `counters`.
 pub fn execute(
     instr: &Instr,
-    bufs: &mut BufferSet,
+    bufs: &mut BufferSet<'_>,
     cost: &CostModel,
     counters: &mut HwCounters,
 ) -> Result<(), SimError> {
@@ -190,7 +193,7 @@ pub fn execute(
 /// core loop build on.
 pub(crate) fn execute_info(
     instr: &Instr,
-    bufs: &mut BufferSet,
+    bufs: &mut BufferSet<'_>,
     cost: &CostModel,
 ) -> Result<ExecInfo, SimError> {
     instr.validate()?;
@@ -212,7 +215,7 @@ pub(crate) fn execute_info(
 
 fn exec_vector(
     v: &VectorInstr,
-    bufs: &mut BufferSet,
+    bufs: &mut BufferSet<'_>,
     mnemonic: &'static str,
     backend: Backend,
 ) -> Result<ExecInfo, SimError> {
@@ -267,85 +270,188 @@ fn exec_vector(
     })
 }
 
+/// The maximal runs `[start, end)` of enabled lanes of a mask, in lane
+/// order — decoded once per instruction, not tested per lane and repeat.
+struct LaneRuns {
+    /// At most 64 runs (alternating lanes); the first `len` are set.
+    runs: [(u8, u8); VECTOR_LANES / 2],
+    len: usize,
+}
+
+impl LaneRuns {
+    fn of(mask: &Mask) -> LaneRuns {
+        let (lo, hi) = mask.to_words();
+        let mut rest = (u128::from(hi) << 64) | u128::from(lo);
+        let mut out = LaneRuns {
+            runs: [(0, 0); VECTOR_LANES / 2],
+            len: 0,
+        };
+        while rest != 0 {
+            let start = rest.trailing_zeros();
+            let end = start + (rest >> start).trailing_ones();
+            out.runs[out.len] = (start as u8, end as u8);
+            out.len += 1;
+            rest = if end as usize == VECTOR_LANES {
+                0
+            } else {
+                rest & (u128::MAX << end)
+            };
+        }
+        out
+    }
+
+    fn as_slice(&self) -> &[(u8, u8)] {
+        &self.runs[..self.len]
+    }
+}
+
 /// The `Sliced`/`Threaded` vector fast path: validate every operand's
-/// whole strided span once, then run the lane loop over raw slices with
-/// no per-element checks. Returns `false` — touching no memory — when
-/// the instruction cannot be proven safe up front; the caller then runs
-/// the reference interpreter, which reproduces the exact error (and any
-/// partial writes preceding it).
-fn vector_sliced(v: &VectorInstr, bufs: &mut BufferSet) -> bool {
+/// whole strided span once, decode the op and the mask's lane runs once,
+/// then run the op's own lane loop ([`lanes`]) over the UB slice with no
+/// per-element checks, writing the interpreter's bytes even where
+/// operands alias the destination.
+/// Returns `false` — touching no memory — when the instruction cannot be
+/// proven safe up front; the caller then runs the reference interpreter,
+/// which reproduces the exact error (and any partial writes preceding
+/// it).
+fn vector_sliced(v: &VectorInstr, bufs: &mut BufferSet<'_>) -> bool {
     let reps = v.repeat as usize;
-    let Some(top) = (0..VECTOR_LANES).rev().find(|&l| v.mask.lane(l)) else {
+    let runs = LaneRuns::of(&v.mask);
+    let runs = runs.as_slice();
+    let Some(&(_, top_end)) = runs.last() else {
         return true; // no enabled lanes: no memory is touched
     };
-    if reps == 0 {
-        return true;
-    }
-    let block = (top + 1) * 2;
+    let block = usize::from(top_end) * 2;
     if !f16_rect_ok(bufs, v.dst, v.dst_stride, reps, block)
         || (v.op.has_src0() && !f16_rect_ok(bufs, v.src0, v.src0_stride, reps, block))
         || (v.op.has_src1() && !f16_rect_ok(bufs, v.src1, v.src1_stride, reps, block))
     {
         return false;
     }
-    let dst_id = v.dst.buffer;
-    // A source living in the destination buffer must observe this
-    // instruction's earlier writes (e.g. the accumulate idiom with
-    // dst_stride 0), so those lanes read through the taken vector.
-    let s0_in_dst = v.op.has_src0() && v.src0.buffer == dst_id;
-    let s1_in_dst = v.op.has_src1() && v.src1.buffer == dst_id;
-    let mut dstv = std::mem::take(bufs.raw_mut(dst_id));
-    {
-        let s0: &[u8] = if v.op.has_src0() && !s0_in_dst {
-            bufs.raw(v.src0.buffer)
-        } else {
-            &[]
-        };
-        let s1: &[u8] = if v.op.has_src1() && !s1_in_dst {
-            bufs.raw(v.src1.buffer)
-        } else {
-            &[]
-        };
-        for rep in 0..reps {
-            let dst_base = v.dst.offset + rep * v.dst_stride;
-            let src0_base = v.src0.offset + rep * v.src0_stride;
-            let src1_base = v.src1.offset + rep * v.src1_stride;
-            for lane in 0..=top {
-                if !v.mask.lane(lane) {
-                    continue;
-                }
-                let off = lane * 2;
-                let a = if v.op.has_src0() {
-                    get16(if s0_in_dst { &dstv } else { s0 }, src0_base + off)
-                } else {
-                    F16::ZERO
-                };
-                let b = if v.op.has_src1() {
-                    get16(if s1_in_dst { &dstv } else { s1 }, src1_base + off)
-                } else {
-                    F16::ZERO
-                };
-                put16(&mut dstv, dst_base + off, vector_lane_op(v.op, a, b));
-            }
+    // Every operand lives in UB (validated), so one slice serves all.
+    let ub = bufs.scratch_mut(BufferId::Ub);
+    // Each arm passes a constant op, so `vector_lane_op` folds to that
+    // op's arithmetic — still the one definition both backends share.
+    match v.op {
+        VectorOp::Max => {
+            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Max, a, b))
+        }
+        VectorOp::Min => {
+            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Min, a, b))
+        }
+        VectorOp::Add => {
+            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Add, a, b))
+        }
+        VectorOp::Sub => {
+            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Sub, a, b))
+        }
+        VectorOp::Mul => {
+            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Mul, a, b))
+        }
+        VectorOp::CmpEq => {
+            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::CmpEq, a, b))
+        }
+        VectorOp::MulScalar(k) => lanes::<true, false>(v, ub, runs, |a, b| {
+            vector_lane_op(VectorOp::MulScalar(k), a, b)
+        }),
+        VectorOp::Copy => {
+            lanes::<true, false>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Copy, a, b))
+        }
+        VectorOp::Relu => {
+            lanes::<true, false>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Relu, a, b))
+        }
+        VectorOp::Dup(k) => {
+            lanes::<false, false>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Dup(k), a, b))
         }
     }
-    *bufs.raw_mut(dst_id) = dstv;
-    bufs.note_peak(dst_id, v.dst.offset + (reps - 1) * v.dst_stride + block);
+    bufs.note_peak(
+        BufferId::Ub,
+        v.dst.offset + (reps - 1) * v.dst_stride + block,
+    );
     true
 }
 
-fn exec_im2col(i: &Im2Col, bufs: &mut BufferSet, backend: Backend) -> Result<ExecInfo, SimError> {
+/// One vector op's lane loop over pre-validated UB spans; `SRC0`/`SRC1`
+/// say which sources the op reads (an unread source reads as zero, as
+/// in the interpreter).
+///
+/// The interpreter visits lanes repeat-major, in ascending order, reading
+/// a lane's sources before writing it. A run of lanes computed as a
+/// batch — every source of the run read, then every result written —
+/// gives the same bytes unless some lane reads what an earlier lane of
+/// the run wrote: a source starting below the destination by less than
+/// the run's length. Such runs take the lane-at-a-time loop instead.
+#[inline(always)]
+fn lanes<const SRC0: bool, const SRC1: bool>(
+    v: &VectorInstr,
+    ub: &mut [u8],
+    runs: &[(u8, u8)],
+    op: impl Fn(F16, F16) -> F16,
+) {
+    let reads_behind = |src: usize, dst: usize, len: usize| src < dst && dst - src < len;
+    let (mut a, mut b) = ([F16::ZERO; VECTOR_LANES], [F16::ZERO; VECTOR_LANES]);
+    for rep in 0..v.repeat as usize {
+        let dst = v.dst.offset + rep * v.dst_stride;
+        let src0 = v.src0.offset + rep * v.src0_stride;
+        let src1 = v.src1.offset + rep * v.src1_stride;
+        for &(start, end) in runs {
+            let (lo, hi) = (usize::from(start) * 2, usize::from(end) * 2);
+            let len = hi - lo;
+            if (SRC0 && reads_behind(src0, dst, len)) || (SRC1 && reads_behind(src1, dst, len)) {
+                for off in (lo..hi).step_by(2) {
+                    let a = if SRC0 {
+                        get16(ub, src0 + off)
+                    } else {
+                        F16::ZERO
+                    };
+                    let b = if SRC1 {
+                        get16(ub, src1 + off)
+                    } else {
+                        F16::ZERO
+                    };
+                    put16(ub, dst + off, op(a, b));
+                }
+                continue;
+            }
+            let n = len / 2;
+            if SRC0 {
+                load16(&ub[src0 + lo..src0 + hi], &mut a[..n]);
+            } else {
+                a[..n].fill(F16::ZERO); // `a` holds the previous results
+            }
+            if SRC1 {
+                load16(&ub[src1 + lo..src1 + hi], &mut b[..n]);
+            }
+            for (x, &y) in a[..n].iter_mut().zip(&b[..n]) {
+                *x = op(*x, y);
+            }
+            for (out, x) in ub[dst + lo..dst + hi].chunks_exact_mut(2).zip(&a[..n]) {
+                out.copy_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+    }
+}
+
+/// Decode f16 values from little-endian bytes (span pre-validated).
+#[inline(always)]
+fn load16(bytes: &[u8], out: &mut [F16]) {
+    for (x, b) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+        *x = F16::from_bits(u16::from_le_bytes([b[0], b[1]]));
+    }
+}
+
+fn exec_im2col(
+    i: &Im2Col,
+    bufs: &mut BufferSet<'_>,
+    backend: Backend,
+) -> Result<ExecInfo, SimError> {
     let geom = &i.geom;
     let iw = geom.iw;
-    let positions = i.repeat_positions();
     // Conservative read span: the whole range of source c1 planes the
-    // repeats gather from (mode 0 walks c1 forward; mode 1 stays put).
-    let (mut c1_min, mut c1_max) = (usize::MAX, 0usize);
-    for &(c1, ..) in &positions {
-        c1_min = c1_min.min(c1);
-        c1_max = c1_max.max(c1);
-    }
-    if !(backend.sliced_exec() && im2col_sliced(i, bufs, &positions, c1_max)) {
+    // repeats gather from.
+    let (c1_min, c1_max) = i.c1_range();
+    if !(backend.sliced_exec() && im2col_sliced(i, bufs, c1_max)) {
+        let positions = i.repeat_positions();
         for (frac_idx, &(c1, xk, yk, first_patch)) in positions.iter().enumerate() {
             let plane_base = i.src.offset + c1 * geom.src_plane_bytes();
             let frac_base = i.dst.offset + frac_idx * FRACTAL_BYTES;
@@ -389,62 +495,68 @@ fn exec_im2col(i: &Im2Col, bufs: &mut BufferSet, backend: Backend) -> Result<Exe
 }
 
 /// Sliced `Im2Col`: validate the destination fractal range and the whole
-/// source c1-plane range once (reads resolved by `element_coord` always
-/// land inside their plane), then gather through raw slices.
-fn im2col_sliced(
-    i: &Im2Col,
-    bufs: &mut BufferSet,
-    positions: &[(usize, usize, usize, usize)],
-    c1_max: usize,
-) -> bool {
+/// source c1-plane range once (a patch walk only resolves elements inside
+/// their plane), then copy whole 32-byte C0 rows along one
+/// [`dv_isa::PatchWalk`], restarted per fractal at the repeat's kernel
+/// offset; mode 0 advances `(c1, xk, yk)` as an odometer.
+fn im2col_sliced(i: &Im2Col, bufs: &mut BufferSet<'_>, c1_max: usize) -> bool {
     let geom = &i.geom;
-    let iw = geom.iw;
-    if positions.is_empty() {
-        return true;
-    }
     let plane = geom.src_plane_bytes();
+    let frac_bytes = i.repeat as usize * FRACTAL_BYTES;
     let src_ok = i.src.buffer != BufferId::L0C
         && i.src.offset.is_multiple_of(2)
         && (c1_max + 1)
             .checked_mul(plane)
             .and_then(|b| i.src.offset.checked_add(b))
             .is_some_and(|end| end <= bufs.capacity(i.src.buffer));
-    if !src_ok || !f16_rect_ok(bufs, i.dst, 0, 1, positions.len() * FRACTAL_BYTES) {
+    if !src_ok || !f16_rect_ok(bufs, i.dst, 0, 1, frac_bytes) {
         return false;
     }
-    let dst_id = i.dst.buffer;
-    let same = i.src.buffer == dst_id;
-    let mut dstv = std::mem::take(bufs.raw_mut(dst_id));
-    {
-        let srcv: &[u8] = if same { &[] } else { bufs.raw(i.src.buffer) };
-        for (frac_idx, &(c1, xk, yk, first_patch)) in positions.iter().enumerate() {
-            let plane_base = i.src.offset + c1 * plane;
-            let frac_base = i.dst.offset + frac_idx * FRACTAL_BYTES;
-            for row in 0..FRACTAL_ROWS {
-                let out_base = frac_base + row * C0 * 2;
-                match geom.element_coord(first_patch + row, xk, yk) {
-                    Some((h, w)) => {
-                        let in_base = plane_base + (h * iw + w) * C0 * 2;
-                        for c0 in 0..C0 {
-                            let v = get16(if same { &dstv } else { srcv }, in_base + c0 * 2);
-                            put16(&mut dstv, out_base + c0 * 2, v);
-                        }
-                    }
-                    None => {
-                        for c0 in 0..C0 {
-                            put16(&mut dstv, out_base + c0 * 2, F16::ZERO);
-                        }
+    // L1 into L0A, L0B or UB (validated): two distinct buffers.
+    let (src, dst) = bufs.scratch_pair(i.src.buffer, i.dst.buffer);
+    let (kh, kw) = (geom.params.kh, geom.params.kw);
+    let (mut c1, mut xk, mut yk) = (i.c1, i.k_off.0, i.k_off.1);
+    let mut first = i.first_patch;
+    let mut walk = geom.patch_walk(first, i.k_off);
+    let mut out = i.dst.offset;
+    for _ in 0..i.repeat {
+        walk.restart(first, (xk, yk));
+        let plane_base = i.src.offset + c1 * plane;
+        for coord in walk.by_ref().take(FRACTAL_ROWS) {
+            let row = &mut dst[out..out + ROW_BYTES];
+            match coord {
+                Some((h, w)) => {
+                    let at = plane_base + (h * geom.iw + w) * ROW_BYTES;
+                    row.copy_from_slice(&src[at..at + ROW_BYTES]);
+                }
+                None => row.fill(0),
+            }
+            out += ROW_BYTES;
+        }
+        match i.mode {
+            RepeatMode::Mode1 => first += FRACTAL_ROWS,
+            RepeatMode::Mode0 => {
+                yk += 1;
+                if yk == kw {
+                    yk = 0;
+                    xk += 1;
+                    if xk == kh {
+                        xk = 0;
+                        c1 += 1;
                     }
                 }
             }
         }
     }
-    *bufs.raw_mut(dst_id) = dstv;
-    bufs.note_peak(dst_id, i.dst.offset + positions.len() * FRACTAL_BYTES);
+    bufs.note_peak(i.dst.buffer, i.dst.offset + frac_bytes);
     true
 }
 
-fn exec_col2im(c: &Col2Im, bufs: &mut BufferSet, backend: Backend) -> Result<ExecInfo, SimError> {
+fn exec_col2im(
+    c: &Col2Im,
+    bufs: &mut BufferSet<'_>,
+    backend: Backend,
+) -> Result<ExecInfo, SimError> {
     let geom = &c.geom;
     let iw = geom.iw;
     let (xk, yk) = c.k_off;
@@ -496,57 +608,49 @@ fn exec_col2im(c: &Col2Im, bufs: &mut BufferSet, backend: Backend) -> Result<Exe
 
 /// Sliced `Col2Im`: validate the source fractal range and the whole
 /// destination c1 plane once, then run the scatter-add read-modify-write
-/// over raw slices. The running write high-water mark is tracked because
-/// skipped patch slots can leave the tail of the plane untouched.
-fn col2im_sliced(c: &Col2Im, bufs: &mut BufferSet, plane_base: usize) -> bool {
+/// along one [`dv_isa::PatchWalk`] over all repeats. Source and
+/// destination share UB (validated), so elements are added in the
+/// interpreter's order. The running write high-water mark is tracked
+/// because skipped patch slots can leave the tail of the plane untouched.
+fn col2im_sliced(c: &Col2Im, bufs: &mut BufferSet<'_>, plane_base: usize) -> bool {
     let geom = &c.geom;
-    let iw = geom.iw;
-    let (xk, yk) = c.k_off;
-    let reps = c.repeat as usize;
-    if reps == 0 {
-        return true;
-    }
+    let slots = c.repeat as usize * FRACTAL_ROWS;
     let dst_ok = c.dst.buffer != BufferId::L0C
         && plane_base.is_multiple_of(2)
         && plane_base
             .checked_add(geom.src_plane_bytes())
             .is_some_and(|end| end <= bufs.capacity(c.dst.buffer));
-    if !dst_ok || !f16_rect_ok(bufs, c.src, 0, 1, reps * FRACTAL_BYTES) {
+    if !dst_ok || !f16_rect_ok(bufs, c.src, 0, 1, slots * ROW_BYTES) {
         return false;
     }
-    let dst_id = c.dst.buffer;
-    let same = c.src.buffer == dst_id;
-    let mut dstv = std::mem::take(bufs.raw_mut(dst_id));
+    let ub = bufs.scratch_mut(BufferId::Ub);
     let mut peak: Option<usize> = None;
-    {
-        let srcv: &[u8] = if same { &[] } else { bufs.raw(c.src.buffer) };
-        for rep in 0..reps {
-            let frac_base = c.src.offset + rep * FRACTAL_BYTES;
-            for row in 0..FRACTAL_ROWS {
-                let patch = c.first_patch + rep * FRACTAL_ROWS + row;
-                let Some((h, w)) = geom.element_coord(patch, xk, yk) else {
-                    continue;
-                };
-                let src_base = frac_base + row * C0 * 2;
-                let dst_base = plane_base + (h * iw + w) * C0 * 2;
-                for c0 in 0..C0 {
-                    let add = get16(if same { &dstv } else { srcv }, src_base + c0 * 2);
-                    let cur = get16(&dstv, dst_base + c0 * 2);
-                    put16(&mut dstv, dst_base + c0 * 2, cur + add);
-                }
-                let end = dst_base + C0 * 2;
-                peak = Some(peak.map_or(end, |p| p.max(end)));
-            }
+    let walk = geom.patch_walk(c.first_patch, c.k_off);
+    for (slot, coord) in walk.take(slots).enumerate() {
+        let Some((h, w)) = coord else {
+            continue;
+        };
+        let src = c.src.offset + slot * ROW_BYTES;
+        let dst = plane_base + (h * geom.iw + w) * ROW_BYTES;
+        for e in (0..ROW_BYTES).step_by(2) {
+            let add = get16(ub, src + e);
+            let cur = get16(ub, dst + e);
+            put16(ub, dst + e, cur + add);
         }
+        let end = dst + ROW_BYTES;
+        peak = Some(peak.map_or(end, |p| p.max(end)));
     }
-    *bufs.raw_mut(dst_id) = dstv;
     if let Some(end) = peak {
-        bufs.note_peak(dst_id, end);
+        bufs.note_peak(c.dst.buffer, end);
     }
     true
 }
 
-fn exec_move(m: &DataMove, bufs: &mut BufferSet, backend: Backend) -> Result<ExecInfo, SimError> {
+fn exec_move(
+    m: &DataMove,
+    bufs: &mut BufferSet<'_>,
+    backend: Backend,
+) -> Result<ExecInfo, SimError> {
     if m.src.buffer == BufferId::L0C {
         // The L0C -> UB drain converts f32 accumulators to f16; `bytes`
         // counts source (f32) bytes.
@@ -599,7 +703,7 @@ fn exec_move(m: &DataMove, bufs: &mut BufferSet, backend: Backend) -> Result<Exe
 /// Sliced L0C -> f16 drain: both spans validated once, then a straight
 /// convert loop. The f16 destination can never be L0C (`f16_rect_ok`
 /// declines it), so the two views are always distinct buffers.
-fn drain_sliced(m: &DataMove, bufs: &mut BufferSet, n: usize) -> bool {
+fn drain_sliced(m: &DataMove, bufs: &mut BufferSet<'_>, n: usize) -> bool {
     if n == 0 {
         return true;
     }
@@ -611,33 +715,36 @@ fn drain_sliced(m: &DataMove, bufs: &mut BufferSet, n: usize) -> bool {
     if !src_ok || !f16_rect_ok(bufs, m.dst, 0, 1, n * 2) {
         return false;
     }
-    let mut dstv = std::mem::take(bufs.raw_mut(m.dst.buffer));
+    let (l0c, dst) = bufs.scratch_pair(BufferId::L0C, m.dst.buffer);
+    let accs = l0c[m.src.offset..m.src.offset + n * 4].chunks_exact(4);
+    for (out, acc) in dst[m.dst.offset..m.dst.offset + n * 2]
+        .chunks_exact_mut(2)
+        .zip(accs)
     {
-        let l0c = bufs.raw(BufferId::L0C);
-        for e in 0..n {
-            let o = m.src.offset + e * 4;
-            let v = f32::from_le_bytes([l0c[o], l0c[o + 1], l0c[o + 2], l0c[o + 3]]);
-            put16(&mut dstv, m.dst.offset + e * 2, F16::from_f32(v));
-        }
+        let v = f32::from_le_bytes([acc[0], acc[1], acc[2], acc[3]]);
+        out.copy_from_slice(&F16::from_f32(v).to_bits().to_le_bytes());
     }
-    *bufs.raw_mut(m.dst.buffer) = dstv;
     bufs.note_peak(m.dst.buffer, m.dst.offset + n * 2);
     true
 }
 
-fn exec_cube(c: &CubeMatmul, bufs: &mut BufferSet, backend: Backend) -> Result<ExecInfo, SimError> {
+fn exec_cube(
+    c: &CubeMatmul,
+    bufs: &mut BufferSet<'_>,
+    backend: Backend,
+) -> Result<ExecInfo, SimError> {
     const E: usize = dv_isa::cube::FRACTAL_EDGE; // 16
     let (mf, kf, nf) = (c.m_fractals, c.k_fractals, c.n_fractals);
     if !(backend.sliced_exec() && cube_sliced(c, bufs)) {
         // Tiles are stored as row-major grids of fractals, each fractal
         // row-major 16x16 f16 (f32 in L0C).
-        let a_frac = |bufs: &BufferSet, fi: usize, fj: usize, r: usize, col: usize| {
+        let a_frac = |bufs: &BufferSet<'_>, fi: usize, fj: usize, r: usize, col: usize| {
             bufs.read_f16(
                 c.a.buffer,
                 c.a.offset + ((fi * kf + fj) * E * E + r * E + col) * 2,
             )
         };
-        let b_frac = |bufs: &BufferSet, fi: usize, fj: usize, r: usize, col: usize| {
+        let b_frac = |bufs: &BufferSet<'_>, fi: usize, fj: usize, r: usize, col: usize| {
             bufs.read_f16(
                 c.b.buffer,
                 c.b.offset + ((fi * nf + fj) * E * E + r * E + col) * 2,
@@ -684,15 +791,14 @@ fn exec_cube(c: &CubeMatmul, bufs: &mut BufferSet, backend: Backend) -> Result<E
 }
 
 /// Sliced Cube matmul: validate the a/b f16 tiles and the L0C
-/// accumulator span once, then run the triple loop over raw slices in
-/// the same iteration order as the reference (f32 accumulation order is
-/// part of the bit-exact contract).
-fn cube_sliced(c: &CubeMatmul, bufs: &mut BufferSet) -> bool {
+/// accumulator span once, decode both tiles to dense f32 matrices once,
+/// then accumulate each output row with `k` outer and `n` inner. Every
+/// output still adds its products in ascending `k` from its initial
+/// value — the reference order, which the bit-exact contract pins (f32
+/// addition is not associative).
+fn cube_sliced(c: &CubeMatmul, bufs: &mut BufferSet<'_>) -> bool {
     const E: usize = dv_isa::cube::FRACTAL_EDGE;
     let (mf, kf, nf) = (c.m_fractals, c.k_fractals, c.n_fractals);
-    if mf * nf == 0 {
-        return true;
-    }
     let c_ok = c.c.buffer == BufferId::L0C
         && c.c.offset.is_multiple_of(4)
         && c.c
@@ -705,33 +811,57 @@ fn cube_sliced(c: &CubeMatmul, bufs: &mut BufferSet) -> bool {
     {
         return false;
     }
-    let mut cvec = std::mem::take(bufs.raw_mut(BufferId::L0C));
-    {
-        let av = bufs.raw(c.a.buffer);
-        let bv = bufs.raw(c.b.buffer);
-        for mi in 0..mf * E {
-            for ni in 0..nf * E {
-                let co =
-                    c.c.offset + (((mi / E) * nf + ni / E) * E * E + (mi % E) * E + ni % E) * 4;
-                let mut acc = if c.accumulate {
-                    f32::from_le_bytes([cvec[co], cvec[co + 1], cvec[co + 2], cvec[co + 3]])
+    let (k, n) = (kf * E, nf * E);
+    let a = decode_fractals(bufs.scratch(c.a.buffer), c.a.offset, mf, kf);
+    let b = decode_fractals(bufs.scratch(c.b.buffer), c.b.offset, kf, nf);
+    let l0c = bufs.scratch_mut(BufferId::L0C);
+    let mut acc = vec![0.0f32; n];
+    for (mi, a_row) in a.chunks_exact(k).enumerate() {
+        // Row `mi` of C is row `mi % E` of fractals `(mi / E, 0..nf)`.
+        let row_at = |fj: usize| c.c.offset + (((mi / E) * nf + fj) * E * E + (mi % E) * E) * 4;
+        for (fj, chunk) in acc.chunks_exact_mut(E).enumerate() {
+            let at = row_at(fj);
+            for (x, bytes) in chunk.iter_mut().zip(l0c[at..at + E * 4].chunks_exact(4)) {
+                *x = if c.accumulate {
+                    f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
                 } else {
-                    0.0f32
+                    0.0
                 };
-                for ki in 0..kf * E {
-                    let ao =
-                        c.a.offset + (((mi / E) * kf + ki / E) * E * E + (mi % E) * E + ki % E) * 2;
-                    let bo =
-                        c.b.offset + (((ki / E) * nf + ni / E) * E * E + (ki % E) * E + ni % E) * 2;
-                    acc += get16(av, ao).to_f32() * get16(bv, bo).to_f32();
-                }
-                cvec[co..co + 4].copy_from_slice(&acc.to_le_bytes());
+            }
+        }
+        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            for (x, &bv) in acc.iter_mut().zip(b_row) {
+                *x += av * bv;
+            }
+        }
+        for (fj, chunk) in acc.chunks_exact(E).enumerate() {
+            let at = row_at(fj);
+            for (x, out) in chunk.iter().zip(l0c[at..at + E * 4].chunks_exact_mut(4)) {
+                out.copy_from_slice(&x.to_le_bytes());
             }
         }
     }
-    *bufs.raw_mut(BufferId::L0C) = cvec;
     bufs.note_peak(BufferId::L0C, c.c.offset + mf * nf * E * E * 4);
     true
+}
+
+/// Decode a row-major grid of `rows x cols` 16x16 f16 fractals at `base`
+/// (span pre-validated) into a dense row-major f32 matrix.
+fn decode_fractals(buf: &[u8], base: usize, rows: usize, cols: usize) -> Vec<f32> {
+    const E: usize = dv_isa::cube::FRACTAL_EDGE;
+    let width = cols * E;
+    let mut out = vec![0.0f32; rows * E * width];
+    let tiles = buf[base..base + rows * cols * E * E * 2].chunks_exact(E * E * 2);
+    for (t, tile) in tiles.enumerate() {
+        let (fi, fj) = (t / cols, t % cols);
+        for (r, row) in tile.chunks_exact(E * 2).enumerate() {
+            let at = (fi * E + r) * width + fj * E;
+            for (x, b) in out[at..at + E].iter_mut().zip(row.chunks_exact(2)) {
+                *x = F16::from_bits(u16::from_le_bytes([b[0], b[1]])).to_f32();
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -742,7 +872,7 @@ mod tests {
     use dv_isa::{Addr, Mask};
     use dv_tensor::PoolParams;
 
-    fn setup() -> (BufferSet, CostModel, HwCounters) {
+    fn setup() -> (BufferSet<'static>, CostModel, HwCounters) {
         (
             BufferSet::new(Capacities::ASCEND910, 1 << 20),
             CostModel::ascend910_like(),
@@ -1048,10 +1178,20 @@ mod tests {
     /// the peaks, and the counters to match the `Scalar` reference
     /// exactly — including error cases and the partial writes that
     /// precede them.
-    fn assert_backends_identical(i: &Instr, load: impl Fn(&mut BufferSet)) {
+    fn assert_backends_identical(i: &Instr, load: impl Fn(&mut BufferSet<'static>)) {
+        assert_backends_identical_on(Capacities::ASCEND910, 1 << 16, i, load);
+    }
+
+    /// [`assert_backends_identical`] on buffers of the given sizes.
+    fn assert_backends_identical_on(
+        caps: Capacities,
+        gm_bytes: usize,
+        i: &Instr,
+        load: impl Fn(&mut BufferSet<'static>),
+    ) {
         let mut reference: Option<(Result<(), SimError>, BufferSet, HwCounters)> = None;
         for backend in Backend::ALL {
-            let mut bufs = BufferSet::new(Capacities::ASCEND910, 1 << 16);
+            let mut bufs = BufferSet::new(caps, gm_bytes);
             load(&mut bufs);
             let cost = CostModel::ascend910_like().with_backend(backend);
             let mut ctr = HwCounters::default();
@@ -1070,7 +1210,10 @@ mod tests {
                         BufferId::L0C,
                         BufferId::Ub,
                     ] {
-                        assert!(bufs.raw(id) == b0.raw(id), "{backend}: {id} bytes diverged");
+                        assert!(
+                            bufs.bytes(id) == b0.bytes(id),
+                            "{backend}: {id} bytes diverged"
+                        );
                     }
                 }
             }
@@ -1291,6 +1434,131 @@ mod tests {
                 b.write_f32_l0c(e * 4, (e % 11) as f32).unwrap();
             }
         });
+    }
+
+    /// f16 edge values: signed zeros, infinities, quiet and signalling
+    /// NaN payloads of both signs, subnormals, ±MAX and two ordinary
+    /// values.
+    const EDGES: [u16; 16] = [
+        0x0000, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0x7C01, 0xFE01, 0x7FFF, 0x0001, 0x03FF, 0x8001,
+        0x83FF, 0x7BFF, 0xFBFF, 0x3C00, 0xC100,
+    ];
+
+    /// The lane-run kernels against the `Scalar` interpreter, bit for
+    /// bit, over every op × mask shape × operand aliasing × repeat, on
+    /// operands drawn from the f16 edge values. The last aliasing case
+    /// runs off the end of UB at the third repeat, so the partial writes
+    /// before the error are compared too.
+    #[test]
+    fn vector_lane_runs_match_scalar_on_the_edge_grid() {
+        let ops = [
+            VectorOp::Max,
+            VectorOp::Min,
+            VectorOp::Add,
+            VectorOp::Sub,
+            VectorOp::Mul,
+            VectorOp::CmpEq,
+            VectorOp::Copy,
+            VectorOp::Relu,
+            VectorOp::MulScalar(F16::from_bits(0x83FF)),
+            VectorOp::MulScalar(F16::from_bits(0x7E01)),
+            VectorOp::Dup(F16::NEG_INFINITY),
+            VectorOp::Dup(F16::from_bits(0xFE01)),
+        ];
+        let alternating = 0x5555_5555_5555_5555;
+        let masks = [
+            Mask::FULL,
+            Mask::C0_ONLY,
+            Mask::first_n(1),
+            Mask::from_words(alternating, alternating),
+            Mask::from_words(0, 1 << 63),
+            Mask::EMPTY,
+        ];
+        const REGION: usize = 64 << 10;
+        let caps = Capacities {
+            l1: 64,
+            l0a: 64,
+            l0b: 64,
+            l0c: 64,
+            ub: 4 * REGION,
+        };
+        let (a, b, c) = (0, REGION, 2 * REGION);
+        // (dst, src0, src1, dst_stride, src0_stride): disjoint; the
+        // accumulate idiom; src0 = dst + 2; src0 = dst - 2; src1 inside
+        // dst; and running off the end of UB.
+        let aliasing = [
+            (b, a, c, 256, 256),
+            (b, b, c, 0, 0),
+            (b, b + 2, c, 256, 256),
+            (b + 2, b, c, 256, 256),
+            (b, a, b + 64, 256, 256),
+            (caps.ub - 512, a, c, 256, 256),
+        ];
+        let image: Vec<F16> = (0..3 * REGION / 2)
+            .map(|k| {
+                let h = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59;
+                F16::from_bits(EDGES[h as usize % EDGES.len()])
+            })
+            .collect();
+        for op in ops {
+            for mask in masks {
+                for (dst, src0, src1, dst_stride, src0_stride) in aliasing {
+                    for repeat in [1, 3, 255] {
+                        let i = Instr::Vector(VectorInstr {
+                            op,
+                            dst: Addr::ub(dst),
+                            src0: Addr::ub(src0),
+                            src1: Addr::ub(src1),
+                            mask,
+                            repeat,
+                            dst_stride,
+                            src0_stride,
+                            src1_stride: 256,
+                        });
+                        assert_backends_identical_on(caps, 0, &i, |bufs| {
+                            bufs.load_f16_slice(BufferId::Ub, 0, &image).unwrap();
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// A geometry edited after construction (its fields are public) is a
+    /// typed ISA error at execute, for both SCU instructions, never the
+    /// `out_dims` panic.
+    #[test]
+    fn edited_geometry_is_a_typed_error_at_execute() {
+        let (mut bufs, cost, mut ctr) = setup();
+        let mut geom =
+            dv_isa::Im2ColGeometry::new(8, 8, 1, PoolParams::new((2, 2), (2, 2))).unwrap();
+        geom.params = PoolParams::new((9, 9), (1, 1));
+        let im2col = Instr::Im2Col(Im2Col {
+            geom,
+            src: Addr::l1(0),
+            dst: Addr::ub(0),
+            first_patch: 0,
+            k_off: (0, 0),
+            c1: 0,
+            repeat: 1,
+            mode: dv_isa::RepeatMode::Mode1,
+        });
+        let col2im = Instr::Col2Im(Col2Im {
+            geom,
+            src: Addr::ub(0),
+            dst: Addr::ub(8192),
+            first_patch: 0,
+            k_off: (0, 0),
+            c1: 0,
+            repeat: 1,
+        });
+        for i in [im2col, col2im] {
+            assert!(matches!(
+                execute(&i, &mut bufs, &cost, &mut ctr),
+                Err(SimError::Isa(dv_isa::IsaError::Shape(_)))
+            ));
+        }
+        assert_eq!(ctr, HwCounters::default());
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   paper describes.
 //!
 //! [`AiCore`] simulates one core; [`chip::Chip`] fans tiles out over up to
-//! 32 cores with `std::thread::scope` and reports the max-over-cores cycle
-//! count, matching "the outer loops are parallelized between the AI Cores
-//! available on the target device" (Section IV-A).
+//! 32 cores, run on as many host threads as the host has CPUs, and
+//! reports the max-over-cores cycle count, matching "the outer loops are
+//! parallelized between the AI Cores available on the target device"
+//! (Section IV-A).
 
 pub mod buffers;
 pub mod chip;

@@ -12,7 +12,7 @@ use dv_sim::{AiCore, CostModel, TraceConfig};
 use dv_tensor::{im2col_fractal, Nc1hwc0, PoolParams, C0, FRACTAL_BYTES, FRACTAL_ROWS};
 use proptest::prelude::*;
 
-fn core() -> AiCore {
+fn core() -> AiCore<'static> {
     AiCore::new(CostModel::ascend910_like(), 1 << 16)
 }
 
