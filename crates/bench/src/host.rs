@@ -4,8 +4,10 @@
 //! The cycle gate ([`crate::gate`]) protects the *simulated* numbers; at
 //! production traffic the simulator's own wall-clock is the serving hot
 //! path, so this module makes host speed a gated quantity too. Every
-//! Table I workload's accelerated (Im2col) forward pass, and every pinned
-//! model segment's fused forward (the only rows on the Cube executor), is
+//! Table I workload's accelerated (Im2col) forward pass, the three Fig. 7
+//! shapes' max backward through the argmax mask with the `Col2Im` merge
+//! (the rows on the `vmul` and `col2im` executors), and every pinned model
+//! segment's fused forward (the only rows on the Cube executor), is
 //! replayed under each execution [`Backend`] and timed with the vendored
 //! criterion shim's warmup-then-median loop ([`criterion::time_medians`]);
 //! the measurements land in `BENCH_host.json` and are compared against
@@ -25,7 +27,11 @@
 //!   [`collect_host`] asserts in-run that `Sliced` still clears the
 //!   [`SLICED_FLOOR`] on at least one Table I workload — the hoisted
 //!   bounds checks are the whole point of the seam, and losing them is a
-//!   host-speed regression no matter what machine CI runs on.
+//!   host-speed regression no matter what machine CI runs on. The ratios
+//!   carry over only between hosts that take the same f16 conversion
+//!   path: the backward rows' sliced `vmul` and `Col2Im` convert with
+//!   F16C where the CPU has it and lane by lane otherwise, so a baseline
+//!   recorded on an F16C host fails those rows on a host without it.
 //! * **Host time proportional to simulated work.** The 32-core chip under
 //!   `Sliced` runs the same programs as a one-core chip, on one host
 //!   thread either way, so their host times may differ only by per-core
@@ -55,11 +61,12 @@
 //! and commit the refreshed `host.json`.
 
 use crate::gate::{Column, Document, Policy::Derived, Policy::Exact, Policy::Info, Row, Section};
-use crate::inputs::feature_map;
+use crate::inputs::{feature_map, gradients};
 use dv_conv::ConvLowering;
-use dv_core::{table1_workloads, ForwardImpl, PoolingEngine};
+use dv_core::{fig7_workloads, table1_workloads, ForwardImpl, MergeImpl, PoolRun, PoolingEngine};
 use dv_nn::{pinned_segments, run_fused_conv_pool, Layer, PoolKind, Sequential};
 use dv_sim::{Backend, Chip, CostModel};
+use dv_tensor::{reference, Nc1hwc0};
 use std::time::Duration;
 
 /// Relative speedup-ratio loss tolerated before the host gate fails
@@ -90,8 +97,8 @@ pub const MULTICORE_CEILING: f64 = 1.25;
 /// executor legitimately changes speed).
 pub const COMMITTED_HOST_BASELINE: &str = include_str!("../baselines/host.json");
 
-/// `BENCH_host.json`: one row per Table I workload and pinned model
-/// segment — its forward pass timed under every backend and on a
+/// `BENCH_host.json`: one row per Table I forward, Fig. 7 max backward and
+/// pinned model segment — the run timed under every backend and on a
 /// one-core chip, plus the deterministic denominators (instruction issues
 /// and simulated cycles, both backend-invariant) that turn wall time into
 /// throughput.
@@ -203,61 +210,23 @@ fn timed_row<T>(
         .with("single_core_sliced_ns", ns[3])
 }
 
-/// Replay every Table I workload's Im2col forward and every pinned model
-/// segment's fused forward under all three backends and on a one-core
-/// chip, asserting bit-identity in-gate and timing each with the
-/// criterion shim's warmup-then-median loop. Panics if `Sliced` fails
-/// [`SLICED_FLOOR`] on every Table I row, or if the geometric mean of
-/// `multicore_over_single` exceeds [`MULTICORE_CEILING`].
+/// Replay every Table I workload's Im2col forward, the Fig. 7 shapes' max
+/// backward and every pinned model segment's fused forward under all
+/// three backends and on a one-core chip, asserting bit-identity in-gate
+/// and timing each with the criterion shim's warmup-then-median loop.
+/// Panics if `Sliced` fails [`SLICED_FLOOR`] on every Table I row, or if
+/// the geometric mean of `multicore_over_single` exceeds
+/// [`MULTICORE_CEILING`].
 pub fn collect_host() -> Vec<Row> {
     let mut out = Vec::new();
     for w in table1_workloads() {
         let shape = format!("{}x{}x{}", w.h, w.w, w.c);
-        let key = format!("host/{}-{}/{shape}", w.cnn, w.input_idx);
         let input = feature_map(1, w.c, w.h, w.w, 71);
-        let call = |eng: &PoolingEngine| {
+        let key = format!("host/{}-{}/{shape}", w.cnn, w.input_idx);
+        out.push(pool_row(key, |eng| {
             eng.maxpool_forward(&input, w.params, ForwardImpl::Im2col)
                 .expect("host gate run")
-        };
-
-        // Reference run plus the in-gate bit-identity contract: every
-        // backend must reproduce the Scalar run's output bytes, counters,
-        // cycles, and peaks exactly, and one core the same output from
-        // the same programs.
-        let (o_ref, run_ref) = call(&engine(Backend::Scalar));
-        for backend in [Backend::Sliced, Backend::Threaded] {
-            let (o, run) = call(&engine(backend));
-            assert_eq!(
-                o.data(),
-                o_ref.data(),
-                "{key}: {backend} output diverged from Scalar"
-            );
-            assert_eq!(
-                run.total, run_ref.total,
-                "{key}: {backend} counters diverged from Scalar"
-            );
-            assert_eq!(
-                run.cycles, run_ref.cycles,
-                "{key}: {backend} cycles diverged from Scalar"
-            );
-            assert_eq!(
-                run.peaks, run_ref.peaks,
-                "{key}: {backend} peaks diverged from Scalar"
-            );
-        }
-        let (o, run) = call(&single_core());
-        assert_eq!(o.data(), o_ref.data(), "{key}: one core diverged");
-        assert_eq!(
-            run.total.total_issues(),
-            run_ref.total.total_issues(),
-            "{key}: one core ran other programs"
-        );
-        out.push(timed_row(
-            key,
-            run_ref.total.total_issues(),
-            run_ref.cycles,
-            call,
-        ));
+        }));
     }
     let best = out.iter().map(sliced_speedup).fold(0.0f64, f64::max);
     assert!(
@@ -265,6 +234,20 @@ pub fn collect_host() -> Vec<Row> {
         "host gate: Sliced must clear {SLICED_FLOOR}x Scalar host \
          instructions/sec on at least one Table I workload (best {best:.2}x)"
     );
+    // The max backward through the argmax mask with the Col2Im merge:
+    // the rows on the `vmul` and `col2im` executors.
+    for w in fig7_workloads() {
+        let shape = format!("{}x{}x{}", w.h, w.w, w.c);
+        let input = feature_map(1, w.c, w.h, w.w, 73);
+        let mask = reference::maxpool_argmax_mask(&input, &w.params).expect("argmax mask");
+        let (oh, ow) = w.out_dims();
+        let grads = gradients(1, input.c1, oh, ow, 74);
+        let key = format!("host/backward/{}-{}/{shape}", w.cnn, w.input_idx);
+        out.push(pool_row(key, |eng| {
+            eng.maxpool_backward(&mask, &grads, w.params, w.h, w.w, MergeImpl::Col2Im)
+                .expect("host gate backward run")
+        }));
+    }
     for seg in pinned_segments() {
         let key = format!("host/model/{}", seg.name);
         let [Layer::Conv2d { weights, params }, Layer::MaxPool2d { params: pool, .. }] =
@@ -336,6 +319,42 @@ pub fn collect_host() -> Vec<Row> {
          (geomean {multicore:.2}x): per-core set-up is back"
     );
     out
+}
+
+/// One pooling row: a reference run under `Scalar` plus the in-gate
+/// bit-identity contract (every backend reproduces its output bytes,
+/// counters, cycles and peaks exactly, and one core the same output from
+/// the same programs), then [`timed_row`].
+fn pool_row(key: String, call: impl Fn(&PoolingEngine) -> (Nc1hwc0, PoolRun)) -> Row {
+    let (o_ref, run_ref) = call(&engine(Backend::Scalar));
+    for backend in [Backend::Sliced, Backend::Threaded] {
+        let (o, run) = call(&engine(backend));
+        assert_eq!(
+            o.data(),
+            o_ref.data(),
+            "{key}: {backend} output diverged from Scalar"
+        );
+        assert_eq!(
+            run.total, run_ref.total,
+            "{key}: {backend} counters diverged from Scalar"
+        );
+        assert_eq!(
+            run.cycles, run_ref.cycles,
+            "{key}: {backend} cycles diverged from Scalar"
+        );
+        assert_eq!(
+            run.peaks, run_ref.peaks,
+            "{key}: {backend} peaks diverged from Scalar"
+        );
+    }
+    let (o, run) = call(&single_core());
+    assert_eq!(o.data(), o_ref.data(), "{key}: one core diverged");
+    assert_eq!(
+        run.total.total_issues(),
+        run_ref.total.total_issues(),
+        "{key}: one core ran other programs"
+    );
+    timed_row(key, run_ref.total.total_issues(), run_ref.cycles, call)
 }
 
 fn duration_ns(d: Duration) -> u64 {
@@ -571,8 +590,8 @@ mod tests {
             .remove(0);
         assert_eq!(
             base.len(),
-            table1_workloads().len() + pinned_segments().len(),
-            "host baseline must track every Table I workload and model segment"
+            table1_workloads().len() + fig7_workloads().len() + pinned_segments().len(),
+            "host baseline must track every Table I workload, Fig. 7 backward and model segment"
         );
         assert!(
             base.iter().any(|m| sliced_speedup(m) >= SLICED_FLOOR),

@@ -1,5 +1,6 @@
 //! The enforcing host-throughput gate: replays every Table I workload's
-//! Im2col forward under all three execution backends (bit-identity and
+//! Im2col forward, the Fig. 7 max backward and the pinned model segments
+//! under all three execution backends (bit-identity and
 //! the sliced floor are asserted in-run by `collect_host`), writes
 //! `BENCH_host.json` at the workspace root, and fails if the sliced
 //! speedup ratios fell more than [`host::HOST_TOLERANCE`] (geomean) or

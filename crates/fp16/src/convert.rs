@@ -3,6 +3,196 @@
 //! `f32 -> f16` uses round-to-nearest, ties-to-even — the default IEEE
 //! rounding mode and the one hardware `vconv` instructions implement.
 //! `f16 -> f32` is exact.
+//!
+//! The scalar functions [`f16_bits_from_f32`] and [`f32_from_f16_bits`]
+//! define the conversions. The fused widen → `f32` op → narrow pass
+//! behind the batch arithmetic kernels produces the same bits eight lanes
+//! at a time with the x86 F16C instructions (`vcvtph2ps`; `vcvtps2ph`
+//! rounding to nearest even) when the CPU reports `avx` and `f16c` at run
+//! time, and runs the scalar functions otherwise and on the last
+//! `len % 8` lanes. This module holds every `unsafe` block and
+//! `#[target_feature]` function of the crate, the byte views
+//! [`as_bytes`] and [`from_bytes`] included. Its tests compare the two
+//! F16C conversions with the scalar functions on all 65,536 `f16` and
+//! all 2^32 `f32` bit patterns (on a CPU without F16C there is no second
+//! path to compare, and those two tests pass without checking).
+
+use crate::F16;
+
+/// `out[i] = narrow(op(widen(a[i]), widen(b[i])))` in one pass, with no
+/// `f32` slices in between: the batch arithmetic kernels' conversion
+/// step, bit-identical to converting lane by lane with the scalar
+/// functions. The caller checks that the three lengths are equal.
+#[inline(always)]
+pub(crate) fn widen_op_narrow(a: &[F16], b: &[F16], out: &mut [F16], op: impl Fn(f32, f32) -> f32) {
+    debug_assert!(a.len() == out.len() && b.len() == out.len());
+    let scalar = |(r, (a, b)): (&mut F16, (&F16, &F16))| {
+        r.0 = f16_bits_from_f32(op(f32_from_f16_bits(a.0), f32_from_f16_bits(b.0)));
+    };
+    #[cfg(target_arch = "x86_64")]
+    if f16c::available() {
+        let whole = out.len() - out.len() % f16c::LANES;
+        // SAFETY: the CPU supports `avx` and `f16c` (checked just above).
+        unsafe { f16c::widen_op_narrow(&a[..whole], &b[..whole], &mut out[..whole], &op) };
+        out[whole..]
+            .iter_mut()
+            .zip(a[whole..].iter().zip(&b[whole..]))
+            .for_each(scalar);
+        return;
+    }
+    out.iter_mut().zip(a.iter().zip(b)).for_each(scalar);
+}
+
+/// The F16C forms of the conversions. Each converts whole groups of
+/// [`LANES`] lanes; the tails go through the scalar functions.
+#[cfg(target_arch = "x86_64")]
+mod f16c {
+    use crate::F16;
+    use std::arch::x86_64::_MM_FROUND_TO_NEAREST_INT;
+    use std::arch::x86_64::{__m128i, __m256, _mm256_cvtph_ps, _mm256_cvtps_ph};
+
+    /// Lanes one F16C instruction converts.
+    pub(super) const LANES: usize = 8;
+
+    /// Does this CPU run the F16C conversions? The standard library
+    /// caches the CPUID probe, so this is a load and a test after the
+    /// first call.
+    #[inline]
+    pub(super) fn available() -> bool {
+        std::arch::is_x86_feature_detected!("avx") && std::arch::is_x86_feature_detected!("f16c")
+    }
+
+    /// Eight halves to eight singles (`vcvtph2ps`).
+    #[inline]
+    #[target_feature(enable = "avx,f16c")]
+    fn to_f32(h: &[F16]) -> [f32; LANES] {
+        let h: [F16; LANES] = h.try_into().expect("one group of lanes");
+        // SAFETY: `[F16; 8]` and `__m128i` are both 16 bytes with no
+        // padding, `F16` is `repr(transparent)` over `u16` (so these are
+        // the eight raw halves `vcvtph2ps` reads), and every bit pattern
+        // is a valid `__m128i`. Likewise `__m256` and `[f32; 8]` are both
+        // 32 bytes and every bit pattern is a valid `f32`.
+        unsafe {
+            let h = core::mem::transmute::<[F16; LANES], __m128i>(h);
+            core::mem::transmute::<__m256, [f32; LANES]>(_mm256_cvtph_ps(h))
+        }
+    }
+
+    /// Eight singles to eight halves (`vcvtps2ph`), rounding to nearest
+    /// even: immediate 0, so `MXCSR.RC` is not consulted.
+    #[inline]
+    #[target_feature(enable = "avx,f16c")]
+    fn to_f16(x: [f32; LANES]) -> [F16; LANES] {
+        // SAFETY: as in `to_f32`: equal sizes, no padding, and every bit
+        // pattern valid for the target type.
+        unsafe {
+            let x = core::mem::transmute::<[f32; LANES], __m256>(x);
+            let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x);
+            core::mem::transmute::<__m128i, [F16; LANES]>(h)
+        }
+    }
+
+    /// [`super::widen_op_narrow`] on the whole groups of lanes the three
+    /// slices share: both operand groups widened, `op` applied lane by
+    /// lane (inlined here, so the eight lanes compile to one AVX
+    /// operation), the results narrowed.
+    ///
+    /// # Safety
+    /// The CPU must support `avx` and `f16c`.
+    #[target_feature(enable = "avx,f16c")]
+    pub(super) unsafe fn widen_op_narrow(
+        a: &[F16],
+        b: &[F16],
+        out: &mut [F16],
+        op: &impl Fn(f32, f32) -> f32,
+    ) {
+        let groups = a.chunks_exact(LANES).zip(b.chunks_exact(LANES));
+        for ((a, b), out) in groups.zip(out.chunks_exact_mut(LANES)) {
+            let (x, y) = (to_f32(a), to_f32(b));
+            out.copy_from_slice(&to_f16(core::array::from_fn(|i| op(x[i], y[i]))));
+        }
+    }
+
+    /// The two conversions against the scalar functions on every input
+    /// bit pattern. On a CPU without F16C there is nothing to compare.
+    #[cfg(test)]
+    mod tests {
+        use super::{available, to_f16, to_f32, LANES};
+        use crate::convert::{f16_bits_from_f32, f32_from_f16_bits};
+        use crate::F16;
+
+        #[test]
+        fn to_f32_matches_the_scalar_conversion_on_every_f16() {
+            if !available() {
+                return;
+            }
+            for first in (0..=u16::MAX).step_by(LANES) {
+                let h: [F16; LANES] = core::array::from_fn(|i| F16(first + i as u16));
+                // SAFETY: the CPU supports `avx` and `f16c` (checked above).
+                let x = unsafe { to_f32(&h) };
+                for (h, x) in h.iter().zip(x) {
+                    let want = f32_from_f16_bits(h.0);
+                    assert!(
+                        x.to_bits() == want.to_bits(),
+                        "vcvtph2ps({:#06x}) = {:#010x}, scalar {:#010x}",
+                        h.0,
+                        x.to_bits(),
+                        want.to_bits()
+                    );
+                }
+            }
+        }
+
+        /// Release: 9.5 s on a 2-vCPU x86-64 VM.
+        #[test]
+        fn to_f16_matches_the_scalar_conversion_on_every_f32() {
+            if !available() {
+                return;
+            }
+            for first in (0..=u32::MAX).step_by(LANES) {
+                let x: [f32; LANES] = core::array::from_fn(|i| f32::from_bits(first + i as u32));
+                // SAFETY: the CPU supports `avx` and `f16c` (checked above).
+                let h = unsafe { to_f16(x) };
+                for (x, h) in x.iter().zip(h) {
+                    let want = f16_bits_from_f32(*x);
+                    assert!(
+                        h.0 == want,
+                        "vcvtps2ph({:#010x}) = {:#06x}, scalar {want:#06x}",
+                        x.to_bits(),
+                        h.0
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Reinterpret a slice of `F16` as raw little-endian bytes.
+///
+/// The simulator's scratchpad buffers are byte-addressed, so kernels and
+/// tests use this to move tensors in and out without copying element by
+/// element.
+pub fn as_bytes(slice: &[F16]) -> &[u8] {
+    // SAFETY: F16 is repr(transparent) over u16 with alignment 2 and no
+    // padding; any bit pattern is a valid F16.
+    unsafe { core::slice::from_raw_parts(slice.as_ptr().cast::<u8>(), slice.len() * 2) }
+}
+
+/// Reinterpret raw bytes as a slice of `F16`. Panics if the byte slice is
+/// misaligned or has odd length.
+pub fn from_bytes(bytes: &[u8]) -> &[F16] {
+    assert!(
+        bytes.len().is_multiple_of(2),
+        "odd byte length {}",
+        bytes.len()
+    );
+    assert!(
+        (bytes.as_ptr() as usize).is_multiple_of(core::mem::align_of::<F16>()),
+        "misaligned f16 byte slice"
+    );
+    // SAFETY: alignment and length checked above; any bit pattern is valid.
+    unsafe { core::slice::from_raw_parts(bytes.as_ptr().cast::<F16>(), bytes.len() / 2) }
+}
 
 /// Convert an `f32` to the nearest `f16` bit pattern (round-to-nearest-even).
 ///

@@ -517,8 +517,8 @@ impl Chip {
                 bytes_per_cycle,
                 l2,
             } => {
-                let reads: Vec<Vec<(usize, usize)>> =
-                    active.iter().map(|r| r.reads.clone()).collect();
+                let reads: Vec<&[(usize, usize)]> =
+                    active.iter().map(|r| r.reads.as_slice()).collect();
                 let hits = l2_hit_lines(&reads, l2.line, l2.capacity);
                 let demands: Vec<(u64, u64)> = active
                     .iter()

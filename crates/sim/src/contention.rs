@@ -114,44 +114,66 @@ impl MemoryModel {
 /// single HBM fetch is attributed to the lowest core index that read it
 /// and every *other* reader of the line scores a hit — deterministic by
 /// construction (set arithmetic in core-index order, no timing).
+///
+/// The sets are merged line intervals, not lines: a core's hits are the
+/// lines its intervals share with the union of the lower cores'
+/// intervals (a two-pointer sweep), and that union after the last core
+/// is the footprint.
 pub(crate) fn l2_hit_lines(
-    reads: &[Vec<(usize, usize)>],
+    reads: &[&[(usize, usize)]],
     line: u64,
     capacity: u64,
 ) -> Vec<(u64, u64)> {
-    use std::collections::BTreeSet;
     let line = line.max(1) as usize;
-    let per_core: Vec<BTreeSet<usize>> = reads
+    let mut fetched: Vec<(usize, usize)> = Vec::new();
+    let hits: Vec<(u64, u64)> = reads
         .iter()
         .map(|spans| {
-            let mut lines = BTreeSet::new();
-            for &(start, end) in spans {
-                if end > start {
-                    for l in (start / line)..=((end - 1) / line) {
-                        lines.insert(l);
-                    }
-                }
-            }
-            lines
-        })
-        .collect();
-    let mut footprint: BTreeSet<usize> = BTreeSet::new();
-    for lines in &per_core {
-        footprint.extend(lines.iter().copied());
-    }
-    if footprint.len() as u64 * line as u64 > capacity {
-        return vec![(0, 0); reads.len()];
-    }
-    // First reader (lowest core index) pays HBM; later readers hit.
-    let mut fetched: BTreeSet<usize> = BTreeSet::new();
-    per_core
-        .iter()
-        .map(|lines| {
-            let hits = lines.iter().filter(|l| fetched.contains(l)).count() as u64;
-            fetched.extend(lines.iter().copied());
+            let lines = merged(
+                spans
+                    .iter()
+                    .filter(|&&(start, end)| end > start)
+                    .map(|&(start, end)| (start / line, (end - 1) / line + 1))
+                    .collect(),
+            );
+            let hits = shared_lines(&fetched, &lines) as u64;
+            fetched = merged(fetched.iter().chain(&lines).copied().collect());
             (hits, hits * line as u64)
         })
-        .collect()
+        .collect();
+    let footprint: usize = fetched.iter().map(|&(first, end)| end - first).sum();
+    if footprint as u64 * line as u64 > capacity {
+        return vec![(0, 0); reads.len()];
+    }
+    hits
+}
+
+/// Sort half-open intervals and join the ones that overlap or touch.
+fn merged(mut intervals: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
+    intervals.sort_unstable();
+    let mut out: Vec<(usize, usize)> = Vec::with_capacity(intervals.len());
+    for (start, end) in intervals {
+        match out.last_mut() {
+            Some(last) if start <= last.1 => last.1 = last.1.max(end),
+            _ => out.push((start, end)),
+        }
+    }
+    out
+}
+
+/// How many points two sorted, disjoint interval lists share.
+fn shared_lines(a: &[(usize, usize)], b: &[(usize, usize)]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (lo, hi) = (a[i].0.max(b[j].0), a[i].1.min(b[j].1));
+        shared += hi.saturating_sub(lo);
+        if a[i].1 < b[j].1 {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    shared
 }
 
 /// Per-core extra completion cycles under the shared-bandwidth fluid
@@ -242,6 +264,88 @@ pub(crate) fn contention_stalls(streams: &[(u64, u64)], shared: u64, per_core: u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`l2_hit_lines`] as first written, one set entry per line: the
+    /// oracle for the interval form.
+    fn l2_hit_lines_by_set(
+        reads: &[&[(usize, usize)]],
+        line: u64,
+        capacity: u64,
+    ) -> Vec<(u64, u64)> {
+        use std::collections::BTreeSet;
+        let line = line.max(1) as usize;
+        let per_core: Vec<BTreeSet<usize>> = reads
+            .iter()
+            .map(|spans| {
+                let mut lines = BTreeSet::new();
+                for &(start, end) in spans.iter() {
+                    if end > start {
+                        for l in (start / line)..=((end - 1) / line) {
+                            lines.insert(l);
+                        }
+                    }
+                }
+                lines
+            })
+            .collect();
+        let mut footprint: BTreeSet<usize> = BTreeSet::new();
+        for lines in &per_core {
+            footprint.extend(lines.iter().copied());
+        }
+        if footprint.len() as u64 * line as u64 > capacity {
+            return vec![(0, 0); reads.len()];
+        }
+        let mut fetched: BTreeSet<usize> = BTreeSet::new();
+        per_core
+            .iter()
+            .map(|lines| {
+                let hits = lines.iter().filter(|l| fetched.contains(l)).count() as u64;
+                fetched.extend(lines.iter().copied());
+                (hits, hits * line as u64)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Random read spans (empty, overlapping, touching and nested
+        /// ones included) on up to eight cores, line sizes from 1 byte
+        /// up and capacities on both sides of the footprint: the
+        /// interval form counts exactly what the line sets count.
+        #[test]
+        fn interval_hits_equal_the_line_set_oracle(
+            cores in proptest::collection::vec(
+                proptest::collection::vec((0usize..4096, 0usize..1500), 0..12),
+                0..8,
+            ),
+            line in prop_oneof![Just(1u64), Just(2u64), 1u64..700, Just(512u64)],
+            capacity in prop_oneof![Just(u64::MAX), 0u64..20_000],
+        ) {
+            let spans: Vec<Vec<(usize, usize)>> = cores
+                .iter()
+                .map(|c| c.iter().map(|&(start, len)| (start, start + len)).collect())
+                .collect();
+            let reads: Vec<&[(usize, usize)]> = spans.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(
+                l2_hit_lines(&reads, line, capacity),
+                l2_hit_lines_by_set(&reads, line, capacity)
+            );
+        }
+    }
+
+    #[test]
+    fn later_readers_of_a_line_hit_and_thrash_clears_every_hit() {
+        // Core 0 reads lines 0-1, core 1 lines 1-3, core 2 lines 0 and 3:
+        // core 1 hits line 1, core 2 hits both of its lines.
+        let reads: [&[(usize, usize)]; 3] =
+            [&[(0, 1024)], &[(600, 2048)], &[(10, 20), (1600, 1601)]];
+        assert_eq!(
+            l2_hit_lines(&reads, 512, 4 * 512),
+            vec![(0, 0), (1, 512), (2, 1024)]
+        );
+        // A footprint of 4 lines does not fit 3: nobody hits.
+        assert_eq!(l2_hit_lines(&reads, 512, 3 * 512), vec![(0, 0); 3]);
+    }
 
     #[test]
     fn no_contention_when_demand_fits_the_pipe() {

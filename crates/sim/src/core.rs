@@ -55,13 +55,16 @@ struct BoardEntry {
 
 /// Execute every instruction of `program`, charging `counters` under the
 /// configured issue model, and report each instruction's timing to
-/// `sink(pc, info, start, stall, raw_dep)`.
+/// `sink(pc, info, start, stall, raw_dep)`. `raw_dep` (the trace's flow
+/// arrow) is computed only when `trace_deps` is set, and is `None`
+/// otherwise.
 fn run_program(
     bufs: &mut BufferSet<'_>,
     cost: &CostModel,
     counters: &mut HwCounters,
     issued: &mut usize,
     program: &Program,
+    trace_deps: bool,
     mut sink: impl FnMut(usize, &ExecInfo, u64, u64, Option<usize>),
 ) -> Result<(), SimError> {
     match cost.issue_model {
@@ -80,8 +83,9 @@ fn run_program(
             let base = counters.cycles;
             let mut pipe_free = [base; 2];
             let mut board: Vec<BoardEntry> = Vec::new();
-            // Program-order writer log feeding the flow arrows: the
-            // latest writer of each span, independent of issue timing.
+            // Program-order writer log feeding the trace's flow arrows:
+            // the latest writer of each span, independent of issue
+            // timing. Nothing else reads it, so it stays empty untraced.
             let mut writers: Vec<(MemSpan, usize)> = Vec::new();
             for (pc, instr) in program.instrs().iter().enumerate() {
                 // Functional execution stays in program order — results
@@ -106,14 +110,11 @@ fn run_program(
                 // RAW producer for the trace's flow arrow: the latest
                 // program-order writer of any byte this instruction
                 // reads.
-                let mut dep: Option<usize> = None;
-                for (span, seq) in &writers {
-                    if info.reads.iter().flatten().any(|r| r.overlaps(span))
-                        && dep.is_none_or(|d| *seq > d)
-                    {
-                        dep = Some(*seq);
-                    }
-                }
+                let dep = writers
+                    .iter()
+                    .filter(|(span, _)| info.reads.iter().flatten().any(|r| r.overlaps(span)))
+                    .map(|&(_, seq)| seq)
+                    .max();
 
                 let pipe = pipe_of(info.unit);
                 let start = pipe_free[pipe].max(ready);
@@ -143,13 +144,16 @@ fn run_program(
                         write: true,
                         finish,
                     });
-                    // Fully-shadowed older writers can no longer be the
-                    // latest producer of any byte; drop them so the log
-                    // stays as small as the active working set.
-                    writers.retain(|(s, _)| {
-                        !(s.buffer == w.buffer && w.start <= s.start && s.end <= w.end)
-                    });
-                    writers.push((w, *issued));
+                    if trace_deps {
+                        // Fully-shadowed older writers can no longer be
+                        // the latest producer of any byte; drop them so
+                        // the log stays as small as the active working
+                        // set.
+                        writers.retain(|(s, _)| {
+                            !(s.buffer == w.buffer && w.start <= s.start && s.end <= w.end)
+                        });
+                        writers.push((w, *issued));
+                    }
                 }
 
                 sink(pc, &info, start, stall, dep);
@@ -297,6 +301,7 @@ impl<'g> AiCore<'g> {
             counters,
             issued,
             program,
+            trace_cfg.enabled,
             |pc, info, start, stall, dep| {
                 if let Some(w) = info.write {
                     if w.buffer == BufferId::Gm {

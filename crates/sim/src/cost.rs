@@ -60,7 +60,9 @@ pub enum Backend {
     /// instruction, decodes what is fixed for the whole instruction once
     /// (the vector op and its mask's lane runs, an SCU patch walk, the
     /// Cube's f32 operand tiles), then runs the element loop over raw
-    /// slices with no per-element checks. Instructions whose conservative
+    /// slices with no per-element checks; f16 arithmetic on a run of
+    /// lanes or `Col2Im` rows goes through `dv_fp16`'s batch kernels
+    /// (F16C where the host CPU has it). Instructions whose conservative
     /// span validation declines (an out-of-range operand, an odd stride,
     /// an f16 view of L0C) fall back to the `Scalar` interpreter so error
     /// values and partial-write effects stay bit-identical. Cores run one

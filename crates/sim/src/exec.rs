@@ -92,9 +92,9 @@ fn f16_rect_ok(
         .is_some_and(|end| end <= bufs.capacity(addr.buffer))
 }
 
-/// One lane of a vector instruction — shared by the reference
-/// interpreter and the sliced fast path so the arithmetic can never
-/// fork between backends.
+/// One lane of a vector instruction — the reference interpreter's
+/// arithmetic, which the sliced fast path's batches ([`batch_op`]) must
+/// reproduce bit for bit.
 #[inline]
 fn vector_lane_op(op: VectorOp, a: F16, b: F16) -> F16 {
     match op {
@@ -330,39 +330,18 @@ fn vector_sliced(v: &VectorInstr, bufs: &mut BufferSet<'_>) -> bool {
     }
     // Every operand lives in UB (validated), so one slice serves all.
     let ub = bufs.scratch_mut(BufferId::Ub);
-    // Each arm passes a constant op, so `vector_lane_op` folds to that
-    // op's arithmetic — still the one definition both backends share.
+    // Each arm passes a constant op, so `lanes` compiles one loop per op.
     match v.op {
-        VectorOp::Max => {
-            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Max, a, b))
-        }
-        VectorOp::Min => {
-            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Min, a, b))
-        }
-        VectorOp::Add => {
-            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Add, a, b))
-        }
-        VectorOp::Sub => {
-            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Sub, a, b))
-        }
-        VectorOp::Mul => {
-            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Mul, a, b))
-        }
-        VectorOp::CmpEq => {
-            lanes::<true, true>(v, ub, runs, |a, b| vector_lane_op(VectorOp::CmpEq, a, b))
-        }
-        VectorOp::MulScalar(k) => lanes::<true, false>(v, ub, runs, |a, b| {
-            vector_lane_op(VectorOp::MulScalar(k), a, b)
-        }),
-        VectorOp::Copy => {
-            lanes::<true, false>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Copy, a, b))
-        }
-        VectorOp::Relu => {
-            lanes::<true, false>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Relu, a, b))
-        }
-        VectorOp::Dup(k) => {
-            lanes::<false, false>(v, ub, runs, |a, b| vector_lane_op(VectorOp::Dup(k), a, b))
-        }
+        VectorOp::Max => lanes::<true, true>(v, ub, runs, VectorOp::Max),
+        VectorOp::Min => lanes::<true, true>(v, ub, runs, VectorOp::Min),
+        VectorOp::Add => lanes::<true, true>(v, ub, runs, VectorOp::Add),
+        VectorOp::Sub => lanes::<true, true>(v, ub, runs, VectorOp::Sub),
+        VectorOp::Mul => lanes::<true, true>(v, ub, runs, VectorOp::Mul),
+        VectorOp::CmpEq => lanes::<true, true>(v, ub, runs, VectorOp::CmpEq),
+        VectorOp::MulScalar(k) => lanes::<true, false>(v, ub, runs, VectorOp::MulScalar(k)),
+        VectorOp::Copy => lanes::<true, false>(v, ub, runs, VectorOp::Copy),
+        VectorOp::Relu => lanes::<true, false>(v, ub, runs, VectorOp::Relu),
+        VectorOp::Dup(k) => lanes::<false, false>(v, ub, runs, VectorOp::Dup(k)),
     }
     bufs.note_peak(
         BufferId::Ub,
@@ -377,19 +356,37 @@ fn vector_sliced(v: &VectorInstr, bufs: &mut BufferSet<'_>) -> bool {
 ///
 /// The interpreter visits lanes repeat-major, in ascending order, reading
 /// a lane's sources before writing it. A run of lanes computed as a
-/// batch — every source of the run read, then every result written —
-/// gives the same bytes unless some lane reads what an earlier lane of
-/// the run wrote: a source starting below the destination by less than
-/// the run's length. Such runs take the lane-at-a-time loop instead.
+/// batch ([`batch_op`]) — every source of the run read, then every
+/// result written — gives the same bytes unless some lane reads what an
+/// earlier lane of the run wrote (`reads_behind`). Such runs take the
+/// lane-at-a-time loop instead.
 #[inline(always)]
 fn lanes<const SRC0: bool, const SRC1: bool>(
     v: &VectorInstr,
     ub: &mut [u8],
     runs: &[(u8, u8)],
-    op: impl Fn(F16, F16) -> F16,
+    op: VectorOp,
 ) {
-    let reads_behind = |src: usize, dst: usize, len: usize| src < dst && dst - src < len;
-    let (mut a, mut b) = ([F16::ZERO; VECTOR_LANES], [F16::ZERO; VECTOR_LANES]);
+    /// Does a batch over `len` bytes at `dst` read what it writes first?
+    /// A source starting below the destination by less than the batch's
+    /// length reads, lane by lane in the interpreter, what an earlier lane
+    /// wrote.
+    fn reads_behind(src: usize, dst: usize, len: usize) -> bool {
+        src < dst && dst - src < len
+    }
+    // `vmuls` multiplies by its scalar: the batch reads it as a
+    // broadcast second operand.
+    let scalar = match op {
+        VectorOp::MulScalar(k) => k,
+        _ => F16::ZERO,
+    };
+    let (mut a, mut b) = ([F16::ZERO; VECTOR_LANES], [scalar; VECTOR_LANES]);
+    let mut out = [F16::ZERO; VECTOR_LANES];
+    // An op that reads no source (`vdup`) writes the same lanes on every
+    // run and repeat: compute them once.
+    if !SRC0 && !SRC1 {
+        batch_op(op, &a, &b, &mut out);
+    }
     for rep in 0..v.repeat as usize {
         let dst = v.dst.offset + rep * v.dst_stride;
         let src0 = v.src0.offset + rep * v.src0_stride;
@@ -409,24 +406,40 @@ fn lanes<const SRC0: bool, const SRC1: bool>(
                     } else {
                         F16::ZERO
                     };
-                    put16(ub, dst + off, op(a, b));
+                    put16(ub, dst + off, vector_lane_op(op, a, b));
                 }
                 continue;
             }
-            let n = len / 2;
+            let run = usize::from(start)..usize::from(end);
             if SRC0 {
-                load16(&ub[src0 + lo..src0 + hi], &mut a[..n]);
-            } else {
-                a[..n].fill(F16::ZERO); // `a` holds the previous results
+                load16(&ub[src0 + lo..src0 + hi], &mut a[run.clone()]);
             }
             if SRC1 {
-                load16(&ub[src1 + lo..src1 + hi], &mut b[..n]);
+                load16(&ub[src1 + lo..src1 + hi], &mut b[run.clone()]);
             }
-            for (x, &y) in a[..n].iter_mut().zip(&b[..n]) {
-                *x = op(*x, y);
+            if SRC0 || SRC1 {
+                batch_op(op, &a[run.clone()], &b[run.clone()], &mut out[run.clone()]);
             }
-            for (out, x) in ub[dst + lo..dst + hi].chunks_exact_mut(2).zip(&a[..n]) {
-                out.copy_from_slice(&x.to_bits().to_le_bytes());
+            store16(&out[run], &mut ub[dst + lo..dst + hi]);
+        }
+    }
+}
+
+/// One run of a vector op as a batch: `out[i] = vector_lane_op(op, a[i],
+/// b[i])`, bit for bit. The arithmetic ops run `dv_fp16`'s batch kernels
+/// (F16C widen, `f32` op, narrow, then the NaN rule over the run, all
+/// lanes at once); the others run the lane op in a loop the optimiser
+/// vectorises (`max`/`min` compare order keys without branches).
+#[inline(always)]
+fn batch_op(op: VectorOp, a: &[F16], b: &[F16], out: &mut [F16]) {
+    match op {
+        VectorOp::Add => dv_fp16::add_slices(a, b, out),
+        VectorOp::Sub => dv_fp16::sub_slices(a, b, out),
+        // `b` holds the broadcast scalar (see `lanes`).
+        VectorOp::Mul | VectorOp::MulScalar(_) => dv_fp16::mul_slices(a, b, out),
+        _ => {
+            for ((r, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *r = vector_lane_op(op, x, y);
             }
         }
     }
@@ -438,6 +451,13 @@ fn load16(bytes: &[u8], out: &mut [F16]) {
     for (x, b) in out.iter_mut().zip(bytes.chunks_exact(2)) {
         *x = F16::from_bits(u16::from_le_bytes([b[0], b[1]]));
     }
+}
+
+/// Encode f16 values as little-endian bytes (span pre-validated): one
+/// copy of their byte view, as `BufferSet::load_f16_slice` writes.
+#[inline(always)]
+fn store16(vals: &[F16], bytes: &mut [u8]) {
+    bytes.copy_from_slice(dv_fp16::as_bytes(vals));
 }
 
 fn exec_im2col(
@@ -608,22 +628,37 @@ fn exec_col2im(
 
 /// Sliced `Col2Im`: validate the source fractal range and the whole
 /// destination c1 plane once, then run the scatter-add read-modify-write
-/// along one [`dv_isa::PatchWalk`] over all repeats. Source and
-/// destination share UB (validated), so elements are added in the
-/// interpreter's order. The running write high-water mark is tracked
-/// because skipped patch slots can leave the tail of the plane untouched.
+/// (destination row `+` source row) along one [`dv_isa::PatchWalk`] over
+/// all repeats, through `dv_fp16::add_slices`.
+///
+/// A validated geometry (stride at least 1) sends the patch slots of one
+/// instruction to distinct destination rows. So when the source fractals
+/// lie outside the destination plane, as every lowering places them, no
+/// row reads another row's write, and rows are added [`ROWS_PER_BATCH`]
+/// at a time. A source that overlaps the plane declines (`false`) before
+/// touching memory, leaving the instruction to the interpreter. The
+/// running write high-water mark is tracked because skipped patch slots
+/// can leave the tail of the plane untouched.
 fn col2im_sliced(c: &Col2Im, bufs: &mut BufferSet<'_>, plane_base: usize) -> bool {
     let geom = &c.geom;
     let slots = c.repeat as usize * FRACTAL_ROWS;
+    let Some(plane_end) = plane_base.checked_add(geom.src_plane_bytes()) else {
+        return false;
+    };
     let dst_ok = c.dst.buffer != BufferId::L0C
         && plane_base.is_multiple_of(2)
-        && plane_base
-            .checked_add(geom.src_plane_bytes())
-            .is_some_and(|end| end <= bufs.capacity(c.dst.buffer));
+        && plane_end <= bufs.capacity(c.dst.buffer);
     if !dst_ok || !f16_rect_ok(bufs, c.src, 0, 1, slots * ROW_BYTES) {
         return false;
     }
+    let (src_start, src_end) = (c.src.offset, c.src.offset + slots * ROW_BYTES);
+    if !(src_end <= plane_base || plane_end <= src_start) {
+        return false;
+    }
     let ub = bufs.scratch_mut(BufferId::Ub);
+    let (mut cur, mut add) = ([F16::ZERO; VECTOR_LANES], [F16::ZERO; VECTOR_LANES]);
+    let mut dsts = [0usize; ROWS_PER_BATCH];
+    let mut rows = 0;
     let mut peak: Option<usize> = None;
     let walk = geom.patch_walk(c.first_patch, c.k_off);
     for (slot, coord) in walk.take(slots).enumerate() {
@@ -632,18 +667,38 @@ fn col2im_sliced(c: &Col2Im, bufs: &mut BufferSet<'_>, plane_base: usize) -> boo
         };
         let src = c.src.offset + slot * ROW_BYTES;
         let dst = plane_base + (h * geom.iw + w) * ROW_BYTES;
-        for e in (0..ROW_BYTES).step_by(2) {
-            let add = get16(ub, src + e);
-            let cur = get16(ub, dst + e);
-            put16(ub, dst + e, cur + add);
+        let lanes = rows * C0..(rows + 1) * C0;
+        load16(&ub[dst..dst + ROW_BYTES], &mut cur[lanes.clone()]);
+        load16(&ub[src..src + ROW_BYTES], &mut add[lanes]);
+        dsts[rows] = dst;
+        rows += 1;
+        if rows == ROWS_PER_BATCH {
+            add_rows(ub, &dsts, &cur, &add);
+            rows = 0;
         }
         let end = dst + ROW_BYTES;
         peak = Some(peak.map_or(end, |p| p.max(end)));
     }
+    add_rows(ub, &dsts[..rows], &cur, &add);
     if let Some(end) = peak {
         bufs.note_peak(c.dst.buffer, end);
     }
     true
+}
+
+/// C0 rows one `col2im_sliced` batch adds: one vector instruction's
+/// width.
+const ROWS_PER_BATCH: usize = VECTOR_LANES / C0;
+
+/// Add the gathered C0 rows (`cur + add`, row `i` in lanes `16 i ..`) and
+/// write row `i` back to `dsts[i]` (span pre-validated).
+fn add_rows(ub: &mut [u8], dsts: &[usize], cur: &[F16], add: &[F16]) {
+    let n = dsts.len() * C0;
+    let mut sum = [F16::ZERO; VECTOR_LANES];
+    dv_fp16::add_slices(&cur[..n], &add[..n], &mut sum[..n]);
+    for (&dst, row) in dsts.iter().zip(sum.chunks_exact(C0)) {
+        store16(row, &mut ub[dst..dst + ROW_BYTES]);
+    }
 }
 
 fn exec_move(
@@ -1514,6 +1569,63 @@ mod tests {
                             dst_stride,
                             src0_stride,
                             src1_stride: 256,
+                        });
+                        assert_backends_identical_on(caps, 0, &i, |bufs| {
+                            bufs.load_f16_slice(BufferId::Ub, 0, &image).unwrap();
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// `Col2Im` on the batched row path against the `Scalar` interpreter,
+    /// bit for bit, on f16 edge values: source fractals apart from the
+    /// destination plane (rows added eight at a time), and inside it ahead
+    /// of or just below the rows they add into (declined to the
+    /// interpreter).
+    #[test]
+    fn col2im_rows_match_scalar_on_the_edge_grid() {
+        let caps = Capacities {
+            l1: 64,
+            l0a: 64,
+            l0b: 64,
+            l0c: 64,
+            ub: 64 << 10,
+        };
+        let image: Vec<F16> = (0..caps.ub / 2)
+            .map(|k| {
+                let h = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59;
+                F16::from_bits(EDGES[h as usize % EDGES.len()])
+            })
+            .collect();
+        let geometries = [
+            (8, 8, PoolParams::new((2, 2), (2, 2))),
+            (
+                9,
+                9,
+                PoolParams::with_padding((3, 3), (2, 2), dv_tensor::Padding::uniform(1)),
+            ),
+            (7, 7, PoolParams::new((3, 3), (1, 1))),
+        ];
+        let base = 32 << 10;
+        for (ih, iw, params) in geometries {
+            let geom = dv_isa::Im2ColGeometry::new(ih, iw, 2, params).unwrap();
+            let plane = geom.src_plane_bytes();
+            for c1 in [0, 1] {
+                let plane_base = base + c1 * plane;
+                // Apart, below the plane; inside it, ahead of the first
+                // rows; two bytes below the first patch's row.
+                for src in [0, plane_base + 3 * ROW_BYTES + 2, plane_base - 2] {
+                    for (first_patch, k_off, repeat) in [(0, (0, 0), 1), (5, (1, 1), 3)] {
+                        let i = Instr::Col2Im(Col2Im {
+                            geom,
+                            src: Addr::ub(src),
+                            dst: Addr::ub(base),
+                            first_patch,
+                            k_off,
+                            c1,
+                            repeat,
                         });
                         assert_backends_identical_on(caps, 0, &i, |bufs| {
                             bufs.load_f16_slice(BufferId::Ub, 0, &image).unwrap();
