@@ -107,6 +107,12 @@ impl From<ShapeError> for LowerError {
     }
 }
 
+/// The product of `factors` multiplied left to right, or `None` when a
+/// partial product overflows `usize`.
+pub(crate) fn checked_product(factors: &[usize]) -> Option<usize> {
+    factors.iter().try_fold(1usize, |p, &f| p.checked_mul(f))
+}
+
 /// A pooling problem: shapes plus geometry (global-memory placement is
 /// supplied separately by the runner).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,7 +130,10 @@ pub struct PoolProblem {
 }
 
 impl PoolProblem {
-    /// Construct and validate.
+    /// Construct and validate: the geometry must be poolable, `n` and
+    /// `c1` nonzero, and the input, output and mask byte sizes must fit
+    /// in `usize` ([`ShapeError::Overflow`] otherwise), so the size
+    /// methods below never wrap.
     pub fn new(
         n: usize,
         c1: usize,
@@ -132,9 +141,22 @@ impl PoolProblem {
         iw: usize,
         params: PoolParams,
     ) -> Result<PoolProblem, LowerError> {
-        params.out_dims(ih, iw)?;
+        let (oh, ow) = params.out_dims(ih, iw)?;
         if n == 0 || c1 == 0 {
             return Err(LowerError::Unsupported("n and c1 must be nonzero".into()));
+        }
+        // Each size multiplied in the order of its method below, with
+        // every partial product checked.
+        let total = |plane: Option<usize>| plane.and_then(|b| checked_product(&[n, c1, b]));
+        let out_plane = checked_product(&[oh, ow, C0 * 2]);
+        let mask_plane = out_plane.and_then(|b| checked_product(&[params.kh, params.kw, b]));
+        let sizes = [
+            ("input", total(checked_product(&[ih, iw, C0 * 2]))),
+            ("output", total(out_plane)),
+            ("mask", total(mask_plane)),
+        ];
+        if let Some(&(what, _)) = sizes.iter().find(|(_, bytes)| bytes.is_none()) {
+            return Err(ShapeError::Overflow { what }.into());
         }
         Ok(PoolProblem {
             n,
@@ -271,5 +293,35 @@ mod tests {
         assert!(PoolProblem::new(0, 1, 8, 8, PoolParams::K2S2).is_err());
         assert!(PoolProblem::new(1, 0, 8, 8, PoolParams::K2S2).is_err());
         assert!(PoolProblem::new(1, 1, 1, 8, PoolParams::K3S2).is_err());
+    }
+
+    /// A size that wraps `usize` is a typed error: unchecked, `(1 << 53) +
+    /// 1` planes of an 8x8 input wrap to a 2048-byte input in release.
+    #[test]
+    fn byte_size_overflow_is_a_typed_error() {
+        let overflow = |what| Err(LowerError::Shape(ShapeError::Overflow { what }));
+        let huge = (1 << 53) + 1;
+        assert_eq!(
+            PoolProblem::new(huge, 1, 8, 8, PoolParams::K2S2),
+            overflow("input")
+        );
+        assert_eq!(
+            PoolProblem::new(1, huge, 8, 8, PoolParams::K2S2),
+            overflow("input")
+        );
+        assert_eq!(
+            PoolProblem::new(1, 1, 1 << 32, 1 << 32, PoolParams::K2S2),
+            overflow("input")
+        );
+        // The input fits, the 9-tap mask does not.
+        let n = usize::MAX / (16 * 16 * 32 * 2);
+        assert!(PoolProblem::new(n, 1, 16, 16, PoolParams::K2S2).is_ok());
+        assert_eq!(
+            PoolProblem::new(n, 1, 16, 16, PoolParams::new((3, 3), (1, 1))),
+            overflow("mask")
+        );
+        let p = PoolProblem::new(n, 1, 16, 16, PoolParams::K2S2).unwrap();
+        assert_eq!(p.in_bytes(), n * 16 * 16 * 32);
+        assert_eq!(p.mask_bytes(), 4 * p.out_bytes());
     }
 }

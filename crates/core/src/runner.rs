@@ -1,12 +1,13 @@
 //! The high-level API: run pooling operators on a simulated chip.
 //!
-//! [`PoolingEngine`] owns a [`Chip`], lays out tensors in a global-memory
-//! image, lowers the requested implementation (once per operator, shape
-//! and configuration: lowerings are memoised), runs it, and returns the
-//! output tensors together with the chip's hardware counters — the f16
-//! results are what the tests compare bit-exactly against the golden
-//! references, and the cycle counts are what the benchmark harness plots
-//! against the paper's figures.
+//! [`PoolingEngine`] owns a [`Chip`], places tensors at global-memory
+//! offsets, lowers the requested implementation (once per operator, shape
+//! and configuration: lowerings are memoised), lends the caller's inputs
+//! and freshly zeroed result tensors to the chip in place, runs it, and
+//! returns those result tensors together with the chip's hardware
+//! counters — the f16 results are what the tests compare bit-exactly
+//! against the golden references, and the cycle counts are what the
+//! benchmark harness plots against the paper's figures.
 
 use crate::avgpool::avg_scale;
 use crate::maxpool::batched::per_plane_im2col_issues;
@@ -15,7 +16,7 @@ use crate::maxpool::{
     build_forward_batched, build_forward_parallel, build_forward_with_argmax_parallel,
     BackwardSource, Reduction,
 };
-use crate::problem::{ForwardImpl, LowerError, MergeImpl, PoolProblem};
+use crate::problem::{checked_product, ForwardImpl, LowerError, MergeImpl, PoolProblem};
 use crate::schedule::{
     chip_cycle_floor, choose_backward_algorithm, choose_backward_partition,
     choose_forward_algorithm, choose_partition, Algorithm, AlgorithmChoice, PartitionAxis,
@@ -25,7 +26,7 @@ use core::fmt;
 use dv_akg::GmArena;
 use dv_fp16::F16;
 use dv_isa::Program;
-use dv_sim::{Capacities, Chip, ChipRun, CostModel, GmDeclaration, MemoryModel, SimError};
+use dv_sim::{Capacities, Chip, ChipRun, CostModel, GmDeclaration, LentGm, MemoryModel, SimError};
 use dv_tensor::{Nc1hwc0, PatchTensor, PoolKind, PoolParams, ShapeError, C0};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -144,17 +145,22 @@ pub struct PoolingEngine {
     plans: PlanCache,
 }
 
-/// A lowered run, consumed by [`PoolingEngine::execute`]: the GM image
-/// size and the programs to dispatch, plus everything the run books
-/// afterwards. Pooling runs memoise it in the engine's [`PlanCache`].
+/// A lowered run, consumed by [`PoolingEngine::execute`]: the GM size,
+/// the programs to dispatch and their GM declarations, plus everything
+/// the run books afterwards. Pooling runs memoise it in the engine's
+/// [`PlanCache`].
 #[derive(Default)]
 struct Lowered {
-    /// Bytes of the GM image the programs address.
+    /// Bytes of the GM the programs address.
     gm_bytes: usize,
     programs: Vec<Program>,
-    /// Halo declarations of a sub-plane-sharded backward, folded back by
-    /// [`Chip::run_declared`].
-    halos: Option<Vec<GmDeclaration>>,
+    /// One declaration per program: the halo spans of a sub-plane-sharded
+    /// backward, folded back by [`Chip::run_lent`], and otherwise the
+    /// halo-free [`GmDeclaration::scan`].
+    declared: Vec<GmDeclaration>,
+    /// A sharded backward's halo staging region `(GM offset, bytes)`,
+    /// lent zeroed and writable on every run of the plan.
+    staging: Option<(usize, usize)>,
     /// Typed declines taken before `programs` lowered, booked as
     /// [`dv_sim::HwCounters::tuner_fallbacks`].
     fallbacks: u64,
@@ -256,6 +262,7 @@ impl fmt::Debug for PlanCache {
 impl From<Vec<Program>> for Lowered {
     fn from(programs: Vec<Program>) -> Self {
         Lowered {
+            declared: programs.iter().map(GmDeclaration::scan).collect(),
             programs,
             ..Lowered::default()
         }
@@ -430,36 +437,43 @@ impl PoolingEngine {
         })
     }
 
-    /// The one execute step: lay out the GM image with each input written
-    /// at its offset, run the programs (folding halo declarations back
-    /// when there are any), book the lowering's typed declines, and
-    /// certify the dispatched winner against each rejected alternative's
-    /// cycle floor. A floor the measured cycles exceed means the
-    /// predicted win cannot be certified — booked as a misprediction,
-    /// never silently dropped.
+    /// The one execute step: lend each input read-only and each result
+    /// tensor writable at its GM offset (plus a zeroed halo staging
+    /// buffer when the plan stages), run the programs, which merge their
+    /// results straight into the result tensors (folding halo
+    /// declarations back when there are any), book the lowering's typed
+    /// declines, and certify the dispatched winner against each rejected
+    /// alternative's cycle floor. A floor the measured cycles exceed
+    /// means the predicted win cannot be certified — booked as a
+    /// misprediction, never silently dropped. The caller zeroes the
+    /// result tensors: GM no region covers reads as zeros too.
     fn execute(
         &self,
         inputs: &[(usize, &[F16])],
+        results: Vec<(usize, &mut [F16])>,
         lowered: &Lowered,
-    ) -> Result<(Vec<u8>, PoolRun), RunError> {
-        let mut image = vec![0u8; lowered.gm_bytes];
+    ) -> Result<PoolRun, RunError> {
+        let mut staging = vec![0u8; lowered.staging.map_or(0, |(_, bytes)| bytes)];
+        let mut gm = LentGm::new(lowered.gm_bytes);
         for &(offset, data) in inputs {
-            let bytes = dv_fp16::as_bytes(data);
-            image[offset..offset + bytes.len()].copy_from_slice(bytes);
+            gm.lend(offset, dv_fp16::as_bytes(data))?;
         }
-        let mut run = match &lowered.halos {
-            Some(halos) => self
-                .chip
-                .run_declared(&mut image, &lowered.programs, halos)?,
-            None => self.chip.run(&mut image, &lowered.programs)?,
-        };
+        for (offset, data) in results {
+            gm.lend_mut(offset, dv_fp16::as_bytes_mut(data))?;
+        }
+        if let Some((offset, _)) = lowered.staging {
+            gm.lend_mut(offset, &mut staging)?;
+        }
+        let mut run = self
+            .chip
+            .run_lent(&mut gm, &lowered.programs, &lowered.declared)?;
         run.total.tuner_fallbacks += lowered.fallbacks;
         run.total.tuner_mispredicted += lowered
             .alt_floors
             .iter()
             .filter(|&&floor| floor < run.cycles)
             .count() as u64;
-        Ok((image, run))
+        Ok(run)
     }
 
     /// The partition axis this forward run shards over. With
@@ -593,9 +607,10 @@ impl PoolingEngine {
 
     /// The one forward path behind [`PoolingEngine::maxpool_forward`],
     /// [`PoolingEngine::maxpool_forward_with_argmax`] and
-    /// [`PoolingEngine::avgpool_forward`]: lay out input, output and —
-    /// when `with_mask` — the argmax mask in GM; lower through the tuner's
-    /// ranking, or else by the partition axis; execute; read back.
+    /// [`PoolingEngine::avgpool_forward`]: place input, output and — when
+    /// `with_mask` — the argmax mask in GM; lower through the tuner's
+    /// ranking, or else by the partition axis; execute into zeroed result
+    /// tensors.
     fn forward(
         &self,
         input: &Nc1hwc0,
@@ -666,10 +681,13 @@ impl PoolingEngine {
                 ..lowered
             })
         })?;
-        let (image, run) = self.execute(&[(gm.input, input.data())], &lowered)?;
         let (oh, ow) = prob.out_dims();
-        let out = read_tensor(&image, gm.out, (prob.n, prob.c1, oh, ow))?;
-        let mask = gm.mask.map(|m| read_mask(&image, m, &prob)).transpose()?;
+        let (kh, kw) = (prob.params.kh, prob.params.kw);
+        let mut out = Nc1hwc0::zeros(prob.n, prob.c1, oh, ow);
+        let mut mask = with_mask.then(|| PatchTensor::zeros(prob.n, prob.c1, kh, kw, oh, ow));
+        let mut results = vec![(gm.out, out.data_mut())];
+        results.extend(gm.mask.zip(mask.as_mut().map(PatchTensor::data_mut)));
+        let run = self.execute(&[(gm.input, input.data())], results, &lowered)?;
         Ok((out, mask, run))
     }
 
@@ -715,30 +733,32 @@ impl PoolingEngine {
     ) -> Result<Lowered, LowerError> {
         let (caps, sched) = (self.chip.caps, self.schedule());
         let shards = (self.chip.cores / (prob.n * prob.c1)).max(2);
-        let gm_staging = arena.alloc(backward_shard_staging_bytes(prob, shards));
+        let staging_bytes = backward_shard_staging_bytes(prob, shards);
+        let gm_staging = arena.alloc(staging_bytes);
         match build_backward_sharded(
             prob, merge, source, gm_grad, gm_dx, gm_staging, shards, caps, sched,
         ) {
-            Ok((programs, halos)) => Ok(Lowered {
+            Ok((programs, declared)) => Ok(Lowered {
                 programs,
-                halos: Some(halos),
+                declared,
+                staging: Some((gm_staging, staging_bytes)),
                 ..Lowered::default()
             }),
             // Typed decline: run the per-plane schedule the partitioner
             // compared against, and book the fallback.
             Err(_) => Ok(Lowered {
-                programs: build_backward(prob, merge, source, gm_grad, gm_dx, caps, sched)?,
                 fallbacks: 1,
-                ..Lowered::default()
+                ..build_backward(prob, merge, source, gm_grad, gm_dx, caps, sched)?.into()
             }),
         }
     }
 
     /// The one backward path behind [`PoolingEngine::maxpool_backward`]
     /// (`mask` given) and [`PoolingEngine::avgpool_backward`] (uniform
-    /// mask): lay out mask, gradients and `dx` in GM; lower through the
+    /// mask): place mask, gradients and `dx` in GM; lower through the
     /// tuner's ranking, else as sub-plane shards when the partitioner
-    /// predicts a win, else folded or per plane; execute; read `dx` back.
+    /// predicts a win, else folded or per plane; execute into a zeroed
+    /// `dx`.
     fn backward(
         &self,
         prob: &PoolProblem,
@@ -789,8 +809,8 @@ impl PoolingEngine {
             .into_iter()
             .chain([(gm_grad, gradients.data())])
             .collect();
-        let (image, run) = self.execute(&inputs, &lowered)?;
-        let dx = read_tensor(&image, gm_dx, (prob.n, prob.c1, prob.ih, prob.iw))?;
+        let mut dx = Nc1hwc0::zeros(prob.n, prob.c1, prob.ih, prob.iw);
+        let run = self.execute(&inputs, vec![(gm_dx, dx.data_mut())], &lowered)?;
         Ok((dx, run))
     }
 
@@ -814,7 +834,7 @@ impl PoolingEngine {
         impl_: ForwardImpl,
     ) -> Result<(Nc1hwc0, PatchTensor, PoolRun), RunError> {
         let (out, mask, run) = self.forward(input, params, impl_, PoolKind::Max, true)?;
-        // `forward` reads a mask back whenever it stores one.
+        // `forward` returns a mask whenever it stores one.
         let mask = mask.ok_or_else(|| ShapeError::Mismatch("no argmax mask was stored".into()))?;
         Ok((out, mask, run))
     }
@@ -833,8 +853,8 @@ impl PoolingEngine {
         let prob = PoolProblem::new(mask.n, mask.c1, ih, iw, params)?;
         let (oh, ow) = prob.out_dims();
         // The problem takes its planes from the mask: the gradients must
-        // carry the same planes and the mask the params' window, or the
-        // GM image is sized for one tensor and written from another.
+        // carry the same planes and the mask the params' window, or GM
+        // is sized for one tensor and another is lent in its place.
         let mask_shape = (mask.n, mask.c1, mask.kh, mask.kw, mask.oh, mask.ow);
         let grad_shape = (gradients.n, gradients.c1, gradients.h, gradients.w);
         if mask_shape != (mask.n, mask.c1, params.kh, params.kw, oh, ow)
@@ -860,8 +880,10 @@ impl PoolingEngine {
         use dv_akg::{dma, elementwise, UbArena};
         use dv_isa::{Addr, VectorOp};
 
-        let plane_bytes = input.h * input.w * C0 * 2;
-        check_len("input", input.data(), input.n * input.c1 * plane_bytes)?;
+        let overflow = || ShapeError::Overflow { what: "input" };
+        let plane_bytes = checked_product(&[input.h, input.w, C0 * 2]).ok_or_else(overflow)?;
+        let bytes = checked_product(&[input.n, input.c1, plane_bytes]).ok_or_else(overflow)?;
+        check_len("input", input.data(), bytes)?;
         let mut gm = GmArena::new();
         let gm_in = gm.alloc(input.byte_len());
         let gm_out = gm.alloc(input.byte_len());
@@ -895,9 +917,13 @@ impl PoolingEngine {
             gm_bytes: gm.size(),
             ..programs.into()
         };
-        let (image, run) = self.execute(&[(gm_in, input.data())], &lowered)?;
-        let mut out = read_tensor(&image, gm_out, (input.n, input.c1, input.h, input.w))?;
+        let mut out = Nc1hwc0::zeros(input.n, input.c1, input.h, input.w);
         out.orig_c = input.orig_c;
+        let run = self.execute(
+            &[(gm_in, input.data())],
+            vec![(gm_out, out.data_mut())],
+            &lowered,
+        )?;
         Ok((out, run))
     }
 
@@ -937,8 +963,8 @@ impl PoolingEngine {
 
 /// Refuse a tensor whose data length disagrees with the `bytes` its
 /// declared shape implies. The shape fields are public, so an edited
-/// shape would otherwise size a GM region for one tensor and write
-/// another into it.
+/// shape would otherwise size a GM region for one tensor and lend
+/// another in its place.
 fn check_len(what: &str, data: &[F16], bytes: usize) -> Result<(), ShapeError> {
     if data.len() * F16::SIZE_BYTES == bytes {
         return Ok(());
@@ -950,39 +976,53 @@ fn check_len(what: &str, data: &[F16], bytes: usize) -> Result<(), ShapeError> {
     )))
 }
 
-/// `len` f16 values from the GM image at `offset`. A region running past
-/// the image reads as empty, which the tensor constructors reject as a
-/// typed length mismatch.
-fn read_f16s(image: &[u8], offset: usize, len: usize) -> Vec<F16> {
-    match image.get(offset..offset + len * 2) {
-        Some(bytes) => bytes
-            .chunks_exact(2)
-            .map(|b| F16::from_bits(u16::from_le_bytes([b[0], b[1]])))
-            .collect(),
-        None => Vec::new(),
-    }
-}
-
-/// Read an `(N, C1, H, W, C0)` tensor from the GM image.
-fn read_tensor(
-    image: &[u8],
-    offset: usize,
-    (n, c1, h, w): (usize, usize, usize, usize),
-) -> Result<Nc1hwc0, ShapeError> {
-    Nc1hwc0::from_vec(n, c1, h, w, read_f16s(image, offset, n * c1 * h * w * C0))
-}
-
-/// Read the argmax mask `(N, C1, Kh, Kw, Oh, Ow, C0)` from the GM image.
-fn read_mask(image: &[u8], offset: usize, prob: &PoolProblem) -> Result<PatchTensor, ShapeError> {
-    let (oh, ow) = prob.out_dims();
-    let (kh, kw) = (prob.params.kh, prob.params.kw);
-    let data = read_f16s(image, offset, prob.n * prob.c1 * kh * kw * oh * ow * C0);
-    PatchTensor::from_vec(prob.n, prob.c1, kh, kw, oh, ow, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A tensor whose public `n` was edited so that its byte size wraps
+    /// `usize` (to the 2048 bytes of its real data, in release) fails
+    /// typed at every entry point, before any GM or result tensor is
+    /// sized from it.
+    #[test]
+    fn a_wrapping_shape_edit_fails_typed() {
+        let engine = PoolingEngine::new(Chip::new(2, CostModel::ascend910_like()));
+        let (p, huge) = (PoolParams::K2S2, (1 << 53) + 1);
+        let overflow = |r: Result<(), RunError>, what: &str| match r {
+            Err(RunError::Lower(LowerError::Shape(ShapeError::Overflow { what: "input" }))) => {}
+            other => panic!("{what}: expected a typed overflow, got {other:?}"),
+        };
+        let mut x = Nc1hwc0::zeros(1, 1, 8, 8);
+        x.n = huge;
+        let im2col = ForwardImpl::Im2col;
+        overflow(
+            engine.maxpool_forward(&x, p, im2col).map(drop),
+            "maxpool_forward",
+        );
+        overflow(
+            engine.maxpool_forward_with_argmax(&x, p, im2col).map(drop),
+            "maxpool_forward_with_argmax",
+        );
+        overflow(
+            engine.avgpool_forward(&x, p, im2col).map(drop),
+            "avgpool_forward",
+        );
+        overflow(engine.relu(&x).map(drop), "relu");
+        let mut mask = PatchTensor::zeros(1, 1, 2, 2, 4, 4);
+        mask.n = huge;
+        let mut grads = Nc1hwc0::zeros(1, 1, 4, 4);
+        for merge in [MergeImpl::VAdd, MergeImpl::Col2Im] {
+            let dx = engine.maxpool_backward(&mask, &grads, p, 8, 8, merge);
+            overflow(dx.map(drop), "maxpool_backward");
+        }
+        grads.n = huge;
+        overflow(
+            engine
+                .avgpool_backward(&grads, p, 8, 8, MergeImpl::Col2Im)
+                .map(drop),
+            "avgpool_backward",
+        );
+    }
 
     /// More distinct shapes than the plan cache holds: the cache never
     /// grows past its capacity, the oldest plan goes first, and the

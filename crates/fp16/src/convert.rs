@@ -12,10 +12,11 @@
 //! time, and runs the scalar functions otherwise and on the last
 //! `len % 8` lanes. This module holds every `unsafe` block and
 //! `#[target_feature]` function of the crate, the byte views
-//! [`as_bytes`] and [`from_bytes`] included. Its tests compare the two
-//! F16C conversions with the scalar functions on all 65,536 `f16` and
-//! all 2^32 `f32` bit patterns (on a CPU without F16C there is no second
-//! path to compare, and those two tests pass without checking).
+//! [`as_bytes`], [`as_bytes_mut`] and [`from_bytes`] included. Its tests
+//! compare the two F16C conversions with the scalar functions on all
+//! 65,536 `f16` and all 2^32 `f32` bit patterns (on a CPU without F16C
+//! there is no second path to compare, and those two tests pass without
+//! checking).
 
 use crate::F16;
 
@@ -176,6 +177,15 @@ pub fn as_bytes(slice: &[F16]) -> &[u8] {
     // SAFETY: F16 is repr(transparent) over u16 with alignment 2 and no
     // padding; any bit pattern is a valid F16.
     unsafe { core::slice::from_raw_parts(slice.as_ptr().cast::<u8>(), slice.len() * 2) }
+}
+
+/// Reinterpret a mutable slice of `F16` as raw little-endian bytes — how
+/// a caller lends a result tensor to the simulator's byte-addressed
+/// global memory, which then writes the results straight into it.
+pub fn as_bytes_mut(slice: &mut [F16]) -> &mut [u8] {
+    // SAFETY: as in `as_bytes`; the bytes borrow the slice mutably, and
+    // any bytes written form valid F16s.
+    unsafe { core::slice::from_raw_parts_mut(slice.as_mut_ptr().cast::<u8>(), slice.len() * 2) }
 }
 
 /// Reinterpret raw bytes as a slice of `F16`. Panics if the byte slice is

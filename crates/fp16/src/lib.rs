@@ -48,7 +48,7 @@
 mod convert;
 mod ops;
 
-pub use convert::{as_bytes, f16_bits_from_f32, f32_from_f16_bits, from_bytes};
+pub use convert::{as_bytes, as_bytes_mut, f16_bits_from_f32, f32_from_f16_bits, from_bytes};
 pub use ops::{add_slices, mul_slices, sub_slices};
 
 use core::fmt;
@@ -120,13 +120,6 @@ impl F16 {
     #[inline(always)]
     pub fn to_f32(self) -> f32 {
         f32_from_f16_bits(self.0)
-    }
-
-    /// Convert from `f64` (via `f32`; double rounding is harmless here
-    /// because the tests only use values representable in `f32`).
-    #[inline(always)]
-    pub fn from_f64(x: f64) -> Self {
-        Self::from_f32(x as f32)
     }
 
     /// Widen to `f64`.
@@ -378,6 +371,9 @@ mod tests {
         assert_eq!(back, &xs[..]);
         // little-endian check: 1.0 = 0x3C00 => bytes [0x00, 0x3C]
         assert_eq!(&bytes[0..2], &[0x00, 0x3C]);
+        let mut ys = xs.clone();
+        as_bytes_mut(&mut ys)[2..4].copy_from_slice(&[0x00, 0x3C]);
+        assert_eq!(ys, [F16::ONE, F16::ONE, F16::NAN, F16(0x1234)]);
     }
 
     #[test]

@@ -151,17 +151,6 @@ impl Im2ColGeometry {
         Ok(p * ow + q)
     }
 
-    /// The inverse of [`Self::patch_index_of_xy`]: the image coordinates
-    /// of a patch's top-left corner (negative inside the padding border).
-    pub fn xy_of_patch_index(&self, patch: usize) -> (isize, isize) {
-        let (_, ow) = self.out_dims();
-        let (p, q) = (patch / ow, patch % ow);
-        (
-            (p * self.params.sh) as isize - self.params.padding.top as isize,
-            (q * self.params.sw) as isize - self.params.padding.left as isize,
-        )
-    }
-
     /// Resolve patch linear index -> the input-coordinate `(h, w)` of the
     /// element at kernel offset `(xk, yk)`, or `None` when it falls into
     /// the padding border. Patch indices at or beyond
@@ -656,8 +645,12 @@ mod tests {
         assert_eq!(g.patch_index_of_xy(2, 0), Ok(4));
         assert_eq!(g.patch_index_of_xy(6, 6), Ok(15));
         for p in 0..g.patch_count() {
-            let (x, y) = g.xy_of_patch_index(p);
-            assert_eq!(g.patch_index_of_xy(x, y), Ok(p), "patch {p}");
+            let (x, y) = (p / 4 * 2, p % 4 * 2);
+            assert_eq!(
+                g.patch_index_of_xy(x as isize, y as isize),
+                Ok(p),
+                "patch {p}"
+            );
         }
         // off-grid and out-of-range positions are rejected
         assert!(g.patch_index_of_xy(1, 0).is_err());
@@ -672,7 +665,6 @@ mod tests {
         let params = PoolParams::with_padding((3, 3), (2, 2), Padding::uniform(1));
         let g = Im2ColGeometry::new(5, 5, 1, params).unwrap();
         // the first patch starts in the padding border
-        assert_eq!(g.xy_of_patch_index(0), (-1, -1));
         assert_eq!(g.patch_index_of_xy(-1, -1), Ok(0));
         assert_eq!(g.patch_index_of_xy(1, -1), Ok(g.out_dims().1));
         assert!(g.patch_index_of_xy(-2, 0).is_err());

@@ -366,6 +366,34 @@ fn edited_shape_job_fails_typed_and_the_next_job_completes() {
     assert_eq!(got.output, run_job(1, &good_spec).expect("runs").output);
 }
 
+/// A job whose edited `n` makes a tensor's byte size wrap `usize` fails
+/// typed, forward and backward, instead of sizing GM and its results
+/// from the wrapped value.
+#[test]
+fn wrapping_shape_job_fails_typed() {
+    use dv_core::{LowerError, RunError};
+    use dv_tensor::{PatchTensor, ShapeError};
+    let huge = (1 << 53) + 1;
+    let mut x = input(1, 1, 8, 8, 100);
+    x.n = huge;
+    let mut mask = PatchTensor::zeros(1, 1, 2, 2, 4, 4);
+    mask.n = huge;
+    let ops = [
+        JobOp::MaxForward(ForwardImpl::Im2col),
+        JobOp::MaxBackward {
+            merge: MergeImpl::Col2Im,
+            mask,
+            gradients: input(1, 1, 4, 4, 101),
+        },
+    ];
+    for op in ops {
+        match run_job(7, &JobSpec::new(x.clone(), PoolParams::K2S2, op)) {
+            Err(RunError::Lower(LowerError::Shape(ShapeError::Overflow { what: "input" }))) => {}
+            other => panic!("expected a typed overflow, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn shutdown_drains_queued_jobs() {
     let server = Server::new(1);

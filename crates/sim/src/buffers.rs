@@ -16,6 +16,7 @@ use dv_fp16::F16;
 use dv_isa::BufferId;
 
 use crate::cost::Capacities;
+use crate::gm::{GmPages, GmView, LentGm};
 
 /// Simulation errors.
 #[derive(Clone, Debug, PartialEq)]
@@ -97,6 +98,34 @@ pub enum SimError {
         /// what is wrong with it
         reason: &'static str,
     },
+    /// A region lent to a run's GM ([`crate::LentGm`]) overlaps one lent
+    /// before it.
+    GmRegionOverlap {
+        /// the region already lent, `[start, end)`
+        lent: (usize, usize),
+        /// the overlapping new region, `[start, end)`
+        new: (usize, usize),
+    },
+    /// A program declares a GM write span (finalized, halo staging or
+    /// halo destination) that the writable regions lent to the run do
+    /// not cover, so its bytes would have nowhere to land. Caught before
+    /// any core executes.
+    UnlentGmWrite {
+        /// offending program index
+        program: usize,
+        /// which declared span: "finalized", "halo src" or "halo dst"
+        kind: &'static str,
+        /// the span `[start, end)` in GM bytes
+        span: (usize, usize),
+    },
+    /// The host thread simulating a core panicked (a simulator bug); the
+    /// panic is caught and ends the run as this error.
+    HostPanic {
+        /// the simulated core the host thread was running
+        core: usize,
+        /// the panic's message
+        message: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -157,6 +186,25 @@ impl fmt::Display for SimError {
                     "program {program} declared a malformed halo span: {reason}"
                 )
             }
+            SimError::GmRegionOverlap { lent, new } => write!(
+                f,
+                "GM region [{:#x},{:#x}) overlaps the region [{:#x},{:#x}) lent before it",
+                new.0, new.1, lent.0, lent.1
+            ),
+            SimError::UnlentGmWrite {
+                program,
+                kind,
+                span,
+            } => write!(
+                f,
+                "program {program} declares a {kind} GM write [{:#x},{:#x}) that no \
+                 writable lent region covers",
+                span.0, span.1
+            ),
+            SimError::HostPanic { core, message } => write!(
+                f,
+                "the host thread simulating core {core} panicked: {message}"
+            ),
         }
     }
 }
@@ -223,120 +271,6 @@ impl BufferPeaks {
     }
 }
 
-/// Bytes per copy-on-write page of a core's GM view.
-const GM_PAGE: usize = 4096;
-
-/// What an unwritten page of a GM view without a shared image reads as.
-static ZERO_PAGE: [u8; GM_PAGE] = [0; GM_PAGE];
-
-/// One core's view of global memory: a shared, read-only image plus the
-/// pages this core has written, which it reads back through. Every core
-/// of a chip run borrows the caller's one image; a standalone core's
-/// image is empty and its unwritten pages read as zeros.
-#[derive(Clone, Debug)]
-struct GmView<'g> {
-    /// The shared image: empty, or exactly `len` bytes.
-    base: &'g [u8],
-    len: usize,
-    /// Written pages by page number, each a private copy of its base
-    /// page taken on the first write.
-    pages: Vec<Option<Box<[u8]>>>,
-    /// Numbers of the `Some` entries of `pages`.
-    dirty: Vec<usize>,
-}
-
-impl<'g> GmView<'g> {
-    fn new(base: &'g [u8], len: usize) -> GmView<'g> {
-        GmView {
-            base,
-            len,
-            pages: vec![None; len.div_ceil(GM_PAGE)],
-            dirty: Vec::new(),
-        }
-    }
-
-    /// The current bytes of page `p`.
-    fn page(&self, p: usize) -> &[u8] {
-        let (start, end) = (p * GM_PAGE, ((p + 1) * GM_PAGE).min(self.len));
-        match &self.pages[p] {
-            Some(page) => page,
-            None if self.base.is_empty() => &ZERO_PAGE[..end - start],
-            None => &self.base[start..end],
-        }
-    }
-
-    /// Page `p`, copied out of the base on its first write.
-    fn page_mut(&mut self, p: usize) -> &mut [u8] {
-        if self.pages[p].is_none() {
-            self.pages[p] = Some(self.page(p).into());
-            self.dirty.push(p);
-        }
-        self.pages[p].as_deref_mut().expect("materialised above")
-    }
-
-    /// Copy `[off, off + out.len())` into `out` (range pre-checked).
-    fn read(&self, off: usize, out: &mut [u8]) {
-        for (p, at, done, n) in page_pieces(off, out.len()) {
-            out[done..done + n].copy_from_slice(&self.page(p)[at..at + n]);
-        }
-    }
-
-    /// Copy `data` to `[off, off + data.len())` (range pre-checked).
-    fn write(&mut self, off: usize, data: &[u8]) {
-        for (p, at, done, n) in page_pieces(off, data.len()) {
-            self.page_mut(p)[at..at + n].copy_from_slice(&data[done..done + n]);
-        }
-    }
-
-    /// Move the written pages out, leaving the view equal to its image.
-    fn take_pages(&mut self) -> GmPages {
-        let mut pages: Vec<(usize, Box<[u8]>)> = self
-            .dirty
-            .drain(..)
-            .map(|p| (p, self.pages[p].take().expect("dirty pages are written")))
-            .collect();
-        pages.sort_unstable_by_key(|&(p, _)| p);
-        GmPages { pages }
-    }
-}
-
-/// The GM pages one core wrote, taken out of its view so the chip can
-/// merge the observed write spans back after every core has finished.
-#[derive(Debug)]
-pub(crate) struct GmPages {
-    /// `(page number, bytes)`, sorted by page number.
-    pages: Vec<(usize, Box<[u8]>)>,
-}
-
-impl GmPages {
-    /// Copy `gm[start..end)` from these pages. Every byte of the span
-    /// must have been written (execution-observed write spans are).
-    pub(crate) fn copy_span_into(&self, gm: &mut [u8], start: usize, end: usize) {
-        for (p, at, done, n) in page_pieces(start, end - start) {
-            let i = self
-                .pages
-                .binary_search_by_key(&p, |&(q, _)| q)
-                .expect("an observed GM write materialised its page");
-            gm[start + done..start + done + n].copy_from_slice(&self.pages[i].1[at..at + n]);
-        }
-    }
-}
-
-/// Split the GM span `[off, off + len)` at page boundaries into pieces
-/// `(page number, offset in the page, offset in the span, length)`.
-fn page_pieces(off: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
-    let mut done = 0;
-    std::iter::from_fn(move || {
-        (done < len).then(|| {
-            let at = off + done;
-            let n = (GM_PAGE - at % GM_PAGE).min(len - done);
-            let piece = (at / GM_PAGE, at % GM_PAGE, done, n);
-            done += n;
-            piece
-        })
-    })
-}
-
 /// Index of a scratchpad in [`BufferSet`]'s array (`None` for GM).
 fn scratch_slot(id: BufferId) -> Option<usize> {
     peak_index(id).checked_sub(1)
@@ -356,16 +290,15 @@ impl BufferSet<'static> {
     /// Allocate scratchpads at the given capacities plus a private
     /// `gm_bytes`-byte global memory. All memories are zero-initialised.
     pub fn new(caps: Capacities, gm_bytes: usize) -> BufferSet<'static> {
-        BufferSet::on_gm(caps, &[], gm_bytes)
+        BufferSet::on_gm(caps, GmView::zeros(gm_bytes))
     }
 }
 
 impl<'g> BufferSet<'g> {
-    /// Scratchpads at `caps` over a GM view of `len` bytes reading
-    /// `base` (empty: all zeros).
-    fn on_gm(caps: Capacities, base: &'g [u8], len: usize) -> BufferSet<'g> {
+    /// Scratchpads at `caps` over the GM view `gm`.
+    fn on_gm(caps: Capacities, gm: GmView<'g>) -> BufferSet<'g> {
         BufferSet {
-            gm: GmView::new(base, len),
+            gm,
             scratch: [
                 vec![0; caps.l1],
                 vec![0; caps.l0a],
@@ -377,10 +310,10 @@ impl<'g> BufferSet<'g> {
         }
     }
 
-    /// Scratchpads at `caps` over a view of the shared image `gm`: reads
-    /// see `gm` until this set writes a page, writes never reach it.
-    pub(crate) fn shared(caps: Capacities, gm: &'g [u8]) -> BufferSet<'g> {
-        BufferSet::on_gm(caps, gm, gm.len())
+    /// Scratchpads at `caps` over a view of the run's lent GM: reads see
+    /// `gm` until this set writes a page, writes never reach it.
+    pub(crate) fn lent(caps: Capacities, gm: &'g LentGm<'g>) -> BufferSet<'g> {
+        BufferSet::on_gm(caps, GmView::of(gm))
     }
 
     /// Return to the state of a freshly built set over the same image:
@@ -408,7 +341,7 @@ impl<'g> BufferSet<'g> {
     pub fn capacity(&self, id: BufferId) -> usize {
         match scratch_slot(id) {
             Some(s) => self.scratch[s].len(),
-            None => self.gm.len,
+            None => self.gm.len(),
         }
     }
 
@@ -741,6 +674,53 @@ mod tests {
         assert_eq!(merged.of(BufferId::Ub), 100);
         assert_eq!(merged.of(BufferId::L1), 28);
         assert_eq!(merged.iter().count(), 6);
+    }
+
+    /// The public GM-to-GM copy over lent regions reads and writes like
+    /// the same copy over one flat image: from a read-only input, across
+    /// an alignment gap, onto a page the input and a writable output
+    /// share, and merged back into the output alone.
+    #[test]
+    fn gm_to_gm_copy_over_lent_regions_matches_a_flat_image() {
+        let caps = Capacities {
+            l1: 128,
+            l0a: 64,
+            l0b: 64,
+            l0c: 64,
+            ub: 128,
+        };
+        let input: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8).collect();
+        let out_at = 6016;
+        let mut flat = vec![0u8; 16384];
+        flat[..6000].copy_from_slice(&input);
+        flat[out_at..out_at + 2048].fill(0x5A);
+        let mut out = vec![0x5Au8; 2048];
+        let mut flat_copy = flat.clone();
+        {
+            let mut lent = LentGm::new(flat.len());
+            lent.lend(0, &input).unwrap();
+            lent.lend_mut(out_at, &mut out).unwrap();
+            let mut whole = LentGm::whole(&mut flat_copy);
+            let (mut a, mut b) = (BufferSet::lent(caps, &lent), BufferSet::lent(caps, &whole));
+            for set in [&mut a, &mut b] {
+                // 5900..6100 spans the input's tail, the gap and the output.
+                set.copy(BufferId::Gm, 5900, BufferId::Gm, out_at + 100, 200)
+                    .unwrap();
+                set.copy(BufferId::Gm, 16, BufferId::Gm, out_at + 1000, 1000)
+                    .unwrap();
+            }
+            assert_eq!(a.bytes(BufferId::Gm), b.bytes(BufferId::Gm));
+            assert_eq!(a.peaks(), b.peaks());
+            let (pa, pb) = (a.take_gm_pages(), b.take_gm_pages());
+            for (start, end) in [(out_at + 100, out_at + 300), (out_at + 1000, out_at + 2000)] {
+                pa.copy_span_into(&mut lent, start, end);
+                pb.copy_span_into(&mut whole, start, end);
+            }
+        }
+        assert_eq!(out, flat_copy[out_at..out_at + 2048]);
+        assert_eq!(flat_copy[..out_at], flat[..out_at], "only the output moved");
+        assert_eq!(out[100..200], input[5900..6000]);
+        assert_eq!(out[200..216], [0; 16], "the gap reads as zeros");
     }
 
     #[test]

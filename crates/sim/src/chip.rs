@@ -10,23 +10,32 @@
 //! core's MTE streams lose to L2/HBM contention (see
 //! [`crate::contention`]).
 //!
-//! Concurrency model: every core reads the caller's one global-memory
-//! image through a shared borrow and writes into copy-on-write pages of
-//! its own, which it also reads back through (real cores share GM, but
-//! our kernels never communicate through GM mid-run: a program sees its
-//! own core's earlier writes, never another core's). The active cores run
-//! on `min(active cores, available_parallelism())` scoped host threads
-//! under [`Backend::Threaded`] and on the calling thread otherwise; each
-//! host thread reuses one scratchpad set, re-zeroed up to its high-water
-//! marks between simulated cores. After all cores join, the byte ranges
-//! each program was observed writing are copied from its core's pages
-//! into GM. Two safety nets guard the merge:
+//! Concurrency model: a run's global memory is a [`LentGm`], the same
+//! `len`-byte address space as a flat image made of regions the caller
+//! lends at fixed offsets — read-only inputs, writable results — and
+//! zeros elsewhere, so the chip reads the caller's tensors in place
+//! ([`Chip::run_lent`]; [`Chip::run`] and [`Chip::run_declared`] lend one
+//! flat image whole). Every core reads the regions through a shared
+//! borrow and writes into copy-on-write pages of its own, which it also
+//! reads back through (real cores share GM, but our kernels never
+//! communicate through GM mid-run: a program sees its own core's earlier
+//! writes, never another core's). The active cores run on
+//! `min(active cores, available_parallelism())` scoped host threads under
+//! [`Backend::Threaded`] and on the calling thread otherwise; each host
+//! thread reuses one scratchpad set, re-zeroed up to its high-water marks
+//! between simulated cores, and a panic on any host thread ends the run
+//! as [`SimError::HostPanic`]. After all cores join, the byte ranges each
+//! program was observed writing are copied from its core's pages into
+//! the writable regions. Three safety nets guard the merge:
 //!
 //! 1. **Pre-flight disjointness.** Each program's *declared* GM output
 //!    ranges (its `Move`-to-GM instructions) are checked pairwise-disjoint
 //!    across programs with an active-end sweep — overlapping writes from
 //!    different cores are a lowering bug ([`SimError::GmOverlap`]).
-//! 2. **Execution cross-check.** The write spans each core *actually
+//! 2. **Pre-flight coverage.** Every declared write span inside GM must
+//!    lie in writable lent regions ([`SimError::UnlentGmWrite`]
+//!    otherwise), so no merged byte can land in an input or in nothing.
+//! 3. **Execution cross-check.** The write spans each core *actually
 //!    observed* (from `ExecInfo`) are verified to fall inside the
 //!    program's declared ranges ([`SimError::UndeclaredGmWrite`]
 //!    otherwise), and the merge-back copies exactly the observed spans —
@@ -42,26 +51,28 @@
 //! the strided destination region it must be *combined* into. Staging
 //! strips join the disjointness check and the execution cross-check like
 //! finalized spans; destinations may overlap other programs' finalized
-//! rows (that is the point). After every core joins and all observed
-//! writes are copied back, the halo spans of **all** programs are folded
-//! into GM one at a time in ascending `(seq, program, span)` order — a
-//! pinned global accumulation order, so the lowering can reproduce a
-//! reference summation exactly (f16 addition is commutative but not
+//! rows (that is the point); both ends must be lent writable. After every
+//! core joins and all observed writes are copied back, the halo spans of
+//! **all** programs are folded into GM one at a time in ascending
+//! `(seq, program, span)` order — a pinned global accumulation order, so
+//! the lowering can reproduce a reference summation exactly (f16 addition is commutative but not
 //! associative; the fold applies one binary op per element per span). The
 //! fold itself is host-side bookkeeping outside simulated time, the same
 //! fiction as the copy merge-back; the staging traffic that feeds it was
 //! paid for by the real `Move` instructions that wrote the strips.
 
-use crate::buffers::{BufferPeaks, GmPages, SimError};
+use crate::buffers::{BufferPeaks, SimError};
 use crate::contention::{contention_stalls, l2_hit_lines};
 pub use crate::contention::{L2Model, MemoryModel};
 use crate::core::AiCore;
 use crate::cost::{Backend, Capacities, CostModel};
 use crate::counters::HwCounters;
+use crate::gm::{GmPages, LentGm};
 use crate::lifetimes::BufferLifetimes;
 use crate::trace::{Trace, TraceConfig};
 use dv_fp16::F16;
 use dv_isa::{BufferId, Instr, Program};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// How a halo span's staged bytes combine into their destination: f16
 /// `dst += src` element-wise, or f16 `dst = max(dst, src)` (the
@@ -139,13 +150,19 @@ pub struct GmDeclaration {
 }
 
 impl GmDeclaration {
-    /// A halo-free declaration — what [`Chip::run`] derives for every
-    /// program from its static GM-write scan.
+    /// A halo-free declaration.
     pub fn plain(finalized: Vec<(usize, usize)>) -> GmDeclaration {
         GmDeclaration {
             finalized,
             halos: Vec::new(),
         }
+    }
+
+    /// What [`Chip::run`] derives for every program from its static
+    /// GM-write scan: a halo-free declaration of the ranges the program's
+    /// `Move`s to GM write.
+    pub fn scan(program: &Program) -> GmDeclaration {
+        GmDeclaration::plain(gm_write_ranges(program))
     }
 
     /// Every GM range this program claims to *write* (finalized spans
@@ -210,21 +227,51 @@ fn validate_halos(declared: &[GmDeclaration], gm_len: usize) -> Result<(), SimEr
     Ok(())
 }
 
+/// Pre-flight coverage: refuse a declared write span — finalized, halo
+/// staging or halo destination — that `gm`'s writable regions do not
+/// cover, before any core executes. Bytes past the end of GM are left to
+/// the moves that would touch them, which fail as out of bounds exactly
+/// as on a flat image.
+fn check_lent(declared: &[GmDeclaration], gm: &LentGm<'_>) -> Result<(), SimError> {
+    for (pi, d) in declared.iter().enumerate() {
+        let finalized = d
+            .finalized
+            .iter()
+            .map(|&(off, len)| ("finalized", (off, off + len)));
+        let halos = d
+            .halos
+            .iter()
+            .flat_map(|h| [("halo src", h.src_span()), ("halo dst", h.dst_span())]);
+        for (kind, (start, end)) in finalized.chain(halos) {
+            if !gm.writable_covers(start, end.min(gm.len())) {
+                return Err(SimError::UnlentGmWrite {
+                    program: pi,
+                    kind,
+                    span: (start, end),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Fold one halo span into global memory (host-side, after all cores
 /// join): one binary f16 op per element, block by block.
-fn apply_halo(gm: &mut [u8], h: &HaloSpan) {
+fn apply_halo(gm: &mut LentGm<'_>, h: &HaloSpan) {
+    let (mut src, mut dst) = (vec![0; h.block_bytes], vec![0; h.block_bytes]);
     for b in 0..h.blocks {
-        let src = h.src + b * h.src_stride;
-        let dst = h.dst + b * h.dst_stride;
-        for i in (0..h.block_bytes).step_by(2) {
-            let s = F16::from_bits(u16::from_le_bytes([gm[src + i], gm[src + i + 1]]));
-            let d = F16::from_bits(u16::from_le_bytes([gm[dst + i], gm[dst + i + 1]]));
+        gm.read(h.src + b * h.src_stride, &mut src);
+        gm.read(h.dst + b * h.dst_stride, &mut dst);
+        for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
+            let s = F16::from_bits(u16::from_le_bytes([s[0], s[1]]));
+            let v = F16::from_bits(u16::from_le_bytes([d[0], d[1]]));
             let r = match h.op {
-                HaloOp::Add => d + s,
-                HaloOp::Max => d.max(s),
+                HaloOp::Add => v + s,
+                HaloOp::Max => v.max(s),
             };
-            gm[dst + i..dst + i + 2].copy_from_slice(&r.to_bits().to_le_bytes());
+            d.copy_from_slice(&r.to_bits().to_le_bytes());
         }
+        gm.write(h.dst + b * h.dst_stride, &dst);
     }
 }
 
@@ -331,28 +378,40 @@ impl Chip {
     }
 
     /// Execute `programs` (one per tile) over the cores, reading and
-    /// updating the global-memory image `gm` in place.
+    /// updating the global-memory image `gm` in place (lent whole and
+    /// writable, see [`Chip::run_lent`]).
     pub fn run(&self, gm: &mut [u8], programs: &[Program]) -> Result<ChipRun, SimError> {
         // Recover each program's declared GM output ranges up front —
         // halo-free, so disjointness is exactly the legacy invariant.
-        let declared: Vec<GmDeclaration> = programs
-            .iter()
-            .map(|p| GmDeclaration::plain(gm_write_ranges(p)))
-            .collect();
+        let declared: Vec<GmDeclaration> = programs.iter().map(GmDeclaration::scan).collect();
         self.run_declared(gm, programs, &declared)
     }
 
     /// [`Chip::run`] with explicit per-program [`GmDeclaration`]s — the
     /// entry point for lowerings whose shards overlap on purpose
-    /// (sub-plane backward row bands). `declared[j]` governs program `j`:
-    /// its finalized spans and halo staging strips must be disjoint from
-    /// every other program's ([`SimError::GmOverlap`]), execution-observed
-    /// writes must stay inside them ([`SimError::UndeclaredGmWrite`]), and
-    /// after the copy merge-back every halo span folds into GM in
-    /// ascending `(seq, program, span)` order.
+    /// (sub-plane backward row bands); see [`Chip::run_lent`].
     pub fn run_declared(
         &self,
         gm: &mut [u8],
+        programs: &[Program],
+        declared: &[GmDeclaration],
+    ) -> Result<ChipRun, SimError> {
+        self.run_lent(&mut LentGm::whole(gm), programs, declared)
+    }
+
+    /// Execute `programs` over the cores on the regions lent in `gm`,
+    /// merging their results into its writable regions. `declared[j]`
+    /// governs program `j` ([`GmDeclaration::scan`] derives the halo-free
+    /// one): its finalized spans and halo staging strips must be disjoint
+    /// from every other program's ([`SimError::GmOverlap`]), every
+    /// declared write span must lie in writable regions
+    /// ([`SimError::UnlentGmWrite`]), execution-observed writes must stay
+    /// inside the declaration ([`SimError::UndeclaredGmWrite`]), and after
+    /// the copy merge-back every halo span folds into GM in ascending
+    /// `(seq, program, span)` order.
+    pub fn run_lent(
+        &self,
+        gm: &mut LentGm<'_>,
         programs: &[Program],
         declared: &[GmDeclaration],
     ) -> Result<ChipRun, SimError> {
@@ -365,16 +424,16 @@ impl Chip {
         let claimed: Vec<Vec<(usize, usize)>> =
             declared.iter().map(GmDeclaration::claimed).collect();
         check_disjoint(&claimed)?;
+        check_lent(declared, gm)?;
         self.run_with_declared(gm, programs, &claimed, declared)
     }
 
-    /// The body of [`Chip::run_declared`] with the claimed merge-back
-    /// ranges made explicit. Split out so tests can feed a claim list
-    /// that disagrees with what execution does and watch the cross-check
-    /// fire.
+    /// The body of [`Chip::run_lent`] with the claimed merge-back ranges
+    /// made explicit. Split out so tests can feed a claim list that
+    /// disagrees with what execution does and watch the cross-check fire.
     fn run_with_declared(
         &self,
-        gm: &mut [u8],
+        gm: &mut LentGm<'_>,
         programs: &[Program],
         declared: &[Vec<(usize, usize)>],
         halo_decls: &[GmDeclaration],
@@ -444,28 +503,6 @@ impl Chip {
             })
         };
 
-        // Host thread `t` of `hosts` runs simulated cores `t`, `t + hosts`,
-        // ... on one reused scratchpad set, stopping at its first failure
-        // (no later core of its own can be the lowest failing one).
-        let gm_ref: &[u8] = gm;
-        let run_host = |first: usize, hosts: usize| {
-            let mut core = AiCore::on_shared_gm(self.cost, self.caps, gm_ref);
-            core.set_trace(self.trace);
-            let mut out = Vec::new();
-            for (k, core_id) in (first..active).step_by(hosts).enumerate() {
-                if k > 0 {
-                    core.recycle();
-                }
-                let result = run_core(&mut core, core_id);
-                let failed = result.is_err();
-                out.push((core_id, result));
-                if failed {
-                    break;
-                }
-            }
-            out
-        };
-
         // `Threaded` spreads the active cores over as many host threads
         // as the host has cores, the calling thread included; the other
         // backends run them all on the calling thread. Either way the
@@ -478,22 +515,25 @@ impl Chip {
             }
             Backend::Scalar | Backend::Sliced => 1,
         };
-        let mut results = std::thread::scope(|s| {
-            let run_host = &run_host;
-            let handles: Vec<_> = (1..hosts)
-                .map(|t| s.spawn(move || run_host(t, hosts)))
-                .collect();
-            let mut all = run_host(0, hosts);
-            for h in handles {
-                all.extend(h.join().expect("host thread panicked"));
+        // Host thread `t` runs simulated cores `t`, `t + hosts`, ... on
+        // one reused scratchpad set, stopping at its first failure (no
+        // later core of its own can be the lowest failing one).
+        let gm_ref: &LentGm<'_> = gm;
+        let mut active = fan_out(hosts, |first, out| {
+            let mut core = AiCore::on_lent_gm(self.cost, self.caps, gm_ref);
+            core.set_trace(self.trace);
+            for (k, core_id) in (first..active).step_by(hosts).enumerate() {
+                if k > 0 {
+                    core.recycle();
+                }
+                let result = run_core(&mut core, core_id);
+                let failed = result.is_err();
+                out.push((core_id, result));
+                if failed {
+                    break;
+                }
             }
-            all
-        });
-        results.sort_unstable_by_key(|&(core_id, _)| core_id);
-        let mut active: Vec<CoreResult> = results
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect::<Result<_, _>>()?;
+        })?;
 
         // Memory-hierarchy stage: book the completion time each core's
         // MTE streams lose to the shared L2/HBM path. Independent cores
@@ -591,6 +631,53 @@ impl Chip {
             lifetimes,
         })
     }
+}
+
+/// Results of simulated cores, each tagged with its core id.
+type CoreResults<T> = Vec<(usize, Result<T, SimError>)>;
+
+/// Run one share of simulated cores on each of `hosts` host threads, the
+/// calling thread included. `share(t, out)` runs host thread `t`'s
+/// cores `t`, `t + hosts`, ... in order, pushing each core's result to
+/// `out` and stopping after its first failure. A share that panics is
+/// caught (as `dv-serve` catches a panicking job) and ends as a typed
+/// [`SimError::HostPanic`] for the core it was on: the one after its
+/// last pushed result. Returns every core's result in core order, or
+/// the lowest failing core's error — the same on every host.
+fn fan_out<T: Send>(
+    hosts: usize,
+    share: impl Fn(usize, &mut CoreResults<T>) + Sync,
+) -> Result<Vec<T>, SimError> {
+    let run_share = |t: usize| {
+        let mut out = Vec::new();
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| share(t, &mut out))) {
+            let core = out.last().map_or(t, |&(c, _)| c + hosts);
+            let message = panic_message(payload.as_ref());
+            out.push((core, Err(SimError::HostPanic { core, message })));
+        }
+        out
+    };
+    let mut results = std::thread::scope(|s| {
+        let run_share = &run_share;
+        let handles: Vec<_> = (1..hosts).map(|t| s.spawn(move || run_share(t))).collect();
+        let mut all = run_share(0);
+        for h in handles {
+            // `run_share` catches every panic of its share.
+            all.extend(h.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+        all
+    });
+    results.sort_unstable_by_key(|&(core, _)| core);
+    results.into_iter().map(|(_, r)| r).collect()
+}
+
+/// The message a panic was raised with.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|msg| msg.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a panic without a message".to_string())
 }
 
 /// The byte ranges a program declares it will write to global memory (its
@@ -867,7 +954,7 @@ mod tests {
         let chip = Chip::new(1, CostModel::ascend910_like());
         let no_halos = vec![GmDeclaration::default()];
         let declared = vec![vec![(1024, 128)]];
-        match chip.run_with_declared(&mut gm, &programs, &declared, &no_halos) {
+        match chip.run_with_declared(&mut LentGm::whole(&mut gm), &programs, &declared, &no_halos) {
             Err(SimError::UndeclaredGmWrite { program, observed }) => {
                 assert_eq!(program, 0);
                 assert_eq!(observed, (1024, 1280));
@@ -876,7 +963,7 @@ mod tests {
         }
         // The honest declaration passes and merges the bytes back.
         let declared = vec![vec![(1024, 256)]];
-        chip.run_with_declared(&mut gm, &programs, &declared, &no_halos)
+        chip.run_with_declared(&mut LentGm::whole(&mut gm), &programs, &declared, &no_halos)
             .unwrap();
         let out = dv_fp16::from_bytes(&gm[1024..1280]);
         assert!(out.iter().all(|v| v.to_f32() == 2.0));
@@ -1049,6 +1136,63 @@ mod tests {
                 assert_eq!(err, want, "{backend}, failing cores {bad:?}");
             }
         }
+    }
+
+    /// A host thread that panics ends the run as a typed error carrying
+    /// the message, attributed to the core it was on, whether the panic
+    /// is on the calling thread or a spawned one; the lowest failing
+    /// core's error still wins, panic or not.
+    #[test]
+    fn a_panicking_host_thread_is_a_typed_error() {
+        let out_of_bounds = SimError::OutOfBounds {
+            buffer: BufferId::Gm,
+            offset: 0,
+            len: 1,
+            capacity: 0,
+        };
+        // Cores 0..6; `panics` raises on its core, `fails` errs on its.
+        let drive = |hosts: usize, panics: usize, fails: usize| {
+            fan_out(hosts, |first, out: &mut CoreResults<usize>| {
+                for core in (first..6).step_by(hosts) {
+                    if core == panics {
+                        panic!("core {core} exploded");
+                    }
+                    let failed = core == fails;
+                    out.push((
+                        core,
+                        if failed {
+                            Err(out_of_bounds.clone())
+                        } else {
+                            Ok(core)
+                        },
+                    ));
+                    if failed {
+                        break;
+                    }
+                }
+            })
+        };
+        for hosts in 1..=4 {
+            let panic_on = |core: usize| SimError::HostPanic {
+                core,
+                message: format!("core {core} exploded"),
+            };
+            assert_eq!(drive(hosts, 4, 9), Err(panic_on(4)), "{hosts} hosts");
+            assert_eq!(drive(hosts, 0, 9), Err(panic_on(0)), "{hosts} hosts");
+            assert_eq!(
+                drive(hosts, 3, 2),
+                Err(out_of_bounds.clone()),
+                "{hosts} hosts"
+            );
+            assert_eq!(drive(hosts, 1, 5), Err(panic_on(1)), "{hosts} hosts");
+            assert_eq!(drive(hosts, 9, 9), Ok((0..6).collect()), "{hosts} hosts");
+        }
+        let msg = SimError::HostPanic {
+            core: 4,
+            message: "boom".into(),
+        }
+        .to_string();
+        assert!(msg.contains("core 4") && msg.contains("boom"), "{msg}");
     }
 
     #[test]

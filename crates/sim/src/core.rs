@@ -26,10 +26,11 @@
 //! differs. A program boundary is a full barrier: both pipes join before
 //! the next program begins.
 
-use crate::buffers::{BufferSet, GmPages, SimError};
+use crate::buffers::{BufferSet, SimError};
 use crate::cost::{Capacities, CostModel, IssueModel};
 use crate::counters::HwCounters;
 use crate::exec::{execute_info, ExecInfo, MemSpan};
+use crate::gm::{GmPages, LentGm};
 use crate::lifetimes::{BufferLifetimes, LifetimeRecorder};
 use crate::trace::{Trace, TraceConfig, TraceEvent};
 use dv_fp16::F16;
@@ -168,10 +169,10 @@ fn run_program(
 ///
 /// A standalone core ([`AiCore::new`]) owns a private, zero-initialised
 /// GM. In a multi-core run, [`crate::chip::Chip`] gives every core a view
-/// of the caller's one image (`'g` is that borrow): a core reads through
-/// the pages it has written and never writes the image itself, and the
-/// chip merges the (disjoint) written ranges afterwards — the cores in
-/// our workloads never communicate through GM mid-kernel.
+/// of the run's [`LentGm`] (`'g` is that borrow): a core reads the lent
+/// regions through the pages it has written and never writes them
+/// itself, and the chip merges the (disjoint) written ranges afterwards —
+/// the cores in our workloads never communicate through GM mid-kernel.
 #[derive(Clone, Debug)]
 pub struct AiCore<'g> {
     bufs: BufferSet<'g>,
@@ -211,9 +212,9 @@ impl AiCore<'static> {
 }
 
 impl<'g> AiCore<'g> {
-    /// A core whose GM is a view of the shared image `gm`.
-    pub(crate) fn on_shared_gm(cost: CostModel, caps: Capacities, gm: &'g [u8]) -> AiCore<'g> {
-        AiCore::on_buffers(cost, BufferSet::shared(caps, gm))
+    /// A core whose GM is a view of the run's lent GM `gm`.
+    pub(crate) fn on_lent_gm(cost: CostModel, caps: Capacities, gm: &'g LentGm<'g>) -> AiCore<'g> {
+        AiCore::on_buffers(cost, BufferSet::lent(caps, gm))
     }
 
     fn on_buffers(cost: CostModel, bufs: BufferSet<'g>) -> AiCore<'g> {
@@ -346,8 +347,8 @@ impl<'g> AiCore<'g> {
         &self.counters
     }
 
-    /// Return to the state of a freshly built core over the same GM
-    /// image and trace configuration, reusing the scratchpad allocations
+    /// Return to the state of a freshly built core over the same GM and
+    /// trace configuration, reusing the scratchpad allocations
     /// (re-zeroed up to their high-water marks). Written GM pages not
     /// taken with [`AiCore::take_gm_pages`] are dropped.
     pub(crate) fn recycle(&mut self) {
@@ -769,9 +770,11 @@ mod tests {
     fn recycled_core_runs_like_a_fresh_one() {
         let caps = Capacities::ASCEND910;
         let image: Vec<u8> = (0..8192u32).map(|i| (i * 37 % 61) as u8).collect();
+        let mut gm = LentGm::new(image.len());
+        gm.lend(0, &image).unwrap();
         for backend in Backend::ALL {
             let cost = CostModel::ascend910_like().with_backend(backend);
-            let mut used = AiCore::on_shared_gm(cost, caps, &image);
+            let mut used = AiCore::on_lent_gm(cost, caps, &gm);
             used.set_trace(TraceConfig::ON);
             used.run(&writes_everything(caps)).unwrap();
             used.recycle();
@@ -780,7 +783,7 @@ mod tests {
             used.run(&streamer_to(2048)).unwrap();
             used.recycle();
 
-            let mut fresh = AiCore::on_shared_gm(cost, caps, &image);
+            let mut fresh = AiCore::on_lent_gm(cost, caps, &gm);
             fresh.set_trace(TraceConfig::ON);
             for core in [&mut used, &mut fresh] {
                 core.run(&probe(caps)).unwrap();

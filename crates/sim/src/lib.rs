@@ -32,6 +32,7 @@ pub mod core;
 pub mod cost;
 pub mod counters;
 pub mod exec;
+pub mod gm;
 pub mod lifetimes;
 pub mod trace;
 
@@ -40,6 +41,7 @@ pub use buffers::{BufferPeaks, BufferSet, SimError};
 pub use chip::{Chip, ChipRun, GmDeclaration, HaloOp, HaloSpan, L2Model, MemoryModel};
 pub use cost::{Backend, Capacities, CostModel, IssueModel};
 pub use counters::{HwCounters, Unit};
+pub use gm::LentGm;
 pub use lifetimes::{BufferLifetimes, LiveRange};
 pub use trace::{
     chrome_trace_json, chrome_trace_json_with_lifetimes, Breakdown, BreakdownRow, Trace,

@@ -72,25 +72,6 @@ impl BufferLifetimes {
     pub fn of(&self, buffer: BufferId) -> impl Iterator<Item = &LiveRange> {
         self.ranges.iter().filter(move |r| r.buffer == buffer)
     }
-
-    /// The largest number of ranges of `buffer` simultaneously live at
-    /// any cycle — 2 on a double-buffered region, 1 on a single slot.
-    pub fn peak_overlap(&self, buffer: BufferId) -> usize {
-        let mut edges: Vec<(u64, i32)> = Vec::new();
-        for r in self.of(buffer) {
-            edges.push((r.first_write, 1));
-            edges.push((r.last_use, -1));
-        }
-        // Close before open at the same cycle: touching ranges (a reuse
-        // of the same slot) do not count as overlapping.
-        edges.sort_by_key(|&(t, d)| (t, d));
-        let (mut live, mut peak) = (0i32, 0i32);
-        for (_, d) in edges {
-            live += d;
-            peak = peak.max(live);
-        }
-        peak.max(0) as usize
-    }
 }
 
 /// Accumulates live ranges as instructions execute. Owned by the core's
@@ -207,7 +188,6 @@ mod tests {
         assert_eq!(lt.ranges.len(), 2);
         assert_eq!((lt.ranges[0].first_write, lt.ranges[0].last_use), (0, 20));
         assert_eq!((lt.ranges[1].first_write, lt.ranges[1].last_use), (20, 40));
-        assert_eq!(lt.peak_overlap(BufferId::Ub), 1);
         assert_eq!(
             (lt.ranges[0].version, lt.ranges[1].version),
             (0, 1),
@@ -254,7 +234,10 @@ mod tests {
         rec.record(&info([Some(ub(256, 512)), None, None], None), 40, 50);
         rec.record(&info([None; 3], Some(ub(0, 256))), 35, 45);
         let lt = rec.take();
-        assert_eq!(lt.ranges.len(), 3);
-        assert_eq!(lt.peak_overlap(BufferId::Ub), 2);
+        let live: Vec<_> = lt
+            .of(BufferId::Ub)
+            .map(|r| (r.start, r.first_write, r.last_use))
+            .collect();
+        assert_eq!(live, [(0, 0, 30), (256, 10, 50), (0, 35, 45)]);
     }
 }

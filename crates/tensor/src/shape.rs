@@ -88,6 +88,11 @@ pub enum ShapeError {
     },
     /// Two tensors that must agree in shape do not.
     Mismatch(String),
+    /// A tensor's byte size does not fit in `usize`.
+    Overflow {
+        /// which tensor
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for ShapeError {
@@ -111,6 +116,9 @@ impl fmt::Display for ShapeError {
                 )
             }
             ShapeError::Mismatch(msg) => write!(f, "shape mismatch: {msg}"),
+            ShapeError::Overflow { what } => {
+                write!(f, "the {what} tensor's byte size overflows usize")
+            }
         }
     }
 }
