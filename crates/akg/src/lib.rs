@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! AKG/TVM-like lowering layer (paper, Section IV).
 //!
 //! The paper's pooling operators are written in TVM's DSL and lowered by

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! Benchmark harness: regenerates every table and figure of the paper's
 //! evaluation (Section VI) on the simulator.
 //!

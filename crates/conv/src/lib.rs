@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! Convolution on the DaVinci Cube Unit via `Im2Col` loads — the workload
 //! the Im2Col/Col2Im instructions were *designed* for (paper, Sections
 //! II-A and III). Built as the substrate sanity-check for the

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! Im2col/Col2im-based pooling for the DaVinci architecture — the paper's
 //! contribution (Section V), plus every baseline it is evaluated against
 //! (Section VI).

@@ -12,6 +12,8 @@
 //! warmup-then-median loop as a plain function for tools (the host
 //! throughput gate) that need a `Duration` back instead of stdout.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};

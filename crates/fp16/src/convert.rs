@@ -1,24 +1,115 @@
-//! Bit-exact conversions between IEEE 754 binary32 and binary16.
+//! Bit-exact conversions between IEEE 754 binary32 and binary16, and the
+//! SIMD dispatch of the crate's kernels.
 //!
 //! `f32 -> f16` uses round-to-nearest, ties-to-even — the default IEEE
 //! rounding mode and the one hardware `vconv` instructions implement.
 //! `f16 -> f32` is exact.
 //!
 //! The scalar functions [`f16_bits_from_f32`] and [`f32_from_f16_bits`]
-//! define the conversions. The fused widen → `f32` op → narrow pass
-//! behind the batch arithmetic kernels produces the same bits eight lanes
-//! at a time with the x86 F16C instructions (`vcvtph2ps`; `vcvtps2ph`
-//! rounding to nearest even) when the CPU reports `avx` and `f16c` at run
-//! time, and runs the scalar functions otherwise and on the last
-//! `len % 8` lanes. This module holds every `unsafe` block and
+//! define the conversions. The slice conversions [`widen`] and
+//! [`narrow`], and the fused widen → `f32` op → narrow pass behind the
+//! batch arithmetic kernels, produce the same bits eight lanes at a time
+//! with the x86 F16C instructions (`vcvtph2ps`; `vcvtps2ph` rounding to
+//! nearest even) when the CPU reports `avx` and `f16c` at run time
+//! ([`simd_available`]), and run the scalar functions otherwise and on
+//! the last `len % 8` lanes. Under the same check the multiply-accumulate
+//! kernel ([`crate::mac_block`]) runs its AVX compilation, and its
+//! portable one otherwise. This module holds every `unsafe` block and
 //! `#[target_feature]` function of the crate, the byte views
-//! [`as_bytes`], [`as_bytes_mut`] and [`from_bytes`] included. Its tests
-//! compare the two F16C conversions with the scalar functions on all
-//! 65,536 `f16` and all 2^32 `f32` bit patterns (on a CPU without F16C
-//! there is no second path to compare, and those two tests pass without
-//! checking).
+//! [`as_bytes`], [`as_bytes_mut`] and [`from_bytes`] included; no enabled
+//! feature set includes `fma`. Its tests compare the two F16C
+//! conversions with the scalar functions on all 65,536 `f16` (also
+//! through [`widen`]) and all 2^32 `f32` bit patterns (through
+//! [`narrow`]), and the AVX multiply-accumulate kernel with the portable
+//! one (on a CPU without F16C there is no second path to compare, and
+//! those tests pass without checking).
 
 use crate::F16;
+
+/// Does this CPU run the SIMD forms of the kernels: x86-64 with `avx`
+/// and `f16c`? Where it does not, [`widen`], [`narrow`], the batch
+/// arithmetic kernels and [`crate::mac_block`] run their portable forms,
+/// with the same results and less speed.
+pub fn simd_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        f16c::available()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// `dst[i] = src[i]` widened to `f32` (exact), bit-identical to
+/// [`f32_from_f16_bits`] lane by lane; eight lanes at a time with F16C
+/// where the CPU has it.
+///
+/// # Panics
+/// If the two slices differ in length.
+pub fn widen(src: &[F16], dst: &mut [f32]) {
+    assert!(
+        src.len() == dst.len(),
+        "widen: slice lengths differ ({}, {})",
+        src.len(),
+        dst.len()
+    );
+    let scalar = |(x, h): (&mut f32, &F16)| *x = f32_from_f16_bits(h.0);
+    #[cfg(target_arch = "x86_64")]
+    if f16c::available() {
+        let whole = src.len() - src.len() % f16c::LANES;
+        // SAFETY: the CPU supports `avx` and `f16c` (checked just above).
+        unsafe { f16c::widen(&src[..whole], &mut dst[..whole]) };
+        dst[whole..].iter_mut().zip(&src[whole..]).for_each(scalar);
+        return;
+    }
+    dst.iter_mut().zip(src).for_each(scalar);
+}
+
+/// `dst[i] = src[i]` narrowed to `f16`, rounding to nearest even,
+/// bit-identical to [`f16_bits_from_f32`] lane by lane; eight lanes at a
+/// time with F16C where the CPU has it.
+///
+/// # Panics
+/// If the two slices differ in length.
+pub fn narrow(src: &[f32], dst: &mut [F16]) {
+    assert!(
+        src.len() == dst.len(),
+        "narrow: slice lengths differ ({}, {})",
+        src.len(),
+        dst.len()
+    );
+    let scalar = |(h, x): (&mut F16, &f32)| h.0 = f16_bits_from_f32(*x);
+    #[cfg(target_arch = "x86_64")]
+    if f16c::available() {
+        let whole = src.len() - src.len() % f16c::LANES;
+        // SAFETY: the CPU supports `avx` and `f16c` (checked just above).
+        unsafe { f16c::narrow(&src[..whole], &mut dst[..whole]) };
+        dst[whole..].iter_mut().zip(&src[whole..]).for_each(scalar);
+        return;
+    }
+    dst.iter_mut().zip(src).for_each(scalar);
+}
+
+/// [`crate::mac_block`]'s dispatch: the AVX compilation of the kernel
+/// when the CPU has it, the portable compilation otherwise.
+#[inline]
+pub(crate) fn mac_block(
+    c: &mut [u8],
+    a: &[f32],
+    a_step: usize,
+    b: &[f32],
+    b_step: usize,
+    depth: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if f16c::available() {
+        // SAFETY: the CPU supports `avx` and `f16c` (checked just above).
+        unsafe { f16c::mac_block(c, a, a_step, b, b_step, depth) };
+        return;
+    }
+    crate::mac::mac_block_body(c, a, a_step, b, b_step, depth);
+}
 
 /// `out[i] = narrow(op(widen(a[i]), widen(b[i])))` in one pass, with no
 /// `f32` slices in between: the batch arithmetic kernels' conversion
@@ -93,6 +184,48 @@ mod f16c {
         }
     }
 
+    /// [`super::widen`] on whole groups of lanes.
+    ///
+    /// # Safety
+    /// The CPU must support `avx` and `f16c`.
+    #[target_feature(enable = "avx,f16c")]
+    pub(super) unsafe fn widen(src: &[F16], dst: &mut [f32]) {
+        for (h, x) in src.chunks_exact(LANES).zip(dst.chunks_exact_mut(LANES)) {
+            x.copy_from_slice(&to_f32(h));
+        }
+    }
+
+    /// [`super::narrow`] on whole groups of lanes.
+    ///
+    /// # Safety
+    /// The CPU must support `avx` and `f16c`.
+    #[target_feature(enable = "avx,f16c")]
+    pub(super) unsafe fn narrow(src: &[f32], dst: &mut [F16]) {
+        for (x, h) in src.chunks_exact(LANES).zip(dst.chunks_exact_mut(LANES)) {
+            let x: [f32; LANES] = x.try_into().expect("one group of lanes");
+            h.copy_from_slice(&to_f16(x));
+        }
+    }
+
+    /// [`crate::mac_block`] compiled for AVX: the portable source, whose
+    /// 4 × 16 accumulators then fit eight 256-bit registers, with each
+    /// `b` row two loads and each `a` value one broadcast. `fma` is not
+    /// enabled, so every product is rounded before its add.
+    ///
+    /// # Safety
+    /// The CPU must support `avx`.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn mac_block(
+        c: &mut [u8],
+        a: &[f32],
+        a_step: usize,
+        b: &[f32],
+        b_step: usize,
+        depth: usize,
+    ) {
+        crate::mac::mac_block_body(c, a, a_step, b, b_step, depth);
+    }
+
     /// [`super::widen_op_narrow`] on the whole groups of lanes the three
     /// slices share: both operand groups widened, `op` applied lane by
     /// lane (inlined here, so the eight lanes compile to one AVX
@@ -114,28 +247,33 @@ mod f16c {
         }
     }
 
-    /// The two conversions against the scalar functions on every input
-    /// bit pattern. On a CPU without F16C there is nothing to compare.
+    /// The slice conversions against the scalar functions on every input
+    /// bit pattern, and the AVX compilation of the multiply-accumulate
+    /// kernel against the portable one. On a CPU without F16C there is
+    /// nothing to compare.
     #[cfg(test)]
     mod tests {
-        use super::{available, to_f16, to_f32, LANES};
-        use crate::convert::{f16_bits_from_f32, f32_from_f16_bits};
+        use super::available;
+        use crate::convert::{f16_bits_from_f32, f32_from_f16_bits, narrow, widen};
+        use crate::mac::{mac_block_body, MAC_BLOCK_BYTES, MAC_EDGE, MAC_ROWS};
         use crate::F16;
 
         #[test]
-        fn to_f32_matches_the_scalar_conversion_on_every_f16() {
+        fn widen_matches_the_scalar_conversion_on_every_f16() {
             if !available() {
                 return;
             }
-            for first in (0..=u16::MAX).step_by(LANES) {
-                let h: [F16; LANES] = core::array::from_fn(|i| F16(first + i as u16));
-                // SAFETY: the CPU supports `avx` and `f16c` (checked above).
-                let x = unsafe { to_f32(&h) };
-                for (h, x) in h.iter().zip(x) {
+            let all: Vec<F16> = (0..=u16::MAX).map(F16).collect();
+            // From lane 0 every lane is in an F16C group; from lane 3 the
+            // last five run the scalar tail.
+            for first in [0, 3] {
+                let mut x = vec![0.0f32; all.len() - first];
+                widen(&all[first..], &mut x);
+                for (h, x) in all[first..].iter().zip(x) {
                     let want = f32_from_f16_bits(h.0);
                     assert!(
                         x.to_bits() == want.to_bits(),
-                        "vcvtph2ps({:#06x}) = {:#010x}, scalar {:#010x}",
+                        "widen({:#06x}) = {:#010x}, scalar {:#010x}",
                         h.0,
                         x.to_bits(),
                         want.to_bits()
@@ -146,22 +284,89 @@ mod f16c {
 
         /// Release: 9.5 s on a 2-vCPU x86-64 VM.
         #[test]
-        fn to_f16_matches_the_scalar_conversion_on_every_f32() {
+        fn narrow_matches_the_scalar_conversion_on_every_f32() {
+            const CHUNK: usize = 1 << 12;
             if !available() {
                 return;
             }
-            for first in (0..=u32::MAX).step_by(LANES) {
-                let x: [f32; LANES] = core::array::from_fn(|i| f32::from_bits(first + i as u32));
-                // SAFETY: the CPU supports `avx` and `f16c` (checked above).
-                let h = unsafe { to_f16(x) };
-                for (x, h) in x.iter().zip(h) {
+            let (mut x, mut h) = (vec![0.0f32; CHUNK], vec![F16::ZERO; CHUNK]);
+            for first in (0..=u32::MAX).step_by(CHUNK) {
+                for (i, x) in x.iter_mut().enumerate() {
+                    *x = f32::from_bits(first + i as u32);
+                }
+                narrow(&x, &mut h);
+                for (x, h) in x.iter().zip(&h) {
                     let want = f16_bits_from_f32(*x);
                     assert!(
                         h.0 == want,
-                        "vcvtps2ph({:#010x}) = {:#06x}, scalar {want:#06x}",
+                        "narrow({:#010x}) = {:#06x}, scalar {want:#06x}",
                         x.to_bits(),
                         h.0
                     );
+                }
+            }
+            // A length that leaves a scalar tail.
+            narrow(&x[..CHUNK - 3], &mut h[..CHUNK - 3]);
+            assert!(x[..CHUNK - 3]
+                .iter()
+                .zip(&h)
+                .all(|(x, h)| h.0 == f16_bits_from_f32(*x)));
+        }
+
+        /// The AVX and the portable (baseline x86-64) compilations of the
+        /// one kernel source give the same bytes on operands from the f16
+        /// edge values (NaN payloads of both signs, infinities,
+        /// subnormals, signed zeros) and on seeded finite values, from
+        /// NaN, infinite and finite accumulators, at several depths and
+        /// steps.
+        #[test]
+        fn avx_mac_block_matches_the_portable_compilation() {
+            if !available() {
+                return;
+            }
+            const EDGES: [u16; 16] = [
+                0x0000, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0x7C01, 0xFE01, 0x7FFF, 0x0001, 0x03FF,
+                0x8001, 0x83FF, 0x7BFF, 0xFBFF, 0x3C00, 0xC100,
+            ];
+            fn hash(k: usize, salt: u64) -> usize {
+                ((k as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize
+            }
+            fn edge(k: usize, salt: u64) -> f32 {
+                f32_from_f16_bits(EDGES[hash(k, salt) % EDGES.len()])
+            }
+            // Any sign, exponents 2^-4 to 2^3, any mantissa: the sums
+            // round.
+            fn finite(k: usize, salt: u64) -> f32 {
+                let h = hash(k, salt);
+                f32_from_f16_bits(
+                    ((h & 1) << 15 | (11 + (h >> 1) % 8) << 10 | (h >> 4) & 0x3FF) as u16,
+                )
+            }
+            let values: [fn(usize, u64) -> f32; 2] = [edge, finite];
+            let blocks = MAC_ROWS * MAC_EDGE;
+            for (depth, a_step, b_step) in [(1, 64, 256), (3, 256, 256), (9, 256, 1024), (4, 64, 0)]
+            {
+                for (salt, value) in [(1, values[0]), (2, values[1])] {
+                    let a: Vec<f32> = (0..depth * a_step.max(blocks))
+                        .map(|k| value(k, salt))
+                        .collect();
+                    let b: Vec<f32> = (0..depth * b_step.max(256))
+                        .map(|k| value(k, salt + 7))
+                        .collect();
+                    for init in values {
+                        let c0: Vec<u8> = (0..blocks)
+                            .flat_map(|k| init(k, salt + 13).to_le_bytes())
+                            .collect();
+                        let (mut portable, mut avx) = (c0.clone(), c0);
+                        assert_eq!(avx.len(), MAC_BLOCK_BYTES);
+                        mac_block_body(&mut portable, &a, a_step, &b, b_step, depth);
+                        // SAFETY: the CPU supports `avx` and `f16c` (checked above).
+                        unsafe { super::mac_block(&mut avx, &a, a_step, &b, b_step, depth) };
+                        assert!(
+                            avx == portable,
+                            "depth {depth}, steps {a_step}/{b_step}, salt {salt}: AVX and portable diverged"
+                        );
+                    }
                 }
             }
         }

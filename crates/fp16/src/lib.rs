@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! Software IEEE 754 binary16 ("half precision", `f16`) arithmetic.
 //!
 //! The DaVinci architecture computes pooling and convolution in `Float16`:
@@ -31,6 +32,15 @@
 //!   `f16c`, detected at run time) and with the scalar conversions
 //!   otherwise. Every result is bit-identical to the scalar operators on
 //!   any host.
+//! * The slice conversions [`widen`] (exact) and [`narrow`] (round to
+//!   nearest even) convert eight lanes at a time the same way, and
+//!   [`mac_block`] is the `f32` multiply-accumulate microkernel behind the
+//!   simulated Cube Unit: one 4 × 16 block of accumulators held in
+//!   registers (AVX ones where the CPU has them) over the whole `k` loop,
+//!   each output summed in ascending `k` with the product and the sum
+//!   rounded separately, and an output that ends NaN stored as
+//!   [`MAC_NAN`] (see the `mac` module). [`simd_available`] says which
+//!   path this CPU takes; there is no option to choose one, and no `fma`.
 //! * Comparison (`total_cmp`, `PartialOrd`) follows IEEE semantics; `vmax`
 //!   in the simulator uses [`F16::max`] which propagates the non-NaN operand
 //!   like hardware max instructions do. [`F16::max`] and [`F16::min`]
@@ -38,17 +48,23 @@
 //!   vectorises.
 //!
 //! The equivalences are proven exhaustively: the `convert` module's tests
-//! check the F16C conversions on all 65,536 `f16` and all 2^32 `f32` bit
-//! patterns against the scalar ones, and `tests/exhaustive.rs` checks
+//! check [`widen`] on all 65,536 `f16` and [`narrow`] on all 2^32 `f32`
+//! bit patterns against the scalar conversions, and the AVX compilation of
+//! [`mac_block`] against the portable one; `tests/exhaustive.rs` checks
 //! `max`/`min` on all 2^32 operand pairs against their earlier branching
 //! definitions and `+ - *` (operators and batch kernels) over every
 //! exponent pair, sign and edge mantissa against an exact `f64` oracle
 //! with the NaN rule.
 
 mod convert;
+mod mac;
 mod ops;
 
-pub use convert::{as_bytes, as_bytes_mut, f16_bits_from_f32, f32_from_f16_bits, from_bytes};
+pub use convert::{
+    as_bytes, as_bytes_mut, f16_bits_from_f32, f32_from_f16_bits, from_bytes, narrow,
+    simd_available, widen,
+};
+pub use mac::{mac_block, mac_nan_rule, MAC_BLOCK_BYTES, MAC_EDGE, MAC_NAN, MAC_ROWS};
 pub use ops::{add_slices, mul_slices, sub_slices};
 
 use core::fmt;

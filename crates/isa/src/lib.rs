@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! The DaVinci AI-Core instruction-set model (paper, Section III).
 //!
 //! This crate defines the instructions the simulator executes and the

@@ -23,7 +23,7 @@ use dv_akg::{dma, elementwise, fill_region, GmArena};
 use dv_conv::{build_conv2d_resident, kernels_to_fracz, ConvError, ConvLowering};
 use dv_fp16::F16;
 use dv_isa::{Addr, Instr, Mask, VectorInstr, VectorOp, MAX_REPEAT};
-use dv_sim::{Chip, ChipRun};
+use dv_sim::{Chip, ChipRun, GmDeclaration, LentGm};
 use dv_tensor::{Nc1hwc0, Nchw, PoolParams, C0, FRACTAL_BYTES, FRACTAL_ROWS};
 
 /// Bytes of one 16-channel pixel group.
@@ -101,10 +101,10 @@ pub fn run_fused_conv_pool(
     let (weights_fz, _k_fr, n_fr) = kernels_to_fracz(weights, conv_params);
     let out_plane_bytes = poh * pow * ROW;
 
-    let mut gm = GmArena::new();
-    let gm_in = gm.alloc(fractal_in.byte_len());
-    let gm_weights = gm.alloc(weights_fz.len() * 2);
-    let gm_out = gm.alloc(n_fr * out_plane_bytes);
+    let mut arena = GmArena::new();
+    let gm_in = arena.alloc(fractal_in.byte_len());
+    let gm_weights = arena.alloc(weights_fz.len() * 2);
+    let gm_out = arena.alloc(n_fr * out_plane_bytes);
 
     let (mut p, resident, declines) = build_conv2d_resident(
         input.c,
@@ -177,24 +177,17 @@ pub fn run_fused_conv_pool(
         )?;
     }
 
-    let mut image = vec![0u8; gm.size()];
-    image[gm_in..gm_in + fractal_in.byte_len()]
-        .copy_from_slice(dv_fp16::as_bytes(fractal_in.data()));
-    image[gm_weights..gm_weights + weights_fz.len() * 2]
-        .copy_from_slice(dv_fp16::as_bytes(&weights_fz));
-    let mut run = chip.run(&mut image, &[p])?;
-    run.total.implicit_declines += declines;
-
+    // The pooled planes at `gm_out` have exactly the layout of an
+    // `n_fr`-plane NC1HWC0 tensor: lend one writable, with the input and
+    // the FracZ weights read-only, and the run merges its results into it.
     let mut out = Nc1hwc0::zeros(1, n_fr, poh, pow);
     out.orig_c = weights.n;
-    for j in 0..n_fr {
-        for patch in 0..poh * pow {
-            for c0 in 0..C0 {
-                let off = gm_out + j * out_plane_bytes + (patch * C0 + c0) * 2;
-                let v = F16::from_bits(u16::from_le_bytes([image[off], image[off + 1]]));
-                out.set(0, j, patch / pow, patch % pow, c0, v);
-            }
-        }
-    }
+    let programs = [p];
+    let mut gm = LentGm::new(arena.size());
+    gm.lend(gm_in, dv_fp16::as_bytes(fractal_in.data()))?;
+    gm.lend(gm_weights, dv_fp16::as_bytes(&weights_fz))?;
+    gm.lend_mut(gm_out, dv_fp16::as_bytes_mut(out.data_mut()))?;
+    let mut run = chip.run_lent(&mut gm, &programs, &[GmDeclaration::scan(&programs[0])])?;
+    run.total.implicit_declines += declines;
     Ok((out.to_nchw(), run))
 }

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! A small CNN inference stack on the simulated DaVinci chip.
 //!
 //! The paper's motivation is that pooling layers sit *between*

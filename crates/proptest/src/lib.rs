@@ -13,6 +13,7 @@
 // The shim mirrors the upstream crate's API surface; keep signatures as
 // the real crate spells them rather than contorting them for lints.
 #![allow(clippy::type_complexity)]
+#![forbid(unsafe_code)]
 
 use std::cell::RefCell;
 use std::hash::{DefaultHasher, Hash, Hasher};

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! A thin asynchronous job front-end over [`dv_core::PoolingEngine`].
 //!
 //! The simulator itself is a synchronous library: build an engine, call

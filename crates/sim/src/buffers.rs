@@ -276,6 +276,15 @@ fn scratch_slot(id: BufferId) -> Option<usize> {
     peak_index(id).checked_sub(1)
 }
 
+/// [`BufferSet::cube_views`]: L0A and L0B to read, L0C to write, and two
+/// host-side `f32` staging buffers the set keeps across instructions.
+pub(crate) struct CubeViews<'s> {
+    pub l0a: &'s [u8],
+    pub l0b: &'s [u8],
+    pub l0c: &'s mut [u8],
+    pub staging: &'s mut [Vec<f32>; 2],
+}
+
 /// All memories reachable from one AI Core: its five scratchpads and its
 /// view of global memory.
 #[derive(Clone, Debug)]
@@ -284,6 +293,10 @@ pub struct BufferSet<'g> {
     /// L1, L0A, L0B, L0C and UB, in [`TRACKED`] order after GM.
     scratch: [Vec<u8>; 5],
     peaks: BufferPeaks,
+    /// Host-side `f32` copies of a Cube instruction's operands
+    /// ([`CubeViews::staging`]): no simulated state, kept so that each
+    /// `mmad` reuses them instead of allocating.
+    widened: [Vec<f32>; 2],
 }
 
 impl BufferSet<'static> {
@@ -307,6 +320,7 @@ impl<'g> BufferSet<'g> {
                 vec![0; caps.ub],
             ],
             peaks: BufferPeaks::default(),
+            widened: [Vec::new(), Vec::new()],
         }
     }
 
@@ -345,15 +359,11 @@ impl<'g> BufferSet<'g> {
         }
     }
 
-    /// One scratchpad's bytes — the fast executors read operands through
-    /// this after validating the full span once. Panics on GM, which only
-    /// [`BufferSet::copy`] and the element accessors reach.
-    pub(crate) fn scratch(&self, id: BufferId) -> &[u8] {
-        &self.scratch[scratch_slot(id).expect("GM is not a scratchpad")]
-    }
-
-    /// One scratchpad's bytes, mutably. Callers note the peak of what
-    /// they write with [`BufferSet::note_peak`].
+    /// One scratchpad's bytes, mutably — the fast executors access
+    /// operands through this after validating the full span once. Callers
+    /// note the peak of what they write with [`BufferSet::note_peak`].
+    /// Panics on GM, which only [`BufferSet::copy`] and the element
+    /// accessors reach.
     pub(crate) fn scratch_mut(&mut self, id: BufferId) -> &mut [u8] {
         &mut self.scratch[scratch_slot(id).expect("GM is not a scratchpad")]
     }
@@ -369,6 +379,17 @@ impl<'g> BufferSet<'g> {
         } else {
             let (lo, hi) = self.scratch.split_at_mut(s);
             (&hi[0], &mut lo[d])
+        }
+    }
+
+    /// The Cube executor's views of this set.
+    pub(crate) fn cube_views(&mut self) -> CubeViews<'_> {
+        let [_, l0a, l0b, l0c, _] = &mut self.scratch;
+        CubeViews {
+            l0a,
+            l0b,
+            l0c,
+            staging: &mut self.widened,
         }
     }
 

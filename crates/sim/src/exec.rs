@@ -1,6 +1,6 @@
 //! Instruction execution: functional semantics + cycle charging.
 
-use crate::buffers::{BufferSet, SimError};
+use crate::buffers::{BufferSet, CubeViews, SimError};
 use crate::cost::{Backend, CostModel};
 use crate::counters::{HwCounters, Unit};
 use dv_fp16::F16;
@@ -755,9 +755,11 @@ fn exec_move(
     })
 }
 
-/// Sliced L0C -> f16 drain: both spans validated once, then a straight
-/// convert loop. The f16 destination can never be L0C (`f16_rect_ok`
-/// declines it), so the two views are always distinct buffers.
+/// Sliced L0C -> f16 drain: both spans validated once, then the
+/// accumulators are narrowed by [`dv_fp16::narrow`] (F16C where the CPU
+/// has it), one vector instruction's width of lanes at a time. The f16
+/// destination can never be L0C (`f16_rect_ok` declines it), so the two
+/// views are always distinct buffers.
 fn drain_sliced(m: &DataMove, bufs: &mut BufferSet<'_>, n: usize) -> bool {
     if n == 0 {
         return true;
@@ -771,13 +773,16 @@ fn drain_sliced(m: &DataMove, bufs: &mut BufferSet<'_>, n: usize) -> bool {
         return false;
     }
     let (l0c, dst) = bufs.scratch_pair(BufferId::L0C, m.dst.buffer);
-    let accs = l0c[m.src.offset..m.src.offset + n * 4].chunks_exact(4);
-    for (out, acc) in dst[m.dst.offset..m.dst.offset + n * 2]
-        .chunks_exact_mut(2)
-        .zip(accs)
-    {
-        let v = f32::from_le_bytes([acc[0], acc[1], acc[2], acc[3]]);
-        out.copy_from_slice(&F16::from_f32(v).to_bits().to_le_bytes());
+    let (mut wide, mut half) = ([0.0f32; VECTOR_LANES], [F16::ZERO; VECTOR_LANES]);
+    let accs = l0c[m.src.offset..m.src.offset + n * 4].chunks(VECTOR_LANES * 4);
+    let outs = dst[m.dst.offset..m.dst.offset + n * 2].chunks_mut(VECTOR_LANES * 2);
+    for (accs, out) in accs.zip(outs) {
+        let lanes = accs.len() / 4;
+        for (x, acc) in wide.iter_mut().zip(accs.chunks_exact(4)) {
+            *x = f32::from_le_bytes([acc[0], acc[1], acc[2], acc[3]]);
+        }
+        dv_fp16::narrow(&wide[..lanes], &mut half[..lanes]);
+        store16(&half[..lanes], out);
     }
     bufs.note_peak(m.dst.buffer, m.dst.offset + n * 2);
     true
@@ -819,9 +824,11 @@ fn exec_cube(
                     let b = b_frac(bufs, ki / E, ni / E, ki % E, ni % E)?;
                     acc += a.to_f32() * b.to_f32();
                 }
+                // Which NaN a NaN `acc` holds depends on codegen; the
+                // stored one does not.
                 bufs.write_f32_l0c(
                     c.c.offset + (((mi / E) * nf + ni / E) * E * E + (mi % E) * E + ni % E) * 4,
-                    acc,
+                    dv_fp16::mac_nan_rule(acc),
                 )?;
             }
         }
@@ -846,53 +853,53 @@ fn exec_cube(
 }
 
 /// Sliced Cube matmul: validate the a/b f16 tiles and the L0C
-/// accumulator span once, decode both tiles to dense f32 matrices once,
-/// then accumulate each output row with `k` outer and `n` inner. Every
-/// output still adds its products in ascending `k` from its initial
-/// value — the reference order, which the bit-exact contract pins (f32
-/// addition is not associative).
+/// accumulator span once, widen B, and then each fractal row of A, to
+/// `f32` into the buffer set's reused staging buffers
+/// ([`BufferSet::cube_views`]), and run [`dv_fp16::mac_block`] in place on
+/// L0C, four rows of one C fractal at a time: the kernel holds those 64
+/// accumulators over the whole `k` loop, reading each B row once per four
+/// rows. Every output still adds its products in ascending `k` from its
+/// initial value and stores a NaN as the interpreter does
+/// ([`dv_fp16::mac_nan_rule`]) — the bit-exact contract (f32 addition is
+/// not associative).
 fn cube_sliced(c: &CubeMatmul, bufs: &mut BufferSet<'_>) -> bool {
     const E: usize = dv_isa::cube::FRACTAL_EDGE;
+    const _: () = assert!(dv_fp16::MAC_EDGE == E, "the kernel's blocks are fractals");
     let (mf, kf, nf) = (c.m_fractals, c.k_fractals, c.n_fractals);
+    let (a_bytes, b_bytes) = (mf * kf * E * E * 2, kf * nf * E * E * 2);
     let c_ok = c.c.buffer == BufferId::L0C
         && c.c.offset.is_multiple_of(4)
         && c.c
             .offset
             .checked_add(mf * nf * E * E * 4)
             .is_some_and(|end| end <= bufs.capacity(BufferId::L0C));
-    if !c_ok
-        || !f16_rect_ok(bufs, c.a, 0, 1, mf * kf * E * E * 2)
-        || !f16_rect_ok(bufs, c.b, 0, 1, kf * nf * E * E * 2)
-    {
+    if !c_ok || !f16_rect_ok(bufs, c.a, 0, 1, a_bytes) || !f16_rect_ok(bufs, c.b, 0, 1, b_bytes) {
         return false;
     }
-    let (k, n) = (kf * E, nf * E);
-    let a = decode_fractals(bufs.scratch(c.a.buffer), c.a.offset, mf, kf);
-    let b = decode_fractals(bufs.scratch(c.b.buffer), c.b.offset, kf, nf);
-    let l0c = bufs.scratch_mut(BufferId::L0C);
-    let mut acc = vec![0.0f32; n];
-    for (mi, a_row) in a.chunks_exact(k).enumerate() {
-        // Row `mi` of C is row `mi % E` of fractals `(mi / E, 0..nf)`.
-        let row_at = |fj: usize| c.c.offset + (((mi / E) * nf + fj) * E * E + (mi % E) * E) * 4;
-        for (fj, chunk) in acc.chunks_exact_mut(E).enumerate() {
-            let at = row_at(fj);
-            for (x, bytes) in chunk.iter_mut().zip(l0c[at..at + E * 4].chunks_exact(4)) {
-                *x = if c.accumulate {
-                    f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
-                } else {
-                    0.0
-                };
-            }
-        }
-        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
-            for (x, &bv) in acc.iter_mut().zip(b_row) {
-                *x += av * bv;
-            }
-        }
-        for (fj, chunk) in acc.chunks_exact(E).enumerate() {
-            let at = row_at(fj);
-            for (x, out) in chunk.iter().zip(l0c[at..at + E * 4].chunks_exact_mut(4)) {
-                out.copy_from_slice(&x.to_le_bytes());
+    let CubeViews {
+        l0a,
+        l0b,
+        l0c,
+        staging: [a_row, b_tile],
+    } = bufs.cube_views();
+    let a = f16_lanes(&l0a[c.a.offset..c.a.offset + a_bytes]);
+    let b = f16_lanes(&l0b[c.b.offset..c.b.offset + b_bytes]);
+    let (Some(a), Some(b)) = (a, b) else {
+        return false;
+    };
+    // Fractal (i, j) of a tile with `cols` fractal columns starts at
+    // `(i * cols + j) * E * E`; one kernel step is one fractal along k.
+    let b = widen_into(b_tile, b);
+    for (fi, a) in a.chunks_exact(kf * E * E).enumerate() {
+        let a = widen_into(a_row, a);
+        for fj in 0..nf {
+            for r0 in (0..E).step_by(dv_fp16::MAC_ROWS) {
+                let at = c.c.offset + ((fi * nf + fj) * E * E + r0 * E) * 4;
+                let acc = &mut l0c[at..at + dv_fp16::MAC_BLOCK_BYTES];
+                if !c.accumulate {
+                    acc.fill(0);
+                }
+                dv_fp16::mac_block(acc, &a[r0 * E..], E * E, &b[fj * E * E..], nf * E * E, kf);
             }
         }
     }
@@ -900,22 +907,25 @@ fn cube_sliced(c: &CubeMatmul, bufs: &mut BufferSet<'_>) -> bool {
     true
 }
 
-/// Decode a row-major grid of `rows x cols` 16x16 f16 fractals at `base`
-/// (span pre-validated) into a dense row-major f32 matrix.
-fn decode_fractals(buf: &[u8], base: usize, rows: usize, cols: usize) -> Vec<f32> {
-    const E: usize = dv_isa::cube::FRACTAL_EDGE;
-    let width = cols * E;
-    let mut out = vec![0.0f32; rows * E * width];
-    let tiles = buf[base..base + rows * cols * E * E * 2].chunks_exact(E * E * 2);
-    for (t, tile) in tiles.enumerate() {
-        let (fi, fj) = (t / cols, t % cols);
-        for (r, row) in tile.chunks_exact(E * 2).enumerate() {
-            let at = (fi * E + r) * width + fj * E;
-            for (x, b) in out[at..at + E].iter_mut().zip(row.chunks_exact(2)) {
-                *x = F16::from_bits(u16::from_le_bytes([b[0], b[1]])).to_f32();
-            }
-        }
+/// `bytes` as f16 lanes, or `None` if they are not 2-byte aligned in host
+/// memory (an allocator may place a byte buffer anywhere).
+fn f16_lanes(bytes: &[u8]) -> Option<&[F16]> {
+    bytes
+        .as_ptr()
+        .cast::<F16>()
+        .is_aligned()
+        .then(|| dv_fp16::from_bytes(bytes))
+}
+
+/// `src` widened into the front of `buf`, which grows to exactly its
+/// length if it is shorter.
+fn widen_into<'b>(buf: &'b mut Vec<f32>, src: &[F16]) -> &'b [f32] {
+    if buf.len() < src.len() {
+        buf.reserve_exact(src.len() - buf.len());
+        buf.resize(src.len(), 0.0);
     }
+    let out = &mut buf[..src.len()];
+    dv_fp16::widen(src, out);
     out
 }
 
@@ -1631,6 +1641,114 @@ mod tests {
                             bufs.load_f16_slice(BufferId::Ub, 0, &image).unwrap();
                         });
                     }
+                }
+            }
+        }
+    }
+
+    /// The Cube wall: `cube_mmad` on every backend against the `Scalar`
+    /// interpreter, bit for bit in L0C (and every other buffer), counters,
+    /// peaks and result. It covers the model segments' tile shapes
+    /// (m×k×n fractals 14×9×4, 8×9×4, 14×9×8, 11×9×8), small and odd
+    /// ones, accumulate on and off, operands from the f16 edge values and
+    /// seeded finite ones, and NaN-laden and finite initial accumulators;
+    /// then a tile ending exactly at L0C capacity and one fractal past it,
+    /// which is a typed error with the same partial writes everywhere.
+    #[test]
+    fn cube_tiles_match_scalar_on_the_edge_grid() {
+        const E: usize = dv_isa::cube::FRACTAL_EDGE;
+        let hash = |k: usize, salt: usize| {
+            (((k ^ (salt << 32)) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize
+        };
+        let edge = |k: usize, salt: usize| F16::from_bits(EDGES[hash(k, salt) % EDGES.len()]);
+        // Any sign, exponents 2^-4 to 2^3, any mantissa: products carry
+        // up to 22 significant bits, so the f32 sums round and their
+        // order shows.
+        let finite = |k: usize, salt: usize| {
+            let h = hash(k, salt);
+            F16::from_bits(((h & 1) << 15 | (11 + (h >> 1) % 8) << 10 | (h >> 4) & 0x3FF) as u16)
+        };
+        // f32 accumulators: NaN payloads of both signs, infinities and
+        // signed zeros among finite values, or finite values only.
+        let nan_init = |k: usize| match hash(k, 5) % 8 {
+            0 => f32::from_bits(0x7FC0_0001),
+            1 => f32::from_bits(0xFF80_0F00),
+            2 => f32::INFINITY,
+            3 => -0.0,
+            _ => (hash(k, 6) % 97) as f32 * 0.37 - 30.0,
+        };
+        let finite_init = |k: usize| {
+            let h = hash(k, 7) as u32;
+            f32::from_bits((h & 1) << 31 | (120 + (h >> 1) % 16) << 23 | (h & 0x7F_FFFF))
+        };
+        let caps = Capacities::ASCEND910;
+        let load = |mm: &CubeMatmul, edges: bool, nan_acc: bool| {
+            let (mf, kf, nf) = (mm.m_fractals, mm.k_fractals, mm.n_fractals);
+            let value = |k: usize, salt: usize| {
+                if edges {
+                    edge(k, salt)
+                } else {
+                    finite(k, salt)
+                }
+            };
+            let a: Vec<F16> = (0..mf * kf * E * E).map(|k| value(k, 1)).collect();
+            let b: Vec<F16> = (0..kf * nf * E * E).map(|k| value(k, 2)).collect();
+            let (c0, c_len) = (mm.c.offset / 4, mf * nf * E * E);
+            move |bufs: &mut BufferSet<'static>| {
+                bufs.load_f16_slice(BufferId::L0A, 0, &a).unwrap();
+                bufs.load_f16_slice(BufferId::L0B, 0, &b).unwrap();
+                let l0c = bufs.capacity(BufferId::L0C) / 4;
+                for e in c0..(c0 + c_len).min(l0c) {
+                    let x = if nan_acc { nan_init(e) } else { finite_init(e) };
+                    bufs.write_f32_l0c(e * 4, x).unwrap();
+                }
+            }
+        };
+        let mmad = |(m, k, n): (usize, usize, usize), c_at: usize, accumulate: bool| CubeMatmul {
+            a: Addr::new(BufferId::L0A, 0),
+            b: Addr::new(BufferId::L0B, 0),
+            c: Addr::new(BufferId::L0C, c_at),
+            m_fractals: m,
+            k_fractals: k,
+            n_fractals: n,
+            accumulate,
+        };
+        let shapes = [
+            (14, 9, 4),
+            (8, 9, 4),
+            (14, 9, 8),
+            (11, 9, 8),
+            (1, 1, 1),
+            (3, 5, 2),
+        ];
+        for shape in shapes {
+            for accumulate in [false, true] {
+                for (edges, nan_acc) in [(true, true), (true, false), (false, true), (false, false)]
+                {
+                    let mm = mmad(shape, 0, accumulate);
+                    let i = Instr::Cube(mm);
+                    assert_backends_identical_on(caps, 0, &i, load(&mm, edges, nan_acc));
+                }
+            }
+        }
+        // (3, 5, 2) writes 6 C fractals: flush against the end of L0C,
+        // then one fractal past it.
+        let tile = 6 * E * E * 4;
+        for (c_at, fits) in [
+            (caps.l0c - tile, true),
+            (caps.l0c - tile + E * E * 4, false),
+        ] {
+            for accumulate in [false, true] {
+                let mm = mmad((3, 5, 2), c_at, accumulate);
+                let i = Instr::Cube(mm);
+                assert_backends_identical_on(caps, 0, &i, load(&mm, true, true));
+                let mut bufs = BufferSet::new(caps, 0);
+                load(&mm, true, true)(&mut bufs);
+                let cost = CostModel::ascend910_like().with_backend(Backend::Sliced);
+                let r = execute(&i, &mut bufs, &cost, &mut HwCounters::default());
+                assert_eq!(r.is_ok(), fits, "{c_at}: {r:?}");
+                if !fits {
+                    assert!(matches!(r, Err(SimError::OutOfBounds { .. })), "{r:?}");
                 }
             }
         }

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! Functional, cycle-approximate simulator of a DaVinci (Ascend 910) AI
 //! Core (paper, Section III).
 //!

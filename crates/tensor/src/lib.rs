@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! Tensor layouts and golden reference operators for the DaVinci pooling
 //! reproduction.
 //!

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! # davinci-pooling
 //!
 //! A from-scratch reproduction of *"Pooling Acceleration in the DaVinci
