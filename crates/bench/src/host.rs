@@ -29,12 +29,13 @@
 //!   bounds checks are the whole point of the seam, and losing them is a
 //!   host-speed regression no matter what machine CI runs on. The ratios
 //!   carry over only between hosts that take the same f16 SIMD path
-//!   ([`dv_fp16::simd_available`]): the backward rows' sliced `vmul` and
-//!   `Col2Im`, and the model rows' Cube `mmad` and L0C drain, run F16C
-//!   conversions and an AVX kernel where the CPU has them and portable
-//!   code otherwise, so a baseline recorded on an AVX+F16C host fails
-//!   those rows ([`SIMD_ROWS`]) on a host without them; [`run_host`]
-//!   then says so first in its regression list.
+//!   ([`dv_fp16::simd_available`]): the Table I rows' sliced `vmax`, the
+//!   backward rows' sliced `vmul` and `Col2Im`, and the model rows' Cube
+//!   `mmad` and L0C drain, run AVX2 lane kernels, F16C conversions and an
+//!   AVX kernel where the CPU has AVX2 and F16C, and portable code
+//!   otherwise, so a baseline recorded on an AVX2+F16C host fails on a
+//!   host without them; [`run_host`] then says so first in its
+//!   regression list.
 //! * **Host time proportional to simulated work.** The 32-core chip under
 //!   `Sliced` runs the same programs as a one-core chip, on one host
 //!   thread either way, so their host times may differ only by per-core
@@ -449,45 +450,30 @@ pub fn run_host_with(
 /// noisy, up to [`HOST_GATE_RETRIES`] full collections are measured and
 /// the first clean one passes.
 ///
-/// On a host without AVX and F16C ([`dv_fp16::simd_available`] false)
-/// the regression list opens with a line saying so and naming the rows
-/// whose ratios depend on that path ([`SIMD_ROWS`]): the committed
-/// baseline was recorded on an AVX+F16C host. The comparison itself is
-/// the same on every host.
+/// On a host without AVX2 and F16C ([`dv_fp16::simd_available`] false)
+/// the regression list opens with a line saying so: every row's ratio
+/// depends on that path, and the committed baseline was recorded on an
+/// AVX2+F16C host. The comparison itself is the same on every host.
 pub fn run_host() -> Result<String, Vec<String>> {
     let mut baseline = HOST
         .parse(COMMITTED_HOST_BASELINE)
         .map_err(|e| vec![format!("committed host baseline unreadable: {e}")])?;
     let baseline = baseline.remove(0);
-    run_host_with(collect_host, &baseline, HOST_TOLERANCE, HOST_GATE_RETRIES).map_err(
-        |mut regressions| {
-            if !dv_fp16::simd_available() {
-                regressions.insert(0, portable_path_note(&baseline));
-            }
-            regressions
-        },
-    )
+    run_host_with(collect_host, &baseline, HOST_TOLERANCE, HOST_GATE_RETRIES)
+        .map_err(|regressions| with_path_note(regressions, dv_fp16::simd_available()))
 }
 
-/// Key prefixes of the rows whose sliced speedup depends on the host's
-/// f16 SIMD path: the max backwards (the batched `vmul` and `Col2Im`
-/// kernels) and the model segments (the Cube's `mmad` kernel and the L0C
-/// drain).
-pub const SIMD_ROWS: [&str; 2] = ["host/backward/", "host/model/"];
+/// The line that opens the regression list on a host without AVX2+F16C.
+const PORTABLE_PATH_NOTE: &str = "this host has no AVX2+F16C, so the f16 kernels run \
+     their portable path, while the whole committed baseline was recorded on an AVX2+F16C host";
 
-/// The line that opens the regression list on a host without AVX+F16C.
-fn portable_path_note(baseline: &[Row]) -> String {
-    let rows: Vec<&str> = baseline
-        .iter()
-        .map(|r| r.key.as_str())
-        .filter(|k| SIMD_ROWS.iter().any(|p| k.starts_with(p)))
-        .collect();
-    format!(
-        "this host has no AVX+F16C, so the f16 kernels run their portable path, while the \
-         committed baseline was recorded on an AVX+F16C host; these rows depend on that \
-         path: {}",
-        rows.join(", ")
-    )
+/// `regressions`, opened by [`PORTABLE_PATH_NOTE`] unless the host takes
+/// the SIMD path.
+fn with_path_note(mut regressions: Vec<String>, simd: bool) -> Vec<String> {
+    if !simd {
+        regressions.insert(0, PORTABLE_PATH_NOTE.to_string());
+    }
+    regressions
 }
 
 #[cfg(test)]
@@ -557,28 +543,16 @@ mod tests {
         assert!(regs[0].contains("geomean"));
     }
 
-    /// The note that opens the regression list on a host without
-    /// AVX+F16C names exactly the committed rows on the SIMD kernels.
+    /// On a host without AVX2+F16C the note opens the regression list;
+    /// on one with them the list is left as it is.
     #[test]
-    fn the_portable_path_note_names_the_simd_rows() {
-        let base = HOST.parse(COMMITTED_HOST_BASELINE).unwrap().remove(0);
-        let note = portable_path_note(&base);
-        let named: Vec<&str> = base
-            .iter()
-            .map(|r| r.key.as_str())
-            .filter(|k| note.contains(k))
-            .collect();
+    fn the_portable_path_note_opens_the_regression_list() {
+        let regressions = vec!["host/a: slower".to_string()];
         assert_eq!(
-            named,
-            [
-                "host/backward/InceptionV3-1/147x147x64",
-                "host/backward/InceptionV3-2/71x71x192",
-                "host/backward/InceptionV3-3/35x35x288",
-                "host/model/vgg16-seg",
-                "host/model/inception-seg",
-            ],
-            "{note}"
+            with_path_note(regressions.clone(), false),
+            [PORTABLE_PATH_NOTE, "host/a: slower"]
         );
+        assert_eq!(with_path_note(regressions.clone(), true), regressions);
     }
 
     #[test]

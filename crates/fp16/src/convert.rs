@@ -1,5 +1,5 @@
-//! Bit-exact conversions between IEEE 754 binary32 and binary16, and the
-//! SIMD dispatch of the crate's kernels.
+//! Bit-exact conversions between IEEE 754 binary32 and binary16, the
+//! crate's byte views, and the SIMD dispatch of its kernels.
 //!
 //! `f32 -> f16` uses round-to-nearest, ties-to-even — the default IEEE
 //! rounding mode and the one hardware `vconv` instructions implement.
@@ -10,25 +10,30 @@
 //! [`narrow`], and the fused widen → `f32` op → narrow pass behind the
 //! batch arithmetic kernels, produce the same bits eight lanes at a time
 //! with the x86 F16C instructions (`vcvtph2ps`; `vcvtps2ph` rounding to
-//! nearest even) when the CPU reports `avx` and `f16c` at run time
+//! nearest even) when the CPU reports `avx2` and `f16c` at run time
 //! ([`simd_available`]), and run the scalar functions otherwise and on
 //! the last `len % 8` lanes. Under the same check the multiply-accumulate
-//! kernel ([`crate::mac_block`]) runs its AVX compilation, and its
+//! kernel ([`crate::mac_block`]) runs its AVX compilation and the integer
+//! row kernel [`crate::int_rows`] its AVX2 compilation, and each its
 //! portable one otherwise. This module holds every `unsafe` block and
 //! `#[target_feature]` function of the crate, the byte views
-//! [`as_bytes`], [`as_bytes_mut`] and [`from_bytes`] included; no enabled
-//! feature set includes `fma`. Its tests compare the two F16C
-//! conversions with the scalar functions on all 65,536 `f16` (also
-//! through [`widen`]) and all 2^32 `f32` bit patterns (through
-//! [`narrow`]), and the AVX multiply-accumulate kernel with the portable
-//! one (on a CPU without F16C there is no second path to compare, and
-//! those tests pass without checking).
+//! [`as_bytes`], [`as_bytes_mut`], [`from_bytes`], [`try_from_bytes`] and
+//! [`try_from_bytes_mut`] included; no enabled feature set includes
+//! `fma`. Its tests compare the two F16C conversions with the scalar
+//! functions on all 65,536 `f16` (also through [`widen`]) and all 2^32
+//! `f32` bit patterns (through [`narrow`]), the AVX multiply-accumulate
+//! kernel with the portable one, and the AVX2 `max`, `min` and `cmp_eq`
+//! rows with the portable ones on all 2^32 operand pairs (on a CPU
+//! without AVX2 and F16C there is no second path to compare, and those
+//! tests pass without checking).
 
+use crate::rows::{Rows, Source};
 use crate::F16;
 
-/// Does this CPU run the SIMD forms of the kernels: x86-64 with `avx`
+/// Does this CPU run the SIMD forms of the kernels: x86-64 with `avx2`
 /// and `f16c`? Where it does not, [`widen`], [`narrow`], the batch
-/// arithmetic kernels and [`crate::mac_block`] run their portable forms,
+/// arithmetic kernels, [`crate::mac_block`] and the row kernels
+/// ([`crate::int_rows`], [`crate::arith_rows`]) run their portable forms,
 /// with the same results and less speed.
 pub fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -111,6 +116,25 @@ pub(crate) fn mac_block(
     crate::mac::mac_block_body(c, a, a_step, b, b_step, depth);
 }
 
+/// [`crate::int_rows`]' dispatch: the AVX2 compilation of its one source
+/// when the CPU has it, the portable compilation otherwise.
+#[inline]
+pub(crate) fn int_rows(
+    dst: &mut [F16],
+    rows: &Rows<'_>,
+    a: Source<'_>,
+    b: Source<'_>,
+    op: impl Fn(F16, F16) -> F16 + Copy,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if f16c::available() {
+        // SAFETY: the CPU supports `avx2` (checked just above).
+        unsafe { f16c::int_rows(dst, rows, a, b, op) };
+        return;
+    }
+    crate::rows::int_rows_body(dst, rows, a, b, op);
+}
+
 /// `out[i] = narrow(op(widen(a[i]), widen(b[i])))` in one pass, with no
 /// `f32` slices in between: the batch arithmetic kernels' conversion
 /// step, bit-identical to converting lane by lane with the scalar
@@ -135,10 +159,13 @@ pub(crate) fn widen_op_narrow(a: &[F16], b: &[F16], out: &mut [F16], op: impl Fn
     out.iter_mut().zip(a.iter().zip(b)).for_each(scalar);
 }
 
-/// The F16C forms of the conversions. Each converts whole groups of
-/// [`LANES`] lanes; the tails go through the scalar functions.
+/// The x86 SIMD compilations: the F16C forms of the conversions (each
+/// converts whole groups of [`LANES`] lanes; the tails go through the
+/// scalar functions), and the AVX and AVX2 compilations of the
+/// multiply-accumulate and integer row kernels.
 #[cfg(target_arch = "x86_64")]
 mod f16c {
+    use crate::rows::{Rows, Source};
     use crate::F16;
     use std::arch::x86_64::_MM_FROUND_TO_NEAREST_INT;
     use std::arch::x86_64::{__m128i, __m256, _mm256_cvtph_ps, _mm256_cvtps_ph};
@@ -146,12 +173,12 @@ mod f16c {
     /// Lanes one F16C instruction converts.
     pub(super) const LANES: usize = 8;
 
-    /// Does this CPU run the F16C conversions? The standard library
-    /// caches the CPUID probe, so this is a load and a test after the
-    /// first call.
+    /// Does this CPU run the SIMD kernels (`avx2`, which implies `avx`,
+    /// and `f16c`)? The standard library caches the CPUID probe, so this
+    /// is a load and a test after the first call.
     #[inline]
     pub(super) fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx") && std::arch::is_x86_feature_detected!("f16c")
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("f16c")
     }
 
     /// Eight halves to eight singles (`vcvtph2ps`).
@@ -226,6 +253,23 @@ mod f16c {
         crate::mac::mac_block_body(c, a, a_step, b, b_step, depth);
     }
 
+    /// [`crate::int_rows`] compiled for AVX2: the portable source, whose
+    /// lane loops then run on sixteen `f16` lanes per 256-bit integer
+    /// operation.
+    ///
+    /// # Safety
+    /// The CPU must support `avx2`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn int_rows(
+        dst: &mut [F16],
+        rows: &Rows<'_>,
+        a: Source<'_>,
+        b: Source<'_>,
+        op: impl Fn(F16, F16) -> F16 + Copy,
+    ) {
+        crate::rows::int_rows_body(dst, rows, a, b, op);
+    }
+
     /// [`super::widen_op_narrow`] on the whole groups of lanes the three
     /// slices share: both operand groups widened, `op` applied lane by
     /// lane (inlined here, so the eight lanes compile to one AVX
@@ -254,8 +298,9 @@ mod f16c {
     #[cfg(test)]
     mod tests {
         use super::available;
-        use crate::convert::{f16_bits_from_f32, f32_from_f16_bits, narrow, widen};
+        use crate::convert::{as_bytes, f16_bits_from_f32, f32_from_f16_bits, narrow, widen};
         use crate::mac::{mac_block_body, MAC_BLOCK_BYTES, MAC_EDGE, MAC_ROWS};
+        use crate::rows::{int_rows_body, Rows, Source};
         use crate::F16;
 
         #[test]
@@ -370,6 +415,62 @@ mod f16c {
                 }
             }
         }
+
+        /// The AVX2 and the portable compilations of the integer row
+        /// kernels give the same lanes for `max`, `min` and `cmp_eq` on
+        /// every pair of f16 bit patterns, with both sources apart from
+        /// the destination and with the destination as the left source
+        /// (the in-place `vmax` of the Im2col forward). Release: 13 s on a
+        /// 2-vCPU x86-64 VM.
+        #[test]
+        fn avx2_lane_kernels_match_the_portable_compilation() {
+            if !available() {
+                return;
+            }
+            const HALF: usize = 1 << 15;
+            // Two repeats of one 32768-lane run cover all 65,536 lanes.
+            let all: Vec<F16> = (0..=u16::MAX).map(F16).collect();
+            fn each(lanes: &[F16]) -> Source<'_> {
+                Source::Lanes {
+                    lanes,
+                    first: 0,
+                    step: HALF,
+                }
+            }
+            // Each operation passes as its own function item or closure, so
+            // both compilations inline it (a function pointer would not be).
+            fn check(name: &str, all: &[F16], op: impl Fn(F16, F16) -> F16 + Copy) {
+                let rows = Rows {
+                    repeat: 2,
+                    runs: &[(0, HALF as u16)],
+                    dst_step: HALF,
+                };
+                let (mut portable, mut avx2) =
+                    (vec![F16::ZERO; 2 * HALF], vec![F16::ZERO; 2 * HALF]);
+                let mut xs = vec![F16::ZERO; 2 * HALF];
+                for x in 0..=u16::MAX {
+                    xs.fill(F16(x));
+                    for (a, init) in [(each(&xs), F16::ZERO), (Source::Dst, F16(x))] {
+                        portable.fill(init);
+                        avx2.fill(init);
+                        int_rows_body(&mut portable, &rows, a, each(all), op);
+                        // SAFETY: the CPU supports `avx2` (checked by the caller).
+                        unsafe { super::int_rows(&mut avx2, &rows, a, each(all), op) };
+                        assert!(
+                            as_bytes(&avx2) == as_bytes(&portable),
+                            "{name}({x:#06x}, _), a {a:?}: AVX2 and portable diverged"
+                        );
+                    }
+                }
+            }
+            check("max", &all, F16::max);
+            check("min", &all, F16::min);
+            check(
+                "cmp_eq",
+                &all,
+                |x, y| if x == y { F16::ONE } else { F16::ZERO },
+            );
+        }
     }
 }
 
@@ -394,19 +495,48 @@ pub fn as_bytes_mut(slice: &mut [F16]) -> &mut [u8] {
 }
 
 /// Reinterpret raw bytes as a slice of `F16`. Panics if the byte slice is
-/// misaligned or has odd length.
+/// misaligned or has odd length; [`try_from_bytes`] returns `None`
+/// instead.
 pub fn from_bytes(bytes: &[u8]) -> &[F16] {
     assert!(
         bytes.len().is_multiple_of(2),
         "odd byte length {}",
         bytes.len()
     );
-    assert!(
-        (bytes.as_ptr() as usize).is_multiple_of(core::mem::align_of::<F16>()),
-        "misaligned f16 byte slice"
-    );
-    // SAFETY: alignment and length checked above; any bit pattern is valid.
-    unsafe { core::slice::from_raw_parts(bytes.as_ptr().cast::<F16>(), bytes.len() / 2) }
+    try_from_bytes(bytes).expect("misaligned f16 byte slice")
+}
+
+/// Can `bytes` be viewed as `F16` lanes: even length, and 2-byte aligned
+/// in host memory (an allocator may place a byte buffer anywhere)?
+fn f16_viewable(bytes: &[u8]) -> bool {
+    bytes.len().is_multiple_of(2)
+        && (bytes.as_ptr() as usize).is_multiple_of(core::mem::align_of::<F16>())
+}
+
+/// Raw bytes as `F16` lanes, or `None` if the slice has odd length or is
+/// not 2-byte aligned in host memory. Never panics.
+pub fn try_from_bytes(bytes: &[u8]) -> Option<&[F16]> {
+    if !f16_viewable(bytes) {
+        return None;
+    }
+    // SAFETY: length and alignment checked just above; any bit pattern is
+    // a valid F16.
+    Some(unsafe { core::slice::from_raw_parts(bytes.as_ptr().cast::<F16>(), bytes.len() / 2) })
+}
+
+/// Raw bytes as mutable `F16` lanes, or `None` if the slice has odd
+/// length or is not 2-byte aligned in host memory: how the simulator's
+/// executors compute straight on a byte-addressed scratchpad's f16
+/// lanes. Never panics.
+pub fn try_from_bytes_mut(bytes: &mut [u8]) -> Option<&mut [F16]> {
+    if !f16_viewable(bytes) {
+        return None;
+    }
+    // SAFETY: length and alignment checked just above; the lanes borrow
+    // the bytes mutably, and any bits written form valid bytes.
+    Some(unsafe {
+        core::slice::from_raw_parts_mut(bytes.as_mut_ptr().cast::<F16>(), bytes.len() / 2)
+    })
 }
 
 /// Convert an `f32` to the nearest `f16` bit pattern (round-to-nearest-even).

@@ -28,7 +28,7 @@
 //! * The batch kernels [`add_slices`], [`sub_slices`] and [`mul_slices`]
 //!   widen, compute in `f32` and narrow whole slices in one pass, then
 //!   apply the NaN rule over the batch. They convert with the x86 F16C
-//!   instructions eight lanes at a time when the CPU has them (`avx` and
+//!   instructions eight lanes at a time when the CPU has them (`avx2` and
 //!   `f16c`, detected at run time) and with the scalar conversions
 //!   otherwise. Every result is bit-identical to the scalar operators on
 //!   any host.
@@ -39,8 +39,22 @@
 //!   registers (AVX ones where the CPU has them) over the whole `k` loop,
 //!   each output summed in ascending `k` with the product and the sum
 //!   rounded separately, and an output that ends NaN stored as
-//!   [`MAC_NAN`] (see the `mac` module). [`simd_available`] says which
-//!   path this CPU takes; there is no option to choose one, and no `fma`.
+//!   [`MAC_NAN`] (see the `mac` module).
+//! * [`int_rows`] and [`arith_rows`] are the row kernels behind the
+//!   simulated Vector Unit: one lane operation, passed as a closure, over
+//!   every row of one vector instruction — for each repeat, each lane run
+//!   — computed in place on `f16` lanes (a byte buffer becomes lanes
+//!   through [`try_from_bytes_mut`], which returns `None` instead of
+//!   panicking on a misaligned buffer). A [`Source`] is the destination
+//!   row itself or a slice apart from it, so each row can read all its
+//!   sources and then write, and the rows still reproduce a
+//!   lane-at-a-time loop bit for bit. [`int_rows`] (`max`, `min`,
+//!   `cmp_eq`, `relu`, copy, dup) is one source compiled for AVX2 and for
+//!   the baseline target; [`arith_rows`] runs an `f32` operation through
+//!   the batch kernels 128 lanes at a time.
+//! * [`simd_available`] (x86-64 with `avx2` and `f16c`) says which path
+//!   this CPU takes for every kernel; there is no option to choose one,
+//!   and no `fma`.
 //! * Comparison (`total_cmp`, `PartialOrd`) follows IEEE semantics; `vmax`
 //!   in the simulator uses [`F16::max`] which propagates the non-NaN operand
 //!   like hardware max instructions do. [`F16::max`] and [`F16::min`]
@@ -49,8 +63,10 @@
 //!
 //! The equivalences are proven exhaustively: the `convert` module's tests
 //! check [`widen`] on all 65,536 `f16` and [`narrow`] on all 2^32 `f32`
-//! bit patterns against the scalar conversions, and the AVX compilation of
-//! [`mac_block`] against the portable one; `tests/exhaustive.rs` checks
+//! bit patterns against the scalar conversions, the AVX compilation of
+//! [`mac_block`] against the portable one, and the AVX2 compilation of the
+//! `max`, `min` and `cmp_eq` rows against the portable one on all 2^32
+//! operand pairs; `tests/exhaustive.rs` checks
 //! `max`/`min` on all 2^32 operand pairs against their earlier branching
 //! definitions and `+ - *` (operators and batch kernels) over every
 //! exponent pair, sign and edge mantissa against an exact `f64` oracle
@@ -59,13 +75,15 @@
 mod convert;
 mod mac;
 mod ops;
+mod rows;
 
 pub use convert::{
     as_bytes, as_bytes_mut, f16_bits_from_f32, f32_from_f16_bits, from_bytes, narrow,
-    simd_available, widen,
+    simd_available, try_from_bytes, try_from_bytes_mut, widen,
 };
 pub use mac::{mac_block, mac_nan_rule, MAC_BLOCK_BYTES, MAC_EDGE, MAC_NAN, MAC_ROWS};
 pub use ops::{add_slices, mul_slices, sub_slices};
+pub use rows::{arith_rows, int_rows, Rows, Source};
 
 use core::fmt;
 
@@ -390,6 +408,24 @@ mod tests {
         let mut ys = xs.clone();
         as_bytes_mut(&mut ys)[2..4].copy_from_slice(&[0x00, 0x3C]);
         assert_eq!(ys, [F16::ONE, F16::ONE, F16::NAN, F16(0x1234)]);
+    }
+
+    /// The checked views return `None`, never panic, on an odd length or
+    /// a slice that is not 2-byte aligned, and view aligned bytes in
+    /// place.
+    #[test]
+    fn checked_views_refuse_odd_lengths_and_misalignment() {
+        let mut xs = [F16::ONE, F16(0x1234), F16::NAN, F16::ZERO];
+        let bytes = as_bytes_mut(&mut xs);
+        assert!(try_from_bytes(&bytes[..3]).is_none());
+        assert!(try_from_bytes(&bytes[1..5]).is_none());
+        assert!(try_from_bytes_mut(&mut bytes[1..5]).is_none());
+        assert_eq!(
+            try_from_bytes(&bytes[2..6]),
+            Some(&[F16(0x1234), F16::NAN][..])
+        );
+        try_from_bytes_mut(&mut bytes[4..8]).expect("aligned")[1] = F16::NEG_ONE;
+        assert_eq!(xs, [F16::ONE, F16(0x1234), F16::NAN, F16::NEG_ONE]);
     }
 
     #[test]

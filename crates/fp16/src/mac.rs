@@ -70,7 +70,7 @@ pub fn mac_nan_rule(x: f32) -> f32 {
 /// * `b[k][j]` is `b[d * b_step + 16 i + j]`: step `d` of `b` is a
 ///   row-major 16 × 16 block.
 ///
-/// Runs the AVX compilation of the kernel when the CPU has `avx` and
+/// Runs the AVX compilation of the kernel when the CPU has `avx2` and
 /// `f16c` ([`crate::simd_available`]), the portable one otherwise; the
 /// two give the same bits.
 ///

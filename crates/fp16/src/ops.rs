@@ -102,10 +102,11 @@ pub fn mul_slices(a: &[F16], b: &[F16], out: &mut [F16]) {
     zip_arith(a, b, out, |x, y| x * y);
 }
 
-/// The batch kernel behind the `*_slices` functions: one conversion pass
-/// (`widen_op_narrow`), then the NaN rule over the whole batch.
+/// The batch kernel behind the `*_slices` functions and the arithmetic
+/// row kernels: one conversion pass (`widen_op_narrow`), then the NaN
+/// rule over the whole batch.
 #[inline(always)]
-fn zip_arith(a: &[F16], b: &[F16], out: &mut [F16], op: impl Fn(f32, f32) -> f32) {
+pub(crate) fn zip_arith(a: &[F16], b: &[F16], out: &mut [F16], op: impl Fn(f32, f32) -> f32) {
     assert!(
         a.len() == out.len() && b.len() == out.len(),
         "f16 batch: slice lengths differ ({}, {}, {})",

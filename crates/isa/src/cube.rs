@@ -45,17 +45,34 @@ impl CubeMatmul {
         self.m_fractals * self.k_fractals * self.n_fractals
     }
 
-    /// Validate datapath legality (A from L0A, B from L0B, C into L0C)
-    /// and non-degenerate dimensions.
+    /// Bytes of the A, B and C tiles (C holds `f32` accumulators), or
+    /// `None` where one overflows `usize`.
+    fn tile_bytes(&self) -> [Option<usize>; 3] {
+        const FRACTAL: usize = FRACTAL_EDGE * FRACTAL_EDGE;
+        let tile = |rows: usize, cols: usize, elem: usize| {
+            rows.checked_mul(cols)?.checked_mul(FRACTAL * elem)
+        };
+        [
+            tile(self.m_fractals, self.k_fractals, 2),
+            tile(self.k_fractals, self.n_fractals, 2),
+            tile(self.m_fractals, self.n_fractals, 4),
+        ]
+    }
+
+    /// Validate datapath legality (A from L0A, B from L0B, C into L0C),
+    /// non-degenerate dimensions, and sizes inside the address space:
+    /// every tile must end by `usize::MAX`, and the fractal-pair count
+    /// must fit a `usize`.
     pub fn validate(&self) -> Result<(), IsaError> {
         if self.m_fractals == 0 || self.k_fractals == 0 || self.n_fractals == 0 {
             return Err(IsaError::BadPosition("cube dims must be nonzero".into()));
         }
-        for (addr, want, role) in [
+        let tiles = [
             (self.a, BufferId::L0A, "a"),
             (self.b, BufferId::L0B, "b"),
             (self.c, BufferId::L0C, "c"),
-        ] {
+        ];
+        for ((addr, want, role), bytes) in tiles.into_iter().zip(self.tile_bytes()) {
             if addr.buffer != want {
                 return Err(IsaError::IllegalDatapath {
                     instr: "cube",
@@ -63,6 +80,19 @@ impl CubeMatmul {
                     role,
                 });
             }
+            if bytes.and_then(|b| addr.offset.checked_add(b)).is_none() {
+                return Err(IsaError::SpanOverflow {
+                    instr: "cube",
+                    role,
+                });
+            }
+        }
+        let ops = self.m_fractals.checked_mul(self.k_fractals);
+        if ops.and_then(|mk| mk.checked_mul(self.n_fractals)).is_none() {
+            return Err(IsaError::SpanOverflow {
+                instr: "cube",
+                role: "fractal count",
+            });
         }
         Ok(())
     }
@@ -98,6 +128,45 @@ mod tests {
         let mut bad = mm();
         bad.c = Addr::new(BufferId::L0B, 0);
         assert!(bad.validate().is_err());
+    }
+
+    /// Fractal counts whose tile sizes (or whose tile end) overflow
+    /// `usize` are a typed error, not a wrapped size.
+    #[test]
+    fn rejects_overflowing_tiles() {
+        let mut bad = mm();
+        bad.m_fractals = 1 << 60;
+        assert_eq!(
+            bad.validate(),
+            Err(IsaError::SpanOverflow {
+                instr: "cube",
+                role: "a"
+            })
+        );
+        let mut bad = mm();
+        bad.n_fractals = usize::MAX / 512;
+        bad.k_fractals = 1;
+        bad.m_fractals = 1;
+        assert!(matches!(
+            bad.validate(),
+            Err(IsaError::SpanOverflow { role: "c", .. })
+        ));
+        let mut bad = mm();
+        bad.b.offset = usize::MAX - 100;
+        assert!(matches!(
+            bad.validate(),
+            Err(IsaError::SpanOverflow { role: "b", .. })
+        ));
+        // Every tile fits, but m·k·n does not.
+        let mut bad = mm();
+        (bad.m_fractals, bad.k_fractals, bad.n_fractals) = (1 << 27, 1 << 27, 1 << 26);
+        assert!(matches!(
+            bad.validate(),
+            Err(IsaError::SpanOverflow {
+                role: "fractal count",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -31,6 +31,14 @@ pub enum IsaError {
     BadPosition(String),
     /// A zero-byte data move.
     EmptyMove,
+    /// An operand's byte span ends past the end of the address space
+    /// (`usize::MAX`), so no buffer could hold it.
+    SpanOverflow {
+        /// instruction kind
+        instr: &'static str,
+        /// which operand
+        role: &'static str,
+    },
     /// Underlying geometry error.
     Shape(dv_tensor::ShapeError),
 }
@@ -48,6 +56,12 @@ impl fmt::Display for IsaError {
             }
             IsaError::BadPosition(msg) => write!(f, "bad positional parameter: {msg}"),
             IsaError::EmptyMove => write!(f, "zero-byte data move"),
+            IsaError::SpanOverflow { instr, role } => {
+                write!(
+                    f,
+                    "{instr}: operand {role}'s byte span overflows the address space"
+                )
+            }
             IsaError::Shape(e) => write!(f, "shape error: {e}"),
         }
     }

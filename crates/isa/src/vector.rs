@@ -124,30 +124,38 @@ impl VectorInstr {
     ///
     /// The Vector Unit "operate\[s\] on data loaded from/stored to the
     /// Unified Buffer" (Section III-A), so every operand must live in UB.
+    /// Each operand the op touches must also end in the address space:
+    /// `offset + (repeat - 1) * stride + 256` may not overflow `usize`.
     pub fn validate(&self) -> Result<(), IsaError> {
         if self.repeat == 0 || self.repeat > MAX_REPEAT {
             return Err(IsaError::BadRepeat(self.repeat));
         }
-        if self.dst.buffer != BufferId::Ub {
-            return Err(IsaError::IllegalDatapath {
-                instr: "vector",
-                buffer: self.dst.buffer,
-                role: "dst",
-            });
-        }
-        if self.op.has_src0() && self.src0.buffer != BufferId::Ub {
-            return Err(IsaError::IllegalDatapath {
-                instr: "vector",
-                buffer: self.src0.buffer,
-                role: "src0",
-            });
-        }
-        if self.op.has_src1() && self.src1.buffer != BufferId::Ub {
-            return Err(IsaError::IllegalDatapath {
-                instr: "vector",
-                buffer: self.src1.buffer,
-                role: "src1",
-            });
+        let operands = [
+            (self.dst, self.dst_stride, "dst", true),
+            (self.src0, self.src0_stride, "src0", self.op.has_src0()),
+            (self.src1, self.src1_stride, "src1", self.op.has_src1()),
+        ];
+        for (addr, stride, role, used) in operands {
+            if !used {
+                continue;
+            }
+            if addr.buffer != BufferId::Ub {
+                return Err(IsaError::IllegalDatapath {
+                    instr: "vector",
+                    buffer: addr.buffer,
+                    role,
+                });
+            }
+            let end = (usize::from(self.repeat) - 1)
+                .checked_mul(stride)
+                .and_then(|span| span.checked_add(VECTOR_BYTES))
+                .and_then(|span| addr.offset.checked_add(span));
+            if end.is_none() {
+                return Err(IsaError::SpanOverflow {
+                    instr: "vector",
+                    role,
+                });
+            }
         }
         Ok(())
     }
@@ -204,6 +212,45 @@ mod tests {
         assert!(matches!(i.validate(), Err(IsaError::BadRepeat(0))));
         i.repeat = 255;
         assert!(i.validate().is_ok());
+    }
+
+    /// An operand whose last repeat would end past `usize::MAX` is a typed
+    /// error, never a wrapped address; an operand the op does not read is
+    /// not checked.
+    #[test]
+    fn overflowing_spans_are_refused() {
+        let mut i = v(VectorOp::Max);
+        i.repeat = 2;
+        i.src0 = i.dst;
+        i.dst.offset = 512;
+        i.src0.offset = 512;
+        i.dst_stride = usize::MAX - 255;
+        i.src0_stride = usize::MAX - 255;
+        assert_eq!(
+            i.validate(),
+            Err(IsaError::SpanOverflow {
+                instr: "vector",
+                role: "dst"
+            })
+        );
+        // The last repeat ends exactly at `usize::MAX`: accepted.
+        let mut j = v(VectorOp::Copy);
+        j.dst.offset = usize::MAX - 256;
+        assert!(j.validate().is_ok());
+        j.dst.offset += 1;
+        assert!(matches!(
+            j.validate(),
+            Err(IsaError::SpanOverflow { role: "dst", .. })
+        ));
+        let mut k = v(VectorOp::Add);
+        k.repeat = 255;
+        k.src1_stride = usize::MAX / 200;
+        assert!(matches!(
+            k.validate(),
+            Err(IsaError::SpanOverflow { role: "src1", .. })
+        ));
+        k.op = VectorOp::Relu; // reads no src1
+        assert!(k.validate().is_ok());
     }
 
     #[test]

@@ -87,7 +87,8 @@ pub struct JobSpec {
     pub params: PoolParams,
     /// Operator and lowering.
     pub op: JobOp,
-    /// Simulated cores on the job's chip.
+    /// Simulated cores on the job's chip: at least one ([`run_job`]
+    /// refuses zero with [`ServeError::NoCores`]).
     pub cores: usize,
     /// Host execution backend for the job's chip.
     pub backend: Backend,
@@ -164,6 +165,8 @@ pub struct JobResult {
 /// Why a job produced no result.
 #[derive(Debug)]
 pub enum ServeError {
+    /// The job asks for a chip with zero simulated cores.
+    NoCores,
     /// The engine rejected or failed the job.
     Run(RunError),
     /// The job panicked; carries the panic message. The worker that ran
@@ -176,6 +179,7 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ServeError::NoCores => write!(f, "job asks for a chip with zero cores"),
             ServeError::Run(e) => write!(f, "job failed: {e}"),
             ServeError::Panicked(msg) => write!(f, "job panicked: {msg}"),
             ServeError::Cancelled => write!(f, "job cancelled before completion"),
@@ -184,6 +188,12 @@ impl fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+impl From<RunError> for ServeError {
+    fn from(e: RunError) -> Self {
+        ServeError::Run(e)
+    }
+}
 
 /// A claim on one submitted job's eventual result.
 pub struct JobHandle {
@@ -220,7 +230,7 @@ struct Job {
 }
 
 /// How a worker runs one job: [`run_job`] outside tests.
-type JobRunner = fn(u64, &JobSpec) -> Result<JobResult, RunError>;
+type JobRunner = fn(u64, &JobSpec) -> Result<JobResult, ServeError>;
 
 struct State {
     queue: VecDeque<Job>,
@@ -332,7 +342,7 @@ fn worker_loop(inner: &Inner, run: JobRunner) {
         // A panic ends the job, not the worker: it travels back as a
         // typed error carrying the panic message.
         let result = match std::panic::catch_unwind(|| run(job.id, &job.spec)) {
-            Ok(r) => r.map_err(ServeError::Run),
+            Ok(r) => r,
             Err(payload) => Err(ServeError::Panicked(panic_message(payload.as_ref()))),
         };
         // Send failures mean the handle was dropped — the job's result
@@ -352,10 +362,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Run one job synchronously on a fresh engine. Exposed so callers can
 /// bypass the queue (and so tests can diff queued results against
-/// direct ones).
-pub fn run_job(job_id: u64, spec: &JobSpec) -> Result<JobResult, RunError> {
-    let chip = Chip::new(spec.cores.max(1), dv_sim::CostModel::ascend910_like())
-        .with_backend(spec.backend);
+/// direct ones). A job with `cores == 0` is refused with
+/// [`ServeError::NoCores`].
+pub fn run_job(job_id: u64, spec: &JobSpec) -> Result<JobResult, ServeError> {
+    if spec.cores == 0 {
+        return Err(ServeError::NoCores);
+    }
+    let chip =
+        Chip::new(spec.cores, dv_sim::CostModel::ascend910_like()).with_backend(spec.backend);
     let mut engine = PoolingEngine::new(chip).with_sharding(spec.sharding);
     if spec.trace {
         engine = engine.with_trace(TraceConfig::ON);
@@ -417,7 +431,7 @@ mod tests {
     use dv_fp16::F16;
     use std::time::{Duration, Instant};
 
-    fn panics_on_job_0(job_id: u64, spec: &JobSpec) -> Result<JobResult, RunError> {
+    fn panics_on_job_0(job_id: u64, spec: &JobSpec) -> Result<JobResult, ServeError> {
         assert_ne!(job_id, 0, "job 0 always panics");
         run_job(job_id, spec)
     }

@@ -388,10 +388,34 @@ fn wrapping_shape_job_fails_typed() {
     ];
     for op in ops {
         match run_job(7, &JobSpec::new(x.clone(), PoolParams::K2S2, op)) {
-            Err(RunError::Lower(LowerError::Shape(ShapeError::Overflow { what: "input" }))) => {}
+            Err(ServeError::Run(RunError::Lower(LowerError::Shape(ShapeError::Overflow {
+                what: "input",
+            })))) => {}
             other => panic!("expected a typed overflow, got {other:?}"),
         }
     }
+}
+
+/// A job asking for zero simulated cores is refused typed, directly and
+/// through the queue, instead of silently running on one core; the
+/// worker then finishes the next job.
+#[test]
+fn zero_core_job_fails_typed() {
+    let spec = JobSpec::new(
+        input(1, 1, 8, 8, 102),
+        PoolParams::K2S2,
+        JobOp::MaxForward(ForwardImpl::Im2col),
+    );
+    let zero = spec.clone().with_cores(0);
+    assert!(matches!(run_job(3, &zero), Err(ServeError::NoCores)));
+    let server = Server::new(1);
+    let (bad, good) = (server.submit(zero), server.submit(spec.clone()));
+    match resolve(&bad) {
+        Err(e @ ServeError::NoCores) => assert!(e.to_string().contains("zero cores"), "{e}"),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    let got = resolve(&good).expect("the worker survived");
+    assert_eq!(got.output, run_job(1, &spec).expect("runs").output);
 }
 
 #[test]

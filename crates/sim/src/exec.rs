@@ -3,7 +3,7 @@
 use crate::buffers::{BufferSet, CubeViews, SimError};
 use crate::cost::{Backend, CostModel};
 use crate::counters::{HwCounters, Unit};
-use dv_fp16::F16;
+use dv_fp16::{arith_rows, int_rows, Rows, Source, F16};
 use dv_isa::{
     Addr, BufferId, Col2Im, CubeMatmul, DataMove, Im2Col, Instr, Mask, RepeatMode, VectorInstr,
     VectorOp, VECTOR_BYTES, VECTOR_LANES,
@@ -44,21 +44,6 @@ fn strided_span(addr: Addr, block: usize, stride: usize, repeat: usize) -> MemSp
     MemSpan::new(addr, repeat.saturating_sub(1) * stride + block)
 }
 
-/// Read one f16 from a raw byte slice. Fast-path primitive: the caller
-/// has already validated the operand's whole span.
-#[inline]
-fn get16(b: &[u8], off: usize) -> F16 {
-    F16::from_bits(u16::from_le_bytes([b[off], b[off + 1]]))
-}
-
-/// Write one f16 into a raw byte slice (span pre-validated).
-#[inline]
-fn put16(b: &mut [u8], off: usize, v: F16) {
-    let x = v.to_bits().to_le_bytes();
-    b[off] = x[0];
-    b[off + 1] = x[1];
-}
-
 /// Bytes of one fractal row: the C0 channel group of one patch.
 const ROW_BYTES: usize = C0 * 2;
 
@@ -93,9 +78,10 @@ fn f16_rect_ok(
 }
 
 /// One lane of a vector instruction — the reference interpreter's
-/// arithmetic, which the sliced fast path's batches ([`batch_op`]) must
-/// reproduce bit for bit.
-#[inline]
+/// arithmetic, which the sliced fast path's row kernels
+/// ([`dv_fp16::int_rows`], [`dv_fp16::arith_rows`]) must reproduce bit for
+/// bit; the integer kernels run it as their lane.
+#[inline(always)]
 fn vector_lane_op(op: VectorOp, a: F16, b: F16) -> F16 {
     match op {
         VectorOp::Max => a.max(b),
@@ -115,6 +101,15 @@ fn vector_lane_op(op: VectorOp, a: F16, b: F16) -> F16 {
         VectorOp::Copy => a,
         VectorOp::Relu => a.max(F16::ZERO),
     }
+}
+
+/// [`vector_lane_op`] kept out of line for the interpreter's lane loop,
+/// whose op is not a constant: inlined there, the whole match made the
+/// `Scalar` loop about 15% slower (a full-mask 255-repeat `vmax`: 300 →
+/// 345 µs on a 2-vCPU x86-64 VM).
+#[inline(never)]
+fn interpreted_lane(op: VectorOp, a: F16, b: F16) -> F16 {
+    vector_lane_op(op, a, b)
 }
 
 /// Everything the simulator learns from executing one instruction: the
@@ -224,10 +219,19 @@ fn exec_vector(
         // fallback whenever the sliced path's one-shot span validation
         // declines, so error values and partial-write effects stay
         // bit-identical across backends.
+        // `validate` bounds only the operands the op reads, so an unread
+        // one's base is never computed.
+        let base = |addr: Addr, stride: usize, read: bool, rep: usize| {
+            if read {
+                addr.offset + rep * stride
+            } else {
+                0
+            }
+        };
         for rep in 0..v.repeat as usize {
-            let dst_base = v.dst.offset + rep * v.dst_stride;
-            let src0_base = v.src0.offset + rep * v.src0_stride;
-            let src1_base = v.src1.offset + rep * v.src1_stride;
+            let dst_base = base(v.dst, v.dst_stride, true, rep);
+            let src0_base = base(v.src0, v.src0_stride, v.op.has_src0(), rep);
+            let src1_base = base(v.src1, v.src1_stride, v.op.has_src1(), rep);
             for lane in 0..VECTOR_LANES {
                 if !v.mask.lane(lane) {
                     continue;
@@ -243,7 +247,7 @@ fn exec_vector(
                 } else {
                     F16::ZERO
                 };
-                bufs.write_f16(v.dst.buffer, dst_base + off, vector_lane_op(v.op, a, b))?;
+                bufs.write_f16(v.dst.buffer, dst_base + off, interpreted_lane(v.op, a, b))?;
             }
         }
     }
@@ -274,7 +278,7 @@ fn exec_vector(
 /// order — decoded once per instruction, not tested per lane and repeat.
 struct LaneRuns {
     /// At most 64 runs (alternating lanes); the first `len` are set.
-    runs: [(u8, u8); VECTOR_LANES / 2],
+    runs: [(u16, u16); VECTOR_LANES / 2],
     len: usize,
 }
 
@@ -289,7 +293,7 @@ impl LaneRuns {
         while rest != 0 {
             let start = rest.trailing_zeros();
             let end = start + (rest >> start).trailing_ones();
-            out.runs[out.len] = (start as u8, end as u8);
+            out.runs[out.len] = (start as u16, end as u16);
             out.len += 1;
             rest = if end as usize == VECTOR_LANES {
                 0
@@ -300,16 +304,26 @@ impl LaneRuns {
         out
     }
 
-    fn as_slice(&self) -> &[(u8, u8)] {
+    fn as_slice(&self) -> &[(u16, u16)] {
         &self.runs[..self.len]
     }
 }
 
 /// The `Sliced`/`Threaded` vector fast path: validate every operand's
-/// whole strided span once, decode the op and the mask's lane runs once,
-/// then run the op's own lane loop ([`lanes`]) over the UB slice with no
-/// per-element checks, writing the interpreter's bytes even where
-/// operands alias the destination.
+/// whole strided span once, decode the mask's lane runs once, place each
+/// source the op reads against the destination, and run the instruction
+/// as one call of a row kernel ([`dv_fp16::int_rows`] or
+/// [`dv_fp16::arith_rows`]) on f16 views of UB: one row per (repeat, lane
+/// run), in the interpreter's order, each row's sources read before its
+/// lanes are written.
+///
+/// That gives the interpreter's bytes when every source either *is* the
+/// destination (same offset and stride: each lane reads only the lane it
+/// writes) or lies wholly outside the destination's span (nothing it reads
+/// is written), whatever the strides; any other aliasing declines. With
+/// one lane run and every stride equal to its length the rows of all
+/// repeats are contiguous, and run as one flat row.
+///
 /// Returns `false` — touching no memory — when the instruction cannot be
 /// proven safe up front; the caller then runs the reference interpreter,
 /// which reproduces the exact error (and any partial writes preceding
@@ -318,30 +332,97 @@ fn vector_sliced(v: &VectorInstr, bufs: &mut BufferSet<'_>) -> bool {
     let reps = v.repeat as usize;
     let runs = LaneRuns::of(&v.mask);
     let runs = runs.as_slice();
-    let Some(&(_, top_end)) = runs.last() else {
+    let Some(&(_, top)) = runs.last() else {
         return true; // no enabled lanes: no memory is touched
     };
-    let block = usize::from(top_end) * 2;
+    let (top, block) = (usize::from(top), usize::from(top) * 2);
+    let sources = [
+        (v.src0, v.src0_stride, v.op.has_src0()),
+        (v.src1, v.src1_stride, v.op.has_src1()),
+    ];
     if !f16_rect_ok(bufs, v.dst, v.dst_stride, reps, block)
-        || (v.op.has_src0() && !f16_rect_ok(bufs, v.src0, v.src0_stride, reps, block))
-        || (v.op.has_src1() && !f16_rect_ok(bufs, v.src1, v.src1_stride, reps, block))
+        || sources
+            .iter()
+            .any(|&(addr, stride, read)| read && !f16_rect_ok(bufs, addr, stride, reps, block))
     {
         return false;
     }
-    // Every operand lives in UB (validated), so one slice serves all.
-    let ub = bufs.scratch_mut(BufferId::Ub);
-    // Each arm passes a constant op, so `lanes` compiles one loop per op.
+    // Lanes a repeat advances an operand by (a single repeat advances
+    // nothing, whatever its stride).
+    let step = |stride: usize| if reps == 1 { 0 } else { stride / 2 };
+    let dst_step = step(v.dst_stride);
+    let lo = v.dst.offset / 2;
+    let hi = lo + (reps - 1) * dst_step + top;
+    let Some(lanes) = f16_view(bufs.scratch_mut(BufferId::Ub)) else {
+        return false;
+    };
+    let (below, rest) = lanes.split_at_mut(lo);
+    let (dst, above) = rest.split_at_mut(hi - lo);
+    let (below, above) = (&*below, &*above);
+    // Each source is the destination, or a slice wholly below or above
+    // it; anything else declines.
+    let mut srcs = [Source::Dst; 2];
+    for (src, &(addr, stride, read)) in srcs.iter_mut().zip(&sources) {
+        let (first, step) = (addr.offset / 2, step(stride));
+        *src = if !read || (first == lo && step == dst_step) {
+            Source::Dst
+        } else if first + (reps - 1) * step + top <= lo {
+            Source::Lanes {
+                lanes: below,
+                first,
+                step,
+            }
+        } else if hi <= first {
+            Source::Lanes {
+                lanes: above,
+                first: first - hi,
+                step,
+            }
+        } else {
+            return false;
+        };
+    }
+    // One run whose length every stride equals: the repeats' rows tile
+    // one flat row (at most 255 × 128 lanes, so its end fits a `u16`).
+    const _: () = assert!(dv_isa::MAX_REPEAT as usize * VECTOR_LANES <= u16::MAX as usize);
+    let flat;
+    let mut rows = Rows {
+        repeat: reps,
+        runs,
+        dst_step,
+    };
+    if let [(start, end)] = *runs {
+        let len = usize::from(end - start);
+        let tiles = |src: &Source<'_>| match *src {
+            Source::Dst => true,
+            Source::Lanes { step, .. } => step == len,
+        };
+        if reps > 1 && dst_step == len && srcs.iter().all(tiles) {
+            flat = [(start, start + (reps * len) as u16)];
+            rows = Rows {
+                repeat: 1,
+                runs: &flat,
+                dst_step: 0,
+            };
+        }
+    }
+    let [a, b] = srcs;
+    // Each arm passes a constant op, so the kernels compile one loop per
+    // op. The integer kernels run the interpreter's lane; the arithmetic
+    // ones its `f32` operation, which they narrow under the `F16`
+    // operators' NaN rule.
+    let lane = vector_lane_op;
     match v.op {
-        VectorOp::Max => lanes::<true, true>(v, ub, runs, VectorOp::Max),
-        VectorOp::Min => lanes::<true, true>(v, ub, runs, VectorOp::Min),
-        VectorOp::Add => lanes::<true, true>(v, ub, runs, VectorOp::Add),
-        VectorOp::Sub => lanes::<true, true>(v, ub, runs, VectorOp::Sub),
-        VectorOp::Mul => lanes::<true, true>(v, ub, runs, VectorOp::Mul),
-        VectorOp::CmpEq => lanes::<true, true>(v, ub, runs, VectorOp::CmpEq),
-        VectorOp::MulScalar(k) => lanes::<true, false>(v, ub, runs, VectorOp::MulScalar(k)),
-        VectorOp::Copy => lanes::<true, false>(v, ub, runs, VectorOp::Copy),
-        VectorOp::Relu => lanes::<true, false>(v, ub, runs, VectorOp::Relu),
-        VectorOp::Dup(k) => lanes::<false, false>(v, ub, runs, VectorOp::Dup(k)),
+        VectorOp::Max => int_rows(dst, rows, a, b, |x, y| lane(VectorOp::Max, x, y)),
+        VectorOp::Min => int_rows(dst, rows, a, b, |x, y| lane(VectorOp::Min, x, y)),
+        VectorOp::CmpEq => int_rows(dst, rows, a, b, |x, y| lane(VectorOp::CmpEq, x, y)),
+        VectorOp::Copy => int_rows(dst, rows, a, b, |x, y| lane(VectorOp::Copy, x, y)),
+        VectorOp::Relu => int_rows(dst, rows, a, b, |x, y| lane(VectorOp::Relu, x, y)),
+        VectorOp::Dup(k) => int_rows(dst, rows, a, b, move |x, y| lane(VectorOp::Dup(k), x, y)),
+        VectorOp::Add => arith_rows(dst, rows, a, b, None, |x, y| x + y),
+        VectorOp::Sub => arith_rows(dst, rows, a, b, None, |x, y| x - y),
+        VectorOp::Mul => arith_rows(dst, rows, a, b, None, |x, y| x * y),
+        VectorOp::MulScalar(k) => arith_rows(dst, rows, a, b, Some(k), |x, y| x * y),
     }
     bufs.note_peak(
         BufferId::Ub,
@@ -350,114 +431,12 @@ fn vector_sliced(v: &VectorInstr, bufs: &mut BufferSet<'_>) -> bool {
     true
 }
 
-/// One vector op's lane loop over pre-validated UB spans; `SRC0`/`SRC1`
-/// say which sources the op reads (an unread source reads as zero, as
-/// in the interpreter).
-///
-/// The interpreter visits lanes repeat-major, in ascending order, reading
-/// a lane's sources before writing it. A run of lanes computed as a
-/// batch ([`batch_op`]) — every source of the run read, then every
-/// result written — gives the same bytes unless some lane reads what an
-/// earlier lane of the run wrote (`reads_behind`). Such runs take the
-/// lane-at-a-time loop instead.
-#[inline(always)]
-fn lanes<const SRC0: bool, const SRC1: bool>(
-    v: &VectorInstr,
-    ub: &mut [u8],
-    runs: &[(u8, u8)],
-    op: VectorOp,
-) {
-    /// Does a batch over `len` bytes at `dst` read what it writes first?
-    /// A source starting below the destination by less than the batch's
-    /// length reads, lane by lane in the interpreter, what an earlier lane
-    /// wrote.
-    fn reads_behind(src: usize, dst: usize, len: usize) -> bool {
-        src < dst && dst - src < len
-    }
-    // `vmuls` multiplies by its scalar: the batch reads it as a
-    // broadcast second operand.
-    let scalar = match op {
-        VectorOp::MulScalar(k) => k,
-        _ => F16::ZERO,
-    };
-    let (mut a, mut b) = ([F16::ZERO; VECTOR_LANES], [scalar; VECTOR_LANES]);
-    let mut out = [F16::ZERO; VECTOR_LANES];
-    // An op that reads no source (`vdup`) writes the same lanes on every
-    // run and repeat: compute them once.
-    if !SRC0 && !SRC1 {
-        batch_op(op, &a, &b, &mut out);
-    }
-    for rep in 0..v.repeat as usize {
-        let dst = v.dst.offset + rep * v.dst_stride;
-        let src0 = v.src0.offset + rep * v.src0_stride;
-        let src1 = v.src1.offset + rep * v.src1_stride;
-        for &(start, end) in runs {
-            let (lo, hi) = (usize::from(start) * 2, usize::from(end) * 2);
-            let len = hi - lo;
-            if (SRC0 && reads_behind(src0, dst, len)) || (SRC1 && reads_behind(src1, dst, len)) {
-                for off in (lo..hi).step_by(2) {
-                    let a = if SRC0 {
-                        get16(ub, src0 + off)
-                    } else {
-                        F16::ZERO
-                    };
-                    let b = if SRC1 {
-                        get16(ub, src1 + off)
-                    } else {
-                        F16::ZERO
-                    };
-                    put16(ub, dst + off, vector_lane_op(op, a, b));
-                }
-                continue;
-            }
-            let run = usize::from(start)..usize::from(end);
-            if SRC0 {
-                load16(&ub[src0 + lo..src0 + hi], &mut a[run.clone()]);
-            }
-            if SRC1 {
-                load16(&ub[src1 + lo..src1 + hi], &mut b[run.clone()]);
-            }
-            if SRC0 || SRC1 {
-                batch_op(op, &a[run.clone()], &b[run.clone()], &mut out[run.clone()]);
-            }
-            store16(&out[run], &mut ub[dst + lo..dst + hi]);
-        }
-    }
-}
-
-/// One run of a vector op as a batch: `out[i] = vector_lane_op(op, a[i],
-/// b[i])`, bit for bit. The arithmetic ops run `dv_fp16`'s batch kernels
-/// (F16C widen, `f32` op, narrow, then the NaN rule over the run, all
-/// lanes at once); the others run the lane op in a loop the optimiser
-/// vectorises (`max`/`min` compare order keys without branches).
-#[inline(always)]
-fn batch_op(op: VectorOp, a: &[F16], b: &[F16], out: &mut [F16]) {
-    match op {
-        VectorOp::Add => dv_fp16::add_slices(a, b, out),
-        VectorOp::Sub => dv_fp16::sub_slices(a, b, out),
-        // `b` holds the broadcast scalar (see `lanes`).
-        VectorOp::Mul | VectorOp::MulScalar(_) => dv_fp16::mul_slices(a, b, out),
-        _ => {
-            for ((r, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *r = vector_lane_op(op, x, y);
-            }
-        }
-    }
-}
-
-/// Decode f16 values from little-endian bytes (span pre-validated).
-#[inline(always)]
-fn load16(bytes: &[u8], out: &mut [F16]) {
-    for (x, b) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-        *x = F16::from_bits(u16::from_le_bytes([b[0], b[1]]));
-    }
-}
-
-/// Encode f16 values as little-endian bytes (span pre-validated): one
-/// copy of their byte view, as `BufferSet::load_f16_slice` writes.
-#[inline(always)]
-fn store16(vals: &[F16], bytes: &mut [u8]) {
-    bytes.copy_from_slice(dv_fp16::as_bytes(vals));
+/// A scratchpad's bytes as f16 lanes (the last byte of an odd capacity
+/// left out: no validated f16 access reaches it), or `None` if they are
+/// not 2-byte aligned in host memory.
+fn f16_view(bytes: &mut [u8]) -> Option<&mut [F16]> {
+    let even = bytes.len() & !1;
+    dv_fp16::try_from_bytes_mut(&mut bytes[..even])
 }
 
 fn exec_im2col(
@@ -655,7 +634,9 @@ fn col2im_sliced(c: &Col2Im, bufs: &mut BufferSet<'_>, plane_base: usize) -> boo
     if !(src_end <= plane_base || plane_end <= src_start) {
         return false;
     }
-    let ub = bufs.scratch_mut(BufferId::Ub);
+    let Some(ub) = f16_view(bufs.scratch_mut(BufferId::Ub)) else {
+        return false;
+    };
     let (mut cur, mut add) = ([F16::ZERO; VECTOR_LANES], [F16::ZERO; VECTOR_LANES]);
     let mut dsts = [0usize; ROWS_PER_BATCH];
     let mut rows = 0;
@@ -665,18 +646,19 @@ fn col2im_sliced(c: &Col2Im, bufs: &mut BufferSet<'_>, plane_base: usize) -> boo
         let Some((h, w)) = coord else {
             continue;
         };
-        let src = c.src.offset + slot * ROW_BYTES;
-        let dst = plane_base + (h * geom.iw + w) * ROW_BYTES;
+        // Lanes of the source row and of the destination row it adds to.
+        let src = c.src.offset / 2 + slot * C0;
+        let dst = plane_base / 2 + (h * geom.iw + w) * C0;
         let lanes = rows * C0..(rows + 1) * C0;
-        load16(&ub[dst..dst + ROW_BYTES], &mut cur[lanes.clone()]);
-        load16(&ub[src..src + ROW_BYTES], &mut add[lanes]);
+        cur[lanes.clone()].copy_from_slice(&ub[dst..dst + C0]);
+        add[lanes].copy_from_slice(&ub[src..src + C0]);
         dsts[rows] = dst;
         rows += 1;
         if rows == ROWS_PER_BATCH {
             add_rows(ub, &dsts, &cur, &add);
             rows = 0;
         }
-        let end = dst + ROW_BYTES;
+        let end = (dst + C0) * 2;
         peak = Some(peak.map_or(end, |p| p.max(end)));
     }
     add_rows(ub, &dsts[..rows], &cur, &add);
@@ -691,13 +673,13 @@ fn col2im_sliced(c: &Col2Im, bufs: &mut BufferSet<'_>, plane_base: usize) -> boo
 const ROWS_PER_BATCH: usize = VECTOR_LANES / C0;
 
 /// Add the gathered C0 rows (`cur + add`, row `i` in lanes `16 i ..`) and
-/// write row `i` back to `dsts[i]` (span pre-validated).
-fn add_rows(ub: &mut [u8], dsts: &[usize], cur: &[F16], add: &[F16]) {
+/// write row `i` back to UB lanes `dsts[i] ..` (span pre-validated).
+fn add_rows(ub: &mut [F16], dsts: &[usize], cur: &[F16], add: &[F16]) {
     let n = dsts.len() * C0;
     let mut sum = [F16::ZERO; VECTOR_LANES];
     dv_fp16::add_slices(&cur[..n], &add[..n], &mut sum[..n]);
     for (&dst, row) in dsts.iter().zip(sum.chunks_exact(C0)) {
-        store16(row, &mut ub[dst..dst + ROW_BYTES]);
+        ub[dst..dst + C0].copy_from_slice(row);
     }
 }
 
@@ -757,9 +739,10 @@ fn exec_move(
 
 /// Sliced L0C -> f16 drain: both spans validated once, then the
 /// accumulators are narrowed by [`dv_fp16::narrow`] (F16C where the CPU
-/// has it), one vector instruction's width of lanes at a time. The f16
-/// destination can never be L0C (`f16_rect_ok` declines it), so the two
-/// views are always distinct buffers.
+/// has it) straight into the destination's f16 lanes, one vector
+/// instruction's width at a time. The f16 destination can never be L0C
+/// (`f16_rect_ok` declines it), so the two views are always distinct
+/// buffers.
 fn drain_sliced(m: &DataMove, bufs: &mut BufferSet<'_>, n: usize) -> bool {
     if n == 0 {
         return true;
@@ -773,16 +756,17 @@ fn drain_sliced(m: &DataMove, bufs: &mut BufferSet<'_>, n: usize) -> bool {
         return false;
     }
     let (l0c, dst) = bufs.scratch_pair(BufferId::L0C, m.dst.buffer);
-    let (mut wide, mut half) = ([0.0f32; VECTOR_LANES], [F16::ZERO; VECTOR_LANES]);
+    let Some(dst) = f16_view(dst) else {
+        return false;
+    };
+    let mut wide = [0.0f32; VECTOR_LANES];
     let accs = l0c[m.src.offset..m.src.offset + n * 4].chunks(VECTOR_LANES * 4);
-    let outs = dst[m.dst.offset..m.dst.offset + n * 2].chunks_mut(VECTOR_LANES * 2);
+    let outs = dst[m.dst.offset / 2..m.dst.offset / 2 + n].chunks_mut(VECTOR_LANES);
     for (accs, out) in accs.zip(outs) {
-        let lanes = accs.len() / 4;
         for (x, acc) in wide.iter_mut().zip(accs.chunks_exact(4)) {
             *x = f32::from_le_bytes([acc[0], acc[1], acc[2], acc[3]]);
         }
-        dv_fp16::narrow(&wide[..lanes], &mut half[..lanes]);
-        store16(&half[..lanes], out);
+        dv_fp16::narrow(&wide[..out.len()], out);
     }
     bufs.note_peak(m.dst.buffer, m.dst.offset + n * 2);
     true
@@ -882,8 +866,8 @@ fn cube_sliced(c: &CubeMatmul, bufs: &mut BufferSet<'_>) -> bool {
         l0c,
         staging: [a_row, b_tile],
     } = bufs.cube_views();
-    let a = f16_lanes(&l0a[c.a.offset..c.a.offset + a_bytes]);
-    let b = f16_lanes(&l0b[c.b.offset..c.b.offset + b_bytes]);
+    let a = dv_fp16::try_from_bytes(&l0a[c.a.offset..c.a.offset + a_bytes]);
+    let b = dv_fp16::try_from_bytes(&l0b[c.b.offset..c.b.offset + b_bytes]);
     let (Some(a), Some(b)) = (a, b) else {
         return false;
     };
@@ -905,16 +889,6 @@ fn cube_sliced(c: &CubeMatmul, bufs: &mut BufferSet<'_>) -> bool {
     }
     bufs.note_peak(BufferId::L0C, c.c.offset + mf * nf * E * E * 4);
     true
-}
-
-/// `bytes` as f16 lanes, or `None` if they are not 2-byte aligned in host
-/// memory (an allocator may place a byte buffer anywhere).
-fn f16_lanes(bytes: &[u8]) -> Option<&[F16]> {
-    bytes
-        .as_ptr()
-        .cast::<F16>()
-        .is_aligned()
-        .then(|| dv_fp16::from_bytes(bytes))
 }
 
 /// `src` widened into the front of `buf`, which grows to exactly its
@@ -1264,9 +1238,13 @@ mod tests {
             match &reference {
                 None => reference = Some((r, bufs, ctr)),
                 Some((r0, b0, c0)) => {
-                    assert_eq!(&r, r0, "{backend}: result diverged");
-                    assert_eq!(&ctr, c0, "{backend}: counters diverged");
-                    assert_eq!(bufs.peaks(), b0.peaks(), "{backend}: peaks diverged");
+                    assert_eq!(&r, r0, "{backend}: result diverged on {i:?}");
+                    assert_eq!(&ctr, c0, "{backend}: counters diverged on {i:?}");
+                    assert_eq!(
+                        bufs.peaks(),
+                        b0.peaks(),
+                        "{backend}: peaks diverged on {i:?}"
+                    );
                     for id in [
                         BufferId::Gm,
                         BufferId::L1,
@@ -1277,7 +1255,7 @@ mod tests {
                     ] {
                         assert!(
                             bufs.bytes(id) == b0.bytes(id),
-                            "{backend}: {id} bytes diverged"
+                            "{backend}: {id} bytes diverged on {i:?}"
                         );
                     }
                 }
@@ -1509,11 +1487,21 @@ mod tests {
         0x83FF, 0x7BFF, 0xFBFF, 0x3C00, 0xC100,
     ];
 
-    /// The lane-run kernels against the `Scalar` interpreter, bit for
-    /// bit, over every op × mask shape × operand aliasing × repeat, on
-    /// operands drawn from the f16 edge values. The last aliasing case
-    /// runs off the end of UB at the third repeat, so the partial writes
-    /// before the error are compared too.
+    /// The row kernels against the `Scalar` interpreter, bit for bit in
+    /// every buffer's bytes, counters, peaks and result, on operands drawn
+    /// from the f16 edge values: every op × mask shape (full, prefix,
+    /// `C0_ONLY`, two runs, empty, alternating lanes, the first lane, the
+    /// last lane) × repeat 1, 2, 3 and 255 × destination (stride 256,
+    /// stride 0, a stride shorter than the run, and one whose third repeat
+    /// runs off the end of UB, so the partial writes before the error are
+    /// compared too) × a placement for each source the op reads: the
+    /// destination itself, disjoint below, disjoint above, the
+    /// destination's offset with another stride, a partial overlap from
+    /// above, one lane and 32 lanes below the destination (overlapping it
+    /// unless the run is short and there is one repeat), stride 0, and a
+    /// stride shorter than the run. The direct path takes the identical
+    /// and disjoint placements (coalescing full unit-stride rows); the
+    /// others decline to the interpreter.
     #[test]
     fn vector_lane_runs_match_scalar_on_the_edge_grid() {
         let ops = [
@@ -1533,11 +1521,13 @@ mod tests {
         let alternating = 0x5555_5555_5555_5555;
         let masks = [
             Mask::FULL,
+            Mask::first_n(37),
             Mask::C0_ONLY,
-            Mask::first_n(1),
-            Mask::from_words(alternating, alternating),
-            Mask::from_words(0, 1 << 63),
+            Mask::from_words(0xFFFF << 8, 0xFFFF_FFFF << 36),
             Mask::EMPTY,
+            Mask::from_words(alternating, alternating),
+            Mask::first_n(1),
+            Mask::from_words(0, 1 << 63),
         ];
         const REGION: usize = 64 << 10;
         let caps = Capacities {
@@ -1548,17 +1538,22 @@ mod tests {
             ub: 4 * REGION,
         };
         let (a, b, c) = (0, REGION, 2 * REGION);
-        // (dst, src0, src1, dst_stride, src0_stride): disjoint; the
-        // accumulate idiom; src0 = dst + 2; src0 = dst - 2; src1 inside
-        // dst; and running off the end of UB.
-        let aliasing = [
-            (b, a, c, 256, 256),
-            (b, b, c, 0, 0),
-            (b, b + 2, c, 256, 256),
-            (b + 2, b, c, 256, 256),
-            (b, a, b + 64, 256, 256),
-            (caps.ub - 512, a, c, 256, 256),
-        ];
+        // (offset, stride) of the destination.
+        let dsts = [(b, 256), (b, 0), (b, 32), (caps.ub - 512, 256)];
+        // (offset, stride) of a source placed against a destination.
+        let placements = |(d, s): (usize, usize)| {
+            [
+                (d, s),       // the destination itself
+                (a, 256),     // disjoint below
+                (c, 256),     // disjoint above
+                (d, s + 256), // the same offset, another stride
+                (d + 2, s),   // a partial overlap from above
+                (d - 2, s),   // one lane below, overlapping
+                (d - 64, s),  // 32 lanes below, overlapping
+                (c + 128, 0), // stride 0
+                (a + 64, 32), // a stride shorter than the run
+            ]
+        };
         let image: Vec<F16> = (0..3 * REGION / 2)
             .map(|k| {
                 let h = (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59;
@@ -1566,25 +1561,80 @@ mod tests {
             })
             .collect();
         for op in ops {
-            for mask in masks {
-                for (dst, src0, src1, dst_stride, src0_stride) in aliasing {
-                    for repeat in [1, 3, 255] {
-                        let i = Instr::Vector(VectorInstr {
-                            op,
-                            dst: Addr::ub(dst),
-                            src0: Addr::ub(src0),
-                            src1: Addr::ub(src1),
-                            mask,
-                            repeat,
-                            dst_stride,
-                            src0_stride,
-                            src1_stride: 256,
-                        });
-                        assert_backends_identical_on(caps, 0, &i, |bufs| {
-                            bufs.load_f16_slice(BufferId::Ub, 0, &image).unwrap();
-                        });
+            for dst in dsts {
+                // A source the op does not read keeps one placement.
+                let src0s = &placements(dst)[..if op.has_src0() { 9 } else { 1 }];
+                let src1s = &placements(dst)[..if op.has_src1() { 9 } else { 1 }];
+                for &(src0, src0_stride) in src0s {
+                    for &(src1, src1_stride) in src1s {
+                        for mask in masks {
+                            for repeat in [1, 2, 3, 255] {
+                                let i = Instr::Vector(VectorInstr {
+                                    op,
+                                    dst: Addr::ub(dst.0),
+                                    src0: Addr::ub(src0),
+                                    src1: Addr::ub(src1),
+                                    mask,
+                                    repeat,
+                                    dst_stride: dst.1,
+                                    src0_stride,
+                                    src1_stride,
+                                });
+                                assert_backends_identical_on(caps, 0, &i, |bufs| {
+                                    bufs.load_f16_slice(BufferId::Ub, 0, &image).unwrap();
+                                });
+                            }
+                        }
                     }
                 }
+            }
+        }
+    }
+
+    /// An operand span or Cube tile that would end past `usize::MAX` is a
+    /// typed ISA error on every backend, in debug and in release, before
+    /// any byte moves or any cycle is charged: never an arithmetic
+    /// overflow panic, and never a wrapped address run as a negative
+    /// stride.
+    #[test]
+    fn overflowing_operand_spans_are_typed_errors_on_every_backend() {
+        let wraps = Instr::Vector(VectorInstr {
+            op: VectorOp::Max,
+            dst: Addr::ub(512),
+            src0: Addr::ub(512),
+            src1: Addr::ub(0),
+            mask: Mask::FULL,
+            repeat: 2,
+            dst_stride: usize::MAX - 255,
+            src0_stride: usize::MAX - 255,
+            src1_stride: 0,
+        });
+        let huge_tile = Instr::Cube(CubeMatmul {
+            a: Addr::new(BufferId::L0A, 0),
+            b: Addr::new(BufferId::L0B, 0),
+            c: Addr::new(BufferId::L0C, 0),
+            m_fractals: 1 << 60,
+            k_fractals: 1,
+            n_fractals: 1,
+            accumulate: false,
+        });
+        for i in [wraps, huge_tile] {
+            let load = |bufs: &mut BufferSet<'static>| {
+                let vals: Vec<F16> = (0..512).map(|k| f((k % 29) as f32 - 9.0)).collect();
+                bufs.load_f16_slice(BufferId::Ub, 0, &vals).unwrap();
+            };
+            assert_backends_identical(&i, load);
+            for backend in Backend::ALL {
+                let mut bufs = BufferSet::new(Capacities::ASCEND910, 1 << 16);
+                load(&mut bufs);
+                let cost = CostModel::ascend910_like().with_backend(backend);
+                let mut ctr = HwCounters::default();
+                let r = execute(&i, &mut bufs, &cost, &mut ctr);
+                assert!(
+                    matches!(r, Err(SimError::Isa(dv_isa::IsaError::SpanOverflow { .. }))),
+                    "{backend}: {r:?}"
+                );
+                assert_eq!(ctr, HwCounters::default(), "{backend}");
             }
         }
     }
