@@ -74,25 +74,34 @@ const ALL: [&str; 17] = [
 /// workspace-root `BENCH_pooling.json` / `BENCH_host.json`, and report
 /// any drift against the previous baselines (informational here — the
 /// *enforcing* comparisons are the `perf_gate` and `host_gate` tests).
+/// The host rows are per-column medians of several collections
+/// ([`dv_bench::host::collect_host_median`]).
 fn run_gate() {
     use dv_bench::gate::{self, Document, Row};
     use dv_bench::host;
+    type Collect = fn() -> Vec<Vec<Row>>;
     type Compare = fn(&[Vec<Row>], &[Vec<Row>]) -> Vec<String>;
     let root = results_dir()
         .parent()
         .map(PathBuf::from)
         .unwrap_or_default();
-    let docs: [(Document, &str, Compare); 2] = [
-        (gate::POOLING, gate::COMMITTED_BASELINE, |c, b| {
-            gate::POOLING.compare(c, b, gate::TOLERANCE)
-        }),
-        (host::HOST, host::COMMITTED_HOST_BASELINE, |c, b| {
-            host::compare_host(&c[0], &b[0], host::HOST_TOLERANCE)
-        }),
+    let docs: [(Document, &str, Collect, Compare); 2] = [
+        (
+            gate::POOLING,
+            gate::COMMITTED_BASELINE,
+            || gate::POOLING.collect(),
+            |c, b| gate::POOLING.compare(c, b, gate::TOLERANCE),
+        ),
+        (
+            host::HOST,
+            host::COMMITTED_HOST_BASELINE,
+            || vec![host::collect_host_median()],
+            |c, b| host::compare_host(&c[0], &b[0], host::HOST_TOLERANCE),
+        ),
     ];
-    for (doc, committed, compare) in docs {
+    for (doc, committed, collect, compare) in docs {
         let old = doc.parse(committed).ok();
-        let current = doc.collect();
+        let current = collect();
         let bench_path = root.join(format!("BENCH_{}.json", doc.benchmark));
         std::fs::write(&bench_path, doc.render(&current, old.as_deref()))
             .expect("write BENCH json");

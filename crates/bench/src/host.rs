@@ -87,6 +87,10 @@ pub const HOST_SAMPLES: usize = 5;
 /// regression fails all of them.
 pub const HOST_GATE_RETRIES: usize = 3;
 
+/// Host collections whose per-column median `repro gate` records as the
+/// baseline ([`collect_host_median`]).
+pub const BASELINE_COLLECTIONS: usize = 3;
+
 /// The in-run floor for the `Sliced` backend: at least one Table I
 /// workload must run at or above this many times the `Scalar` host
 /// instructions/sec.
@@ -325,6 +329,42 @@ pub fn collect_host() -> Vec<Row> {
     out
 }
 
+/// The rows `repro gate` records as the host baseline: each row's stored
+/// columns are the median of [`BASELINE_COLLECTIONS`] full
+/// [`collect_host`] runs, so the derived speedups are computed from
+/// medians, and a baseline no longer carries one window's host speed.
+pub fn collect_host_median() -> Vec<Row> {
+    let collections: Vec<Vec<Row>> = (0..BASELINE_COLLECTIONS).map(|_| collect_host()).collect();
+    median_rows(&collections)
+}
+
+/// Per-row, per-column medians of `collections` (an odd number of row
+/// lists with the same keys) over [`HOST`]'s stored columns. The exact
+/// columns are equal in every collection, so their median is their value.
+fn median_rows(collections: &[Vec<Row>]) -> Vec<Row> {
+    collections[0]
+        .iter()
+        .map(|row| {
+            let same: Vec<&Row> = collections
+                .iter()
+                .map(|rows| {
+                    let found = rows.iter().find(|r| r.key == row.key);
+                    found.expect("every host collection has the same rows")
+                })
+                .collect();
+            let stored = HOST.sections[0]
+                .columns
+                .iter()
+                .filter(|c| !matches!(c.1, Derived(..)));
+            stored.fold(Row::new(row.key.clone()), |out, &Column(name, _)| {
+                let mut values: Vec<u64> = same.iter().map(|r| r.int(name)).collect();
+                values.sort_unstable();
+                out.with(name, values[values.len() / 2])
+            })
+        })
+        .collect()
+}
+
 /// One pooling row: a reference run under `Scalar` plus the in-gate
 /// bit-identity contract (every backend reproduces its output bytes,
 /// counters, cycles and peaks exactly, and one core the same output from
@@ -541,6 +581,22 @@ mod tests {
         let regs = compare_host(&real, &base, HOST_TOLERANCE);
         assert_eq!(regs.len(), 1);
         assert!(regs[0].contains("geomean"));
+    }
+
+    /// A recorded row holds each wall time's median over the
+    /// collections, its speedups derived from those medians, not from any
+    /// one collection.
+    #[test]
+    fn recorded_rows_are_per_column_medians() {
+        let collections = [
+            vec![hm("host/a", 9_000_000, 1_000_000), hm("host/b", 10, 5)],
+            vec![hm("host/a", 4_000_000, 3_000_000), hm("host/b", 30, 5)],
+            vec![hm("host/b", 20, 5), hm("host/a", 5_000_000, 2_000_000)],
+        ];
+        let rows = median_rows(&collections);
+        assert_eq!(rows[0], hm("host/a", 5_000_000, 2_000_000));
+        assert_eq!(rows[1], hm("host/b", 20, 5));
+        assert_eq!(sliced_speedup(&rows[0]), 2.5);
     }
 
     /// On a host without AVX2+F16C the note opens the regression list;

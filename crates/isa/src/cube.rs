@@ -11,7 +11,7 @@
 //! in fractals (units of 16).
 
 use crate::addr::{Addr, BufferId};
-use crate::program::IsaError;
+use crate::program::{span_end, IsaError};
 
 /// Edge length (rows or columns) of one fractal viewed as a matrix.
 pub const FRACTAL_EDGE: usize = 16;
@@ -80,12 +80,7 @@ impl CubeMatmul {
                     role,
                 });
             }
-            if bytes.and_then(|b| addr.offset.checked_add(b)).is_none() {
-                return Err(IsaError::SpanOverflow {
-                    instr: "cube",
-                    role,
-                });
-            }
+            span_end("cube", role, addr.offset, bytes)?;
         }
         let ops = self.m_fractals.checked_mul(self.k_fractals);
         if ops.and_then(|mk| mk.checked_mul(self.n_fractals)).is_none() {

@@ -7,7 +7,7 @@
 //! plain moves.
 
 use crate::addr::{Addr, BufferId};
-use crate::program::IsaError;
+use crate::program::{span_end, IsaError};
 
 /// A flat copy of `bytes` bytes from `src` to `dst`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,7 +43,18 @@ impl DataMove {
         (BufferId::L0C, BufferId::Ub),
     ];
 
-    /// Validate the copy follows a legal datapath and is non-empty.
+    /// Bytes the move writes: `bytes`, or half of it for the L0C -> UB
+    /// drain, which converts each `f32` accumulator it reads to an f16.
+    pub fn dst_bytes(&self) -> usize {
+        if self.src.buffer == BufferId::L0C {
+            self.bytes / 2
+        } else {
+            self.bytes
+        }
+    }
+
+    /// Validate the copy follows a legal datapath, is non-empty, and that
+    /// both its spans end inside the address space.
     pub fn validate(&self) -> Result<(), IsaError> {
         if self.bytes == 0 {
             return Err(IsaError::EmptyMove);
@@ -56,6 +67,8 @@ impl DataMove {
                 role: "path",
             });
         }
+        span_end("move", "src", self.src.offset, Some(self.bytes))?;
+        span_end("move", "dst", self.dst.offset, Some(self.dst_bytes()))?;
         Ok(())
     }
 }
@@ -70,6 +83,33 @@ mod tests {
             let m = DataMove::new(Addr::new(s, 0), Addr::new(d, 0), 64);
             assert!(m.validate().is_ok(), "{s}->{d}");
         }
+    }
+
+    /// A span that would end past `usize::MAX` is a typed error; the L0C
+    /// drain's destination is half its source.
+    #[test]
+    fn overflowing_spans_are_refused() {
+        let mut m = DataMove::new(Addr::gm(usize::MAX - 64), Addr::ub(0), 64);
+        assert!(m.validate().is_ok(), "ends exactly at usize::MAX");
+        m.src.offset += 1;
+        assert_eq!(
+            m.validate(),
+            Err(IsaError::SpanOverflow {
+                instr: "move",
+                role: "src"
+            })
+        );
+        let drain =
+            |dst: usize| DataMove::new(Addr::new(BufferId::L0C, 0), Addr::ub(dst), 64).validate();
+        assert_eq!(
+            DataMove::new(Addr::new(BufferId::L0C, 0), Addr::ub(0), 64).dst_bytes(),
+            32
+        );
+        assert!(drain(usize::MAX - 32).is_ok());
+        assert!(matches!(
+            drain(usize::MAX - 31),
+            Err(IsaError::SpanOverflow { role: "dst", .. })
+        ));
     }
 
     #[test]

@@ -69,6 +69,20 @@ impl fmt::Display for IsaError {
 
 impl std::error::Error for IsaError {}
 
+/// The end `offset + bytes` of an operand of `instr` (`bytes` is `None`
+/// when the operand's length itself overflowed), or
+/// [`IsaError::SpanOverflow`] when it lies past `usize::MAX`.
+pub(crate) fn span_end(
+    instr: &'static str,
+    role: &'static str,
+    offset: usize,
+    bytes: Option<usize>,
+) -> Result<usize, IsaError> {
+    bytes
+        .and_then(|b| offset.checked_add(b))
+        .ok_or(IsaError::SpanOverflow { instr, role })
+}
+
 impl From<dv_tensor::ShapeError> for IsaError {
     fn from(e: dv_tensor::ShapeError) -> Self {
         IsaError::Shape(e)

@@ -34,9 +34,9 @@
 //! Only repeat mode 1 exists for `Col2Im` (Section III-D).
 
 use crate::addr::{Addr, BufferId};
-use crate::program::IsaError;
+use crate::program::{span_end, IsaError};
 use crate::MAX_REPEAT;
-use dv_tensor::{PoolParams, C0, FRACTAL_ROWS};
+use dv_tensor::{PoolParams, C0, FRACTAL_BYTES, FRACTAL_ROWS};
 
 /// Which positional parameter the hardware repeat iterates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,8 +117,20 @@ impl Im2ColGeometry {
     }
 
     /// Byte size of one `(H, W, C0)` source plane in the source buffer.
+    /// Every instruction's `validate` refuses a geometry whose plane size
+    /// overflows `usize`.
     pub fn src_plane_bytes(&self) -> usize {
         self.ih * self.iw * C0 * 2
+    }
+
+    /// [`Self::src_plane_bytes`], or [`IsaError::SpanOverflow`] for
+    /// `instr` when it overflows `usize`.
+    fn checked_plane_bytes(&self, instr: &'static str) -> Result<usize, IsaError> {
+        let plane = self
+            .ih
+            .checked_mul(self.iw)
+            .and_then(|hw| hw.checked_mul(C0 * 2));
+        span_end(instr, "plane", 0, plane)
     }
 
     /// Convert the paper's positional parameter — "the starting position
@@ -304,6 +316,7 @@ impl Im2Col {
                 role: "dst",
             });
         }
+        let plane = self.geom.checked_plane_bytes("im2col")?;
         let (oh, ow) = self.geom.validate()?;
         let patches = oh * ow;
         let (kh, kw) = (self.geom.params.kh, self.geom.params.kw);
@@ -345,6 +358,17 @@ impl Im2Col {
                 )));
             }
         }
+        // The source span covers planes up to `c1_max`, the destination
+        // one fractal per repeat.
+        let (_, c1_max) = self.c1_range();
+        span_end(
+            "im2col",
+            "src",
+            self.src.offset,
+            (c1_max + 1).checked_mul(plane),
+        )?;
+        let fractals = usize::from(self.repeat) * FRACTAL_BYTES;
+        span_end("im2col", "dst", self.dst.offset, Some(fractals))?;
         Ok(())
     }
 
@@ -429,6 +453,7 @@ impl Col2Im {
                 });
             }
         }
+        let plane = self.geom.checked_plane_bytes("col2im")?;
         let (oh, ow) = self.geom.validate()?;
         let patches = oh * ow;
         let (kh, kw) = (self.geom.params.kh, self.geom.params.kw);
@@ -457,6 +482,16 @@ impl Col2Im {
                 self.repeat
             )));
         }
+        // One source fractal per repeat; the destination up to the end of
+        // plane `c1`.
+        let fractals = usize::from(self.repeat) * FRACTAL_BYTES;
+        span_end("col2im", "src", self.src.offset, Some(fractals))?;
+        span_end(
+            "col2im",
+            "dst",
+            self.dst.offset,
+            (self.c1 + 1).checked_mul(plane),
+        )?;
         Ok(())
     }
 }
@@ -634,6 +669,56 @@ mod tests {
         bad.repeat = 2; // Fig. 6's example "could not be loaded using a
                         // repetition" — the grid has only 16 patches.
         assert!(bad.validate().is_err());
+    }
+
+    /// Every SCU operand whose span would end past `usize::MAX` is a
+    /// typed error: the plane size, the source planes up to `c1_max`
+    /// and the destination fractals of `Im2Col`, the source fractals and
+    /// the destination planes up to `c1` of `Col2Im`. A span ending
+    /// exactly at `usize::MAX` is accepted.
+    #[test]
+    fn overflowing_operand_spans_are_refused() {
+        let plane = fig5_geom().src_plane_bytes();
+        let span = |instr, role| Err(IsaError::SpanOverflow { instr, role });
+        // Mode 0 from (c1 0, k 1,1) walks into plane 1 of two.
+        let mut i = Im2Col {
+            geom: Im2ColGeometry::new(8, 8, 2, PoolParams::new((2, 2), (2, 2))).unwrap(),
+            k_off: (1, 1),
+            repeat: 2,
+            ..fig5_im2col(RepeatMode::Mode0, 1)
+        };
+        i.src.offset = usize::MAX - 2 * plane;
+        assert!(i.validate().is_ok());
+        i.src.offset += 1;
+        assert_eq!(i.validate(), span("im2col", "src"));
+        // The probe: one plane below the top of the address space, c1 = 1.
+        let mut probe = i;
+        probe.src.offset = 0usize.wrapping_sub(plane);
+        (probe.c1, probe.k_off, probe.repeat) = (1, (0, 0), 1);
+        assert_eq!(probe.validate(), span("im2col", "src"));
+        let mut i = fig5_im2col(RepeatMode::Mode0, 4);
+        i.dst.offset = usize::MAX - 4 * 512 + 1;
+        assert_eq!(i.validate(), span("im2col", "dst"));
+        i.geom.ih = usize::MAX / 64;
+        assert_eq!(i.validate(), span("im2col", "plane"));
+
+        let mut c = Col2Im {
+            geom: Im2ColGeometry::new(8, 8, 2, PoolParams::new((2, 2), (2, 2))).unwrap(),
+            src: Addr::ub(usize::MAX - 512),
+            dst: Addr::ub(usize::MAX - 2 * plane),
+            first_patch: 0,
+            k_off: (0, 0),
+            c1: 1,
+            repeat: 1,
+        };
+        assert!(c.validate().is_ok());
+        c.dst.offset += 1;
+        assert_eq!(c.validate(), span("col2im", "dst"));
+        c.dst.offset = 0;
+        c.src.offset += 1;
+        assert_eq!(c.validate(), span("col2im", "src"));
+        c.geom.iw = usize::MAX / 64;
+        assert_eq!(c.validate(), span("col2im", "plane"));
     }
 
     #[test]

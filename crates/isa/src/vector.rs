@@ -17,7 +17,7 @@
 
 use crate::addr::{Addr, BufferId};
 use crate::mask::Mask;
-use crate::program::IsaError;
+use crate::program::{span_end, IsaError};
 use crate::{MAX_REPEAT, VECTOR_BYTES};
 use dv_fp16::F16;
 
@@ -146,16 +146,10 @@ impl VectorInstr {
                     role,
                 });
             }
-            let end = (usize::from(self.repeat) - 1)
+            let bytes = (usize::from(self.repeat) - 1)
                 .checked_mul(stride)
-                .and_then(|span| span.checked_add(VECTOR_BYTES))
-                .and_then(|span| addr.offset.checked_add(span));
-            if end.is_none() {
-                return Err(IsaError::SpanOverflow {
-                    instr: "vector",
-                    role,
-                });
-            }
+                .and_then(|span| span.checked_add(VECTOR_BYTES));
+            span_end("vector", role, addr.offset, bytes)?;
         }
         Ok(())
     }

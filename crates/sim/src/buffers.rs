@@ -272,7 +272,7 @@ impl BufferPeaks {
 }
 
 /// Index of a scratchpad in [`BufferSet`]'s array (`None` for GM).
-fn scratch_slot(id: BufferId) -> Option<usize> {
+pub(crate) fn scratch_slot(id: BufferId) -> Option<usize> {
     peak_index(id).checked_sub(1)
 }
 
@@ -285,13 +285,23 @@ pub(crate) struct CubeViews<'s> {
     pub staging: &'s mut [Vec<f32>; 2],
 }
 
+/// The five scratchpad sizes of `caps` in [`TRACKED`] order after GM.
+pub(crate) fn scratch_sizes(caps: Capacities) -> [usize; 5] {
+    [caps.l1, caps.l0a, caps.l0b, caps.l0c, caps.ub]
+}
+
 /// All memories reachable from one AI Core: its five scratchpads and its
 /// view of global memory.
 #[derive(Clone, Debug)]
 pub struct BufferSet<'g> {
     gm: GmView<'g>,
-    /// L1, L0A, L0B, L0C and UB, in [`TRACKED`] order after GM.
+    /// L1, L0A, L0B, L0C and UB, in [`TRACKED`] order after GM. Each is
+    /// allocated at most at its capacity; bytes past its allocation are
+    /// zeros that no access of the programs it was sized for reaches.
     scratch: [Vec<u8>; 5],
+    /// The simulated capacities, in the same order: every bounds check
+    /// and error is against these, whatever the allocation.
+    caps: [usize; 5],
     peaks: BufferPeaks,
     /// Host-side `f32` copies of a Cube instruction's operands
     /// ([`CubeViews::staging`]): no simulated state, kept so that each
@@ -303,31 +313,53 @@ impl BufferSet<'static> {
     /// Allocate scratchpads at the given capacities plus a private
     /// `gm_bytes`-byte global memory. All memories are zero-initialised.
     pub fn new(caps: Capacities, gm_bytes: usize) -> BufferSet<'static> {
-        BufferSet::on_gm(caps, GmView::zeros(gm_bytes))
+        let caps = scratch_sizes(caps);
+        BufferSet::on_gm(caps, caps, GmView::zeros(gm_bytes))
     }
 }
 
 impl<'g> BufferSet<'g> {
-    /// Scratchpads at `caps` over the GM view `gm`.
-    fn on_gm(caps: Capacities, gm: GmView<'g>) -> BufferSet<'g> {
+    /// Scratchpads of capacities `caps`, allocated at `sizes` (each at
+    /// most its capacity), over the GM view `gm`.
+    fn on_gm(caps: [usize; 5], sizes: [usize; 5], gm: GmView<'g>) -> BufferSet<'g> {
         BufferSet {
             gm,
-            scratch: [
-                vec![0; caps.l1],
-                vec![0; caps.l0a],
-                vec![0; caps.l0b],
-                vec![0; caps.l0c],
-                vec![0; caps.ub],
-            ],
+            scratch: sizes.map(|size| vec![0; size]),
+            caps,
             peaks: BufferPeaks::default(),
             widened: [Vec::new(), Vec::new()],
         }
     }
 
-    /// Scratchpads at `caps` over a view of the run's lent GM: reads see
-    /// `gm` until this set writes a page, writes never reach it.
-    pub(crate) fn lent(caps: Capacities, gm: &'g LentGm<'g>) -> BufferSet<'g> {
-        BufferSet::on_gm(caps, GmView::of(gm))
+    /// Scratchpads of capacities `caps` over a view of the run's lent GM:
+    /// reads see `gm` until this set writes a page, writes never reach
+    /// it. Each scratchpad is allocated at its `footprint`
+    /// ([`crate::exec::footprint`] of the programs the set will run), and
+    /// reads as zeros past it.
+    pub(crate) fn lent(
+        caps: Capacities,
+        footprint: Capacities,
+        gm: &'g LentGm<'g>,
+    ) -> BufferSet<'g> {
+        BufferSet::on_gm(
+            scratch_sizes(caps),
+            scratch_sizes(footprint),
+            GmView::of(gm),
+        )
+    }
+
+    /// This set's scratchpad bytes below `footprint` and its peaks, on a
+    /// set allocated at `footprint` over `gm` — test convenience for
+    /// running one instruction two ways.
+    #[cfg(test)]
+    pub(crate) fn cut_to<'h>(&self, footprint: Capacities, gm: &'h LentGm<'h>) -> BufferSet<'h> {
+        let mut cut = BufferSet::on_gm(self.caps, scratch_sizes(footprint), GmView::of(gm));
+        for (to, from) in cut.scratch.iter_mut().zip(&self.scratch) {
+            let n = to.len();
+            to.copy_from_slice(&from[..n]);
+        }
+        cut.peaks = self.peaks;
+        cut
     }
 
     /// Return to the state of a freshly built set over the same image:
@@ -354,7 +386,7 @@ impl<'g> BufferSet<'g> {
     /// Capacity in bytes of one buffer.
     pub fn capacity(&self, id: BufferId) -> usize {
         match scratch_slot(id) {
-            Some(s) => self.scratch[s].len(),
+            Some(s) => self.caps[s],
             None => self.gm.len(),
         }
     }
@@ -563,12 +595,16 @@ impl<'g> BufferSet<'g> {
             .collect())
     }
 
-    /// Every byte of one buffer — test convenience for whole-state
-    /// comparisons.
+    /// Every byte of one buffer up to its capacity, a scratchpad's
+    /// zeros past its allocation included — test convenience for
+    /// whole-state comparisons.
     #[cfg(test)]
     pub(crate) fn bytes(&self, id: BufferId) -> Vec<u8> {
         let mut out = vec![0; self.capacity(id)];
-        self.read_bytes(id, 0, &mut out);
+        match scratch_slot(id) {
+            Some(s) => out[..self.scratch[s].len()].copy_from_slice(&self.scratch[s]),
+            None => self.gm.read(0, &mut out),
+        }
         out
     }
 }
@@ -722,7 +758,10 @@ mod tests {
             lent.lend(0, &input).unwrap();
             lent.lend_mut(out_at, &mut out).unwrap();
             let mut whole = LentGm::whole(&mut flat_copy);
-            let (mut a, mut b) = (BufferSet::lent(caps, &lent), BufferSet::lent(caps, &whole));
+            let (mut a, mut b) = (
+                BufferSet::lent(caps, caps, &lent),
+                BufferSet::lent(caps, caps, &whole),
+            );
             for set in [&mut a, &mut b] {
                 // 5900..6100 spans the input's tail, the gap and the output.
                 set.copy(BufferId::Gm, 5900, BufferId::Gm, out_at + 100, 200)

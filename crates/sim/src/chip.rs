@@ -67,6 +67,7 @@ pub use crate::contention::{L2Model, MemoryModel};
 use crate::core::AiCore;
 use crate::cost::{Backend, Capacities, CostModel};
 use crate::counters::HwCounters;
+use crate::exec::footprint;
 use crate::gm::{GmPages, LentGm};
 use crate::lifetimes::BufferLifetimes;
 use crate::trace::{Trace, TraceConfig};
@@ -517,10 +518,12 @@ impl Chip {
         };
         // Host thread `t` runs simulated cores `t`, `t + hosts`, ... on
         // one reused scratchpad set, stopping at its first failure (no
-        // later core of its own can be the lowest failing one).
+        // later core of its own can be the lowest failing one). The set
+        // serves any of the programs, so it is sized to all of them.
+        let footprint = footprint(programs, self.caps);
         let gm_ref: &LentGm<'_> = gm;
         let mut active = fan_out(hosts, |first, out| {
-            let mut core = AiCore::on_lent_gm(self.cost, self.caps, gm_ref);
+            let mut core = AiCore::on_lent_gm(self.cost, self.caps, footprint, gm_ref);
             core.set_trace(self.trace);
             for (k, core_id) in (first..active).step_by(hosts).enumerate() {
                 if k > 0 {

@@ -35,6 +35,7 @@ use crate::lifetimes::{BufferLifetimes, LifetimeRecorder};
 use crate::trace::{Trace, TraceConfig, TraceEvent};
 use dv_fp16::F16;
 use dv_isa::{BufferId, Program, Unit};
+use std::collections::VecDeque;
 
 /// Which issue pipe a unit's instructions dispatch to: MTE and SCU share
 /// the load/store pipe (0), Vector and Cube share the compute pipe (1).
@@ -46,8 +47,8 @@ pub fn pipe_of(unit: Unit) -> usize {
     }
 }
 
-/// One in-flight access the scoreboard still tracks.
-struct BoardEntry {
+/// One in-flight access on a pipe's scoreboard queue.
+struct InFlight {
     span: MemSpan,
     write: bool,
     /// Cycle at which the access retires.
@@ -83,7 +84,12 @@ fn run_program(
             // core's current makespan.
             let base = counters.cycles;
             let mut pipe_free = [base; 2];
-            let mut board: Vec<BoardEntry> = Vec::new();
+            // Each pipe's in-flight accesses, in issue order. A pipe is
+            // in order, so finish cycles never decrease along its queue,
+            // and every access on an instruction's own queue retires by
+            // its pipe's free cycle: only the other pipe's accesses that
+            // retire later can delay it.
+            let mut in_flight: [VecDeque<InFlight>; 2] = Default::default();
             // Program-order writer log feeding the trace's flow arrows:
             // the latest writer of each span, independent of issue
             // timing. Nothing else reads it, so it stays empty untraced.
@@ -92,22 +98,28 @@ fn run_program(
                 // Functional execution stays in program order — results
                 // are bit-identical to the single-issue model.
                 let info = execute_info(instr, bufs, cost)?;
+                let pipe = pipe_of(info.unit);
 
-                // Retired entries can never lift a future issue above its
-                // pipe-ready cycle; drop them to keep the scan short.
-                let horizon = pipe_free[0].min(pipe_free[1]);
-                board.retain(|e| e.finish > horizon);
-
-                // Hazard scan: RAW against in-flight writers, WAR/WAW of
-                // this instruction's write against every in-flight access.
-                let mut ready = base;
-                for e in &board {
-                    let raw = e.write && info.reads.iter().flatten().any(|r| r.overlaps(&e.span));
-                    let war_waw = info.write.is_some_and(|w| w.overlaps(&e.span));
-                    if raw || war_waw {
-                        ready = ready.max(e.finish);
-                    }
+                // The other pipe's accesses that retire by this pipe's
+                // free cycle can delay no instruction of this pipe, now
+                // or later: drop them from the front.
+                let other = &mut in_flight[1 - pipe];
+                while other.front().is_some_and(|e| e.finish <= pipe_free[pipe]) {
+                    other.pop_front();
                 }
+                // Hazard scan, newest first: RAW against in-flight
+                // writers, WAR/WAW of this instruction's write against
+                // every in-flight access. Finishes fall going back, so
+                // the first overlap found retires last and ends the scan.
+                let start = other
+                    .iter()
+                    .rev()
+                    .find(|e| {
+                        let raw =
+                            e.write && info.reads.iter().flatten().any(|r| r.overlaps(&e.span));
+                        raw || info.write.is_some_and(|w| w.overlaps(&e.span))
+                    })
+                    .map_or(pipe_free[pipe], |e| e.finish);
                 // RAW producer for the trace's flow arrow: the latest
                 // program-order writer of any byte this instruction
                 // reads.
@@ -117,8 +129,6 @@ fn run_program(
                     .map(|&(_, seq)| seq)
                     .max();
 
-                let pipe = pipe_of(info.unit);
-                let start = pipe_free[pipe].max(ready);
                 let stall = start - pipe_free[pipe];
                 let finish = start + info.cycles;
                 pipe_free[pipe] = finish;
@@ -126,21 +136,22 @@ fn run_program(
                 info.apply_busy(counters);
                 // One wait per instruction, booked against its own pipe:
                 // even when an instruction hits both a RAW and a WAR/WAW
-                // hazard, `ready` is a single max over the board, so the
-                // stall can never be double-counted.
+                // hazard, `start` is the single latest finish among them,
+                // so the stall can never be double-counted.
                 counters.stall_cycles += stall;
                 counters.pipe_stalls[pipe] += stall;
                 counters.cycles = counters.cycles.max(finish);
 
+                let queue = &mut in_flight[pipe];
                 for r in info.reads.iter().flatten() {
-                    board.push(BoardEntry {
+                    queue.push_back(InFlight {
                         span: *r,
                         write: false,
                         finish,
                     });
                 }
                 if let Some(w) = info.write {
-                    board.push(BoardEntry {
+                    queue.push_back(InFlight {
                         span: w,
                         write: true,
                         finish,
@@ -212,9 +223,16 @@ impl AiCore<'static> {
 }
 
 impl<'g> AiCore<'g> {
-    /// A core whose GM is a view of the run's lent GM `gm`.
-    pub(crate) fn on_lent_gm(cost: CostModel, caps: Capacities, gm: &'g LentGm<'g>) -> AiCore<'g> {
-        AiCore::on_buffers(cost, BufferSet::lent(caps, gm))
+    /// A core whose GM is a view of the run's lent GM `gm`, with
+    /// scratchpads allocated at the `footprint` of the programs it will
+    /// run ([`BufferSet::lent`]).
+    pub(crate) fn on_lent_gm(
+        cost: CostModel,
+        caps: Capacities,
+        footprint: Capacities,
+        gm: &'g LentGm<'g>,
+    ) -> AiCore<'g> {
+        AiCore::on_buffers(cost, BufferSet::lent(caps, footprint, gm))
     }
 
     fn on_buffers(cost: CostModel, bufs: BufferSet<'g>) -> AiCore<'g> {
@@ -388,6 +406,7 @@ impl<'g> AiCore<'g> {
 mod tests {
     use super::*;
     use crate::cost::Backend;
+    use crate::exec::footprint;
     use dv_isa::{Addr, CubeMatmul, DataMove, Instr, Mask, VectorInstr, VectorOp};
 
     #[test]
@@ -765,28 +784,36 @@ mod tests {
     /// that failed partway and one that wrote GM runs the next program
     /// byte for byte like a freshly built core over the same image:
     /// never-written scratch reads zeros, GM reads the image, and the
-    /// counters, peaks, traces, live ranges and GM spans are equal.
+    /// counters, peaks, traces, live ranges and GM spans are equal. Both
+    /// sets are sized, as in a chip run, to the four programs' footprint.
     #[test]
     fn recycled_core_runs_like_a_fresh_one() {
         let caps = Capacities::ASCEND910;
         let image: Vec<u8> = (0..8192u32).map(|i| (i * 37 % 61) as u8).collect();
         let mut gm = LentGm::new(image.len());
         gm.lend(0, &image).unwrap();
+        let programs = [
+            writes_everything(caps),
+            fails_partway(caps),
+            streamer_to(2048),
+            probe(caps),
+        ];
+        let fp = footprint(&programs, caps);
         for backend in Backend::ALL {
             let cost = CostModel::ascend910_like().with_backend(backend);
-            let mut used = AiCore::on_lent_gm(cost, caps, &gm);
+            let mut used = AiCore::on_lent_gm(cost, caps, fp, &gm);
             used.set_trace(TraceConfig::ON);
-            used.run(&writes_everything(caps)).unwrap();
+            used.run(&programs[0]).unwrap();
             used.recycle();
-            assert!(used.run(&fails_partway(caps)).is_err());
+            assert!(used.run(&programs[1]).is_err());
             used.recycle();
-            used.run(&streamer_to(2048)).unwrap();
+            used.run(&programs[2]).unwrap();
             used.recycle();
 
-            let mut fresh = AiCore::on_lent_gm(cost, caps, &gm);
+            let mut fresh = AiCore::on_lent_gm(cost, caps, fp, &gm);
             fresh.set_trace(TraceConfig::ON);
             for core in [&mut used, &mut fresh] {
-                core.run(&probe(caps)).unwrap();
+                core.run(&programs[3]).unwrap();
             }
             assert_eq!(used.counters(), fresh.counters(), "{backend}");
             assert_eq!(used.buffers().peaks(), fresh.buffers().peaks(), "{backend}");

@@ -1,12 +1,12 @@
 //! Instruction execution: functional semantics + cycle charging.
 
-use crate::buffers::{BufferSet, CubeViews, SimError};
-use crate::cost::{Backend, CostModel};
+use crate::buffers::{scratch_sizes, scratch_slot, BufferSet, CubeViews, SimError};
+use crate::cost::{Backend, Capacities, CostModel};
 use crate::counters::{HwCounters, Unit};
 use dv_fp16::{arith_rows, int_rows, Rows, Source, F16};
 use dv_isa::{
-    Addr, BufferId, Col2Im, CubeMatmul, DataMove, Im2Col, Instr, Mask, RepeatMode, VectorInstr,
-    VectorOp, VECTOR_BYTES, VECTOR_LANES,
+    Addr, BufferId, Col2Im, CubeMatmul, DataMove, Im2Col, Instr, Mask, Program, RepeatMode,
+    VectorInstr, VectorOp, VECTOR_BYTES, VECTOR_LANES,
 };
 use dv_tensor::{C0, FRACTAL_BYTES, FRACTAL_ROWS};
 
@@ -38,10 +38,94 @@ impl MemSpan {
     }
 }
 
-/// A strided operand's bounding box: `repeat` blocks of `block` bytes,
-/// each `stride` bytes after the previous.
+/// A strided operand's bounding box: `repeat` (at least 1) blocks of
+/// `block` bytes, each `stride` bytes after the previous.
 fn strided_span(addr: Addr, block: usize, stride: usize, repeat: usize) -> MemSpan {
-    MemSpan::new(addr, repeat.saturating_sub(1) * stride + block)
+    MemSpan::new(addr, (repeat - 1) * stride + block)
+}
+
+/// The byte ranges a valid instruction reads (RAW hazard sources) and
+/// the one it writes (RAW producer, WAR/WAW target): up to three reads —
+/// two vector sources, a Cube a/b/c-accumulate triple, or a `Col2Im`
+/// source plus the destination plane its read-modify-write reads.
+///
+/// This is the one definition of what an instruction touches: the
+/// dual-pipe scoreboard, the trace's live ranges and a chip run's
+/// scratchpad [`footprint`] all take it from here, and every byte any
+/// executor accesses lies inside these spans. Validation bounds each
+/// span below `usize::MAX`, so none of the sums can overflow.
+pub(crate) fn operand_spans(instr: &Instr) -> ([Option<MemSpan>; 3], Option<MemSpan>) {
+    match instr {
+        Instr::Vector(v) => {
+            let rep = usize::from(v.repeat);
+            let operand = |addr, stride| strided_span(addr, VECTOR_BYTES, stride, rep);
+            let reads = [
+                v.op.has_src0().then(|| operand(v.src0, v.src0_stride)),
+                v.op.has_src1().then(|| operand(v.src1, v.src1_stride)),
+                None,
+            ];
+            (reads, Some(operand(v.dst, v.dst_stride)))
+        }
+        Instr::Im2Col(i) => {
+            // The whole range of source c1 planes the repeats gather from.
+            let plane = i.geom.src_plane_bytes();
+            let (c1_min, c1_max) = i.c1_range();
+            let read = MemSpan {
+                buffer: i.src.buffer,
+                start: i.src.offset + c1_min * plane,
+                end: i.src.offset + (c1_max + 1) * plane,
+            };
+            let write = MemSpan::new(i.dst, usize::from(i.repeat) * FRACTAL_BYTES);
+            ([Some(read), None, None], Some(write))
+        }
+        Instr::Col2Im(c) => {
+            let src = MemSpan::new(c.src, usize::from(c.repeat) * FRACTAL_BYTES);
+            // The scatter-add reads *and* writes the destination c1 plane.
+            let plane = c.geom.src_plane_bytes();
+            let dst_plane =
+                MemSpan::new(Addr::new(c.dst.buffer, c.dst.offset + c.c1 * plane), plane);
+            ([Some(src), Some(dst_plane), None], Some(dst_plane))
+        }
+        Instr::Move(m) => (
+            [Some(MemSpan::new(m.src, m.bytes)), None, None],
+            Some(MemSpan::new(m.dst, m.dst_bytes())),
+        ),
+        Instr::Cube(c) => {
+            const E: usize = dv_isa::cube::FRACTAL_EDGE;
+            let (mf, kf, nf) = (c.m_fractals, c.k_fractals, c.n_fractals);
+            let a = MemSpan::new(c.a, mf * kf * E * E * 2);
+            let b = MemSpan::new(c.b, kf * nf * E * E * 2);
+            let acc = MemSpan::new(c.c, mf * nf * E * E * 4); // f32 accumulators
+            ([Some(a), Some(b), c.accumulate.then_some(acc)], Some(acc))
+        }
+    }
+}
+
+/// The bytes of each scratchpad that `programs` can touch: the largest
+/// end of any instruction's [`operand_spans`] over all of them, clamped
+/// to the capacity in `caps`. A scratchpad allocated at this size serves
+/// every access the programs make; an instruction whose span runs past
+/// the capacity leaves that scratchpad at its full capacity, where it
+/// fails as it would anyway.
+pub(crate) fn footprint(programs: &[Program], caps: Capacities) -> Capacities {
+    let mut ends = [0; 5];
+    for instr in programs.iter().flat_map(Program::instrs) {
+        let (reads, write) = operand_spans(instr);
+        for span in reads.into_iter().chain([write]).flatten() {
+            if let Some(s) = scratch_slot(span.buffer) {
+                ends[s] = ends[s].max(span.end);
+            }
+        }
+    }
+    let caps = scratch_sizes(caps);
+    let [l1, l0a, l0b, l0c, ub] = std::array::from_fn(|s| ends[s].min(caps[s]));
+    Capacities {
+        l1,
+        l0a,
+        l0b,
+        l0c,
+        ub,
+    }
 }
 
 /// Bytes of one fractal row: the C0 channel group of one patch.
@@ -133,11 +217,9 @@ pub(crate) struct ExecInfo {
     pub dst: Option<BufferId>,
     pub gm_bytes: u64,
     pub scratch_bytes: u64,
-    /// Byte ranges the instruction read (RAW hazard sources). Up to
-    /// three: two vector sources, or a Cube a/b/c-accumulate triple, or a
-    /// Col2Im src + destination-plane read (it is a read-modify-write).
+    /// Byte ranges the instruction read ([`operand_spans`]).
     pub reads: [Option<MemSpan>; 3],
-    /// Byte range the instruction wrote (RAW producer, WAW/WAR target).
+    /// Byte range the instruction wrote ([`operand_spans`]).
     pub write: Option<MemSpan>,
 }
 
@@ -205,6 +287,7 @@ pub(crate) fn execute_info(
         Instr::Cube(c) => exec_cube(c, bufs, backend),
     }?;
     info.cycles = cycles;
+    (info.reads, info.write) = operand_spans(instr);
     Ok(info)
 }
 
@@ -251,7 +334,6 @@ fn exec_vector(
             }
         }
     }
-    let rep = v.repeat as usize;
     Ok(ExecInfo {
         mnemonic,
         unit: Unit::Vector,
@@ -263,14 +345,8 @@ fn exec_vector(
         dst: Some(v.dst.buffer),
         gm_bytes: 0,
         scratch_bytes: 0,
-        reads: [
-            v.op.has_src0()
-                .then(|| strided_span(v.src0, VECTOR_BYTES, v.src0_stride, rep)),
-            v.op.has_src1()
-                .then(|| strided_span(v.src1, VECTOR_BYTES, v.src1_stride, rep)),
-            None,
-        ],
-        write: Some(strided_span(v.dst, VECTOR_BYTES, v.dst_stride, rep)),
+        reads: [None; 3], // set by execute_info from operand_spans
+        write: None,
     })
 }
 
@@ -446,10 +522,7 @@ fn exec_im2col(
 ) -> Result<ExecInfo, SimError> {
     let geom = &i.geom;
     let iw = geom.iw;
-    // Conservative read span: the whole range of source c1 planes the
-    // repeats gather from.
-    let (c1_min, c1_max) = i.c1_range();
-    if !(backend.sliced_exec() && im2col_sliced(i, bufs, c1_max)) {
+    if !(backend.sliced_exec() && im2col_sliced(i, bufs)) {
         let positions = i.repeat_positions();
         for (frac_idx, &(c1, xk, yk, first_patch)) in positions.iter().enumerate() {
             let plane_base = i.src.offset + c1 * geom.src_plane_bytes();
@@ -472,11 +545,6 @@ fn exec_im2col(
             }
         }
     }
-    let read = MemSpan {
-        buffer: i.src.buffer,
-        start: i.src.offset + c1_min * geom.src_plane_bytes(),
-        end: i.src.offset + (c1_max + 1) * geom.src_plane_bytes(),
-    };
     Ok(ExecInfo {
         mnemonic: "im2col",
         unit: Unit::Scu,
@@ -488,8 +556,8 @@ fn exec_im2col(
         dst: Some(i.dst.buffer),
         gm_bytes: 0,
         scratch_bytes: i.repeat as u64 * FRACTAL_BYTES as u64,
-        reads: [Some(read), None, None],
-        write: Some(MemSpan::new(i.dst, i.repeat as usize * FRACTAL_BYTES)),
+        reads: [None; 3], // set by execute_info from operand_spans
+        write: None,
     })
 }
 
@@ -498,16 +566,14 @@ fn exec_im2col(
 /// their plane), then copy whole 32-byte C0 rows along one
 /// [`dv_isa::PatchWalk`], restarted per fractal at the repeat's kernel
 /// offset; mode 0 advances `(c1, xk, yk)` as an odometer.
-fn im2col_sliced(i: &Im2Col, bufs: &mut BufferSet<'_>, c1_max: usize) -> bool {
+fn im2col_sliced(i: &Im2Col, bufs: &mut BufferSet<'_>) -> bool {
     let geom = &i.geom;
     let plane = geom.src_plane_bytes();
     let frac_bytes = i.repeat as usize * FRACTAL_BYTES;
+    let (_, c1_max) = i.c1_range();
     let src_ok = i.src.buffer != BufferId::L0C
         && i.src.offset.is_multiple_of(2)
-        && (c1_max + 1)
-            .checked_mul(plane)
-            .and_then(|b| i.src.offset.checked_add(b))
-            .is_some_and(|end| end <= bufs.capacity(i.src.buffer));
+        && i.src.offset + (c1_max + 1) * plane <= bufs.capacity(i.src.buffer);
     if !src_ok || !f16_rect_ok(bufs, i.dst, 0, 1, frac_bytes) {
         return false;
     }
@@ -582,13 +648,6 @@ fn exec_col2im(
     }
     // Architecturally Col2Im "acts as a vector instruction" (Section
     // III-D), so its cycles are attributed to the Vector Unit.
-    let src_span = MemSpan::new(c.src, c.repeat as usize * FRACTAL_BYTES);
-    // The scatter-add reads *and* writes the destination c1 plane.
-    let dst_plane = MemSpan {
-        buffer: c.dst.buffer,
-        start: plane_base,
-        end: plane_base + geom.src_plane_bytes(),
-    };
     Ok(ExecInfo {
         mnemonic: "col2im",
         unit: Unit::Vector,
@@ -600,8 +659,8 @@ fn exec_col2im(
         dst: Some(c.dst.buffer),
         gm_bytes: 0,
         scratch_bytes: 2 * c.repeat as u64 * FRACTAL_BYTES as u64, // RMW
-        reads: [Some(src_span), Some(dst_plane), None],
-        write: Some(dst_plane),
+        reads: [None; 3], // set by execute_info from operand_spans
+        write: None,
     })
 }
 
@@ -621,9 +680,7 @@ fn exec_col2im(
 fn col2im_sliced(c: &Col2Im, bufs: &mut BufferSet<'_>, plane_base: usize) -> bool {
     let geom = &c.geom;
     let slots = c.repeat as usize * FRACTAL_ROWS;
-    let Some(plane_end) = plane_base.checked_add(geom.src_plane_bytes()) else {
-        return false;
-    };
+    let plane_end = plane_base + geom.src_plane_bytes();
     let dst_ok = c.dst.buffer != BufferId::L0C
         && plane_base.is_multiple_of(2)
         && plane_end <= bufs.capacity(c.dst.buffer);
@@ -715,12 +772,6 @@ fn exec_move(
         )?;
     }
     let touches_gm = m.src.buffer == BufferId::Gm || m.dst.buffer == BufferId::Gm;
-    // The L0C drain halves the byte count on the f32 -> f16 conversion.
-    let dst_bytes = if m.src.buffer == BufferId::L0C {
-        m.bytes / 2
-    } else {
-        m.bytes
-    };
     Ok(ExecInfo {
         mnemonic: "mte_move",
         unit: Unit::Mte,
@@ -732,8 +783,8 @@ fn exec_move(
         dst: Some(m.dst.buffer),
         gm_bytes: if touches_gm { m.bytes as u64 } else { 0 },
         scratch_bytes: if touches_gm { 0 } else { m.bytes as u64 },
-        reads: [Some(MemSpan::new(m.src, m.bytes)), None, None],
-        write: Some(MemSpan::new(m.dst, dst_bytes)),
+        reads: [None; 3], // set by execute_info from operand_spans
+        write: None,
     })
 }
 
@@ -817,9 +868,6 @@ fn exec_cube(
             }
         }
     }
-    let a_span = MemSpan::new(c.a, mf * kf * E * E * 2);
-    let b_span = MemSpan::new(c.b, kf * nf * E * E * 2);
-    let c_span = MemSpan::new(c.c, mf * nf * E * E * 4); // f32 accumulators
     Ok(ExecInfo {
         mnemonic: "cube_mmad",
         unit: Unit::Cube,
@@ -831,8 +879,8 @@ fn exec_cube(
         dst: Some(c.c.buffer),
         gm_bytes: 0,
         scratch_bytes: 0,
-        reads: [Some(a_span), Some(b_span), c.accumulate.then_some(c_span)],
-        write: Some(c_span),
+        reads: [None; 3], // set by execute_info from operand_spans
+        write: None,
     })
 }
 
@@ -907,9 +955,18 @@ fn widen_into<'b>(buf: &'b mut Vec<f32>, src: &[F16]) -> &'b [f32] {
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
-    use crate::cost::Capacities;
+    use crate::gm::LentGm;
     use dv_isa::{Addr, Mask};
     use dv_tensor::PoolParams;
+
+    /// The scratchpads in slot order ([`scratch_sizes`]).
+    const SCRATCHPADS: [BufferId; 5] = [
+        BufferId::L1,
+        BufferId::L0A,
+        BufferId::L0B,
+        BufferId::L0C,
+        BufferId::Ub,
+    ];
 
     fn setup() -> (BufferSet<'static>, CostModel, HwCounters) {
         (
@@ -1217,6 +1274,13 @@ mod tests {
     /// the peaks, and the counters to match the `Scalar` reference
     /// exactly — including error cases and the partial writes that
     /// precede them.
+    ///
+    /// A valid instruction also runs, on every backend, on scratchpads
+    /// allocated at its [`footprint`], loaded with the bytes below it:
+    /// the result, counters, peaks and bytes (zeros past the footprint)
+    /// must equal the full-capacity run's, the bytes it holds past the
+    /// footprint left out. A span that under-reports what an executor
+    /// touches sends that access past the allocation.
     fn assert_backends_identical(i: &Instr, load: impl Fn(&mut BufferSet<'static>)) {
         assert_backends_identical_on(Capacities::ASCEND910, 1 << 16, i, load);
     }
@@ -1228,13 +1292,43 @@ mod tests {
         i: &Instr,
         load: impl Fn(&mut BufferSet<'static>),
     ) {
+        let mut program = Program::new();
+        let fp = program
+            .push(i.clone())
+            .is_ok()
+            .then(|| footprint(&[program], caps));
         let mut reference: Option<(Result<(), SimError>, BufferSet, HwCounters)> = None;
         for backend in Backend::ALL {
             let mut bufs = BufferSet::new(caps, gm_bytes);
             load(&mut bufs);
             let cost = CostModel::ascend910_like().with_backend(backend);
+            let gm = bufs.bytes(BufferId::Gm);
+            let mut lent = LentGm::new(gm.len());
+            lent.lend(0, &gm).unwrap();
+            let mut cut = fp.map(|fp| (fp, bufs.cut_to(fp, &lent), HwCounters::default()));
             let mut ctr = HwCounters::default();
             let r = execute(i, &mut bufs, &cost, &mut ctr);
+            if let Some((fp, small, small_ctr)) = &mut cut {
+                let small_r = execute(i, small, &cost, small_ctr);
+                assert_eq!(small_r, r, "{backend}: footprint result diverged on {i:?}");
+                assert_eq!(
+                    small_ctr, &ctr,
+                    "{backend}: footprint counters diverged on {i:?}"
+                );
+                assert_eq!(
+                    small.peaks(),
+                    bufs.peaks(),
+                    "{backend}: footprint peaks on {i:?}"
+                );
+                for (id, size) in SCRATCHPADS.into_iter().zip(scratch_sizes(*fp)) {
+                    let mut want = bufs.bytes(id);
+                    want[size..].fill(0);
+                    assert!(
+                        small.bytes(id) == want,
+                        "{backend}: {id} bytes diverged on a footprint-sized set on {i:?}"
+                    );
+                }
+            }
             match &reference {
                 None => reference = Some((r, bufs, ctr)),
                 Some((r0, b0, c0)) => {
@@ -1595,7 +1689,8 @@ mod tests {
     /// typed ISA error on every backend, in debug and in release, before
     /// any byte moves or any cycle is charged: never an arithmetic
     /// overflow panic, and never a wrapped address run as a negative
-    /// stride.
+    /// stride. The SCU cases place plane 1 of an 8×8 K2S2 tile one plane
+    /// below the top of the address space.
     #[test]
     fn overflowing_operand_spans_are_typed_errors_on_every_backend() {
         let wraps = Instr::Vector(VectorInstr {
@@ -1618,7 +1713,28 @@ mod tests {
             n_fractals: 1,
             accumulate: false,
         });
-        for i in [wraps, huge_tile] {
+        let geom = dv_isa::Im2ColGeometry::new(8, 8, 2, PoolParams::new((2, 2), (2, 2))).unwrap();
+        let top_plane = 0usize.wrapping_sub(geom.src_plane_bytes());
+        let im2col = Instr::Im2Col(Im2Col {
+            geom,
+            src: Addr::l1(top_plane),
+            dst: Addr::ub(0),
+            first_patch: 0,
+            k_off: (0, 0),
+            c1: 1,
+            repeat: 1,
+            mode: RepeatMode::Mode1,
+        });
+        let col2im = Instr::Col2Im(Col2Im {
+            geom,
+            src: Addr::ub(0),
+            dst: Addr::ub(top_plane),
+            first_patch: 0,
+            k_off: (0, 0),
+            c1: 1,
+            repeat: 1,
+        });
+        for i in [wraps, huge_tile, im2col, col2im] {
             let load = |bufs: &mut BufferSet<'static>| {
                 let vals: Vec<F16> = (0..512).map(|k| f((k % 29) as f32 - 9.0)).collect();
                 bufs.load_f16_slice(BufferId::Ub, 0, &vals).unwrap();

@@ -78,26 +78,42 @@ struct Gen {
     write: Span,
 }
 
-/// Slot offsets shared by every buffer: with 256- or 512-byte operands,
-/// neighbouring slots overlap often, so RAW, WAR and WAW hazards are
-/// dense in every buffer, GM included.
-const SLOTS: [usize; 4] = [0, 256, 512, 768];
+/// Slot offsets shared by every buffer: with operands of 256 bytes to
+/// 8 KiB, neighbouring low slots overlap often, so RAW, WAR and WAW
+/// hazards are dense in every buffer, GM included; the high slots are
+/// far apart, so one pipe can run long ahead of the other.
+const SLOTS: [usize; 8] = [0, 256, 512, 768, 16 << 10, 24 << 10, 32 << 10, 48 << 10];
 
-/// Decode `(kind, a, b, c, blocks)`: MTE moves GM->UB, UB->GM, GM->L1
-/// and L1->UB (the scratchpad-to-scratchpad path; Fig. 4 has no UB->UB
-/// move) on pipe 0, and Vector `vadd`/`vcopy`/`vdup` over UB on pipe 1.
-/// Every operand spans `blocks * 256` bytes at slot `a` (destination),
-/// `b` and `c` (sources).
+/// [`gen_instr`]'s kinds on pipe 0 and on pipe 1.
+const PIPE0_KINDS: [u8; 7] = [0, 1, 2, 3, 7, 8, 9];
+const PIPE1_KINDS: [u8; 5] = [4, 5, 6, 10, 11];
+
+/// The SCU instructions' geometry: 8×8 planes, K1S1 (four fractals per
+/// plane), two c1 planes of 2 KiB.
+fn scu_geometry() -> Im2ColGeometry {
+    Im2ColGeometry::new(8, 8, 2, PoolParams::new((1, 1), (1, 1))).unwrap()
+}
+
+/// Decode `(kind, a, b, c, blocks)`, `a` the destination's slot and `b`,
+/// `c` the sources'. On pipe 0: MTE moves GM->UB, UB->GM, GM->L1, L1->UB
+/// (the scratchpad-to-scratchpad path; Fig. 4 has no UB->UB move) and
+/// L1->L0A/L0B of `blocks * 256` bytes, `Im2Col` L1->UB/L0A of `2 *
+/// blocks` fractals from plane `c % 2`, and the L0C->UB drain of `blocks`
+/// 2 KiB of accumulators. On pipe 1: Vector `vadd`/`vcopy`/`vdup` over UB
+/// (`blocks` repeats), Cube `mmad` (`blocks`×8×`blocks` fractals,
+/// accumulating for odd `c`) and `Col2Im` of `2 * blocks` fractals into
+/// plane `c % 2`. The Cube takes 24-48 cycles, the SCU instructions
+/// 56-96 and the drain 80-144, against 17-32 for the others.
 fn gen_instr((kind, a, b, c, blocks): (u8, usize, usize, usize, usize)) -> Gen {
-    use BufferId::{Gm, Ub, L1};
+    use BufferId::{Gm, Ub, L0A, L0B, L0C, L1};
     let bytes = blocks * 256;
-    let span = |buf: BufferId, slot: usize| (buf, SLOTS[slot], SLOTS[slot] + bytes);
+    let span = |buf: BufferId, slot: usize, len: usize| (buf, SLOTS[slot], SLOTS[slot] + len);
     let addr = |buf: BufferId, slot: usize| Addr::new(buf, SLOTS[slot]);
-    let mv = |src: BufferId, dst: BufferId| Gen {
+    let mv = |src: BufferId, dst: BufferId, bytes: usize, written: usize| Gen {
         instr: Instr::Move(DataMove::new(addr(src, b), addr(dst, a), bytes)),
         pipe: 0,
-        reads: vec![span(src, b)],
-        write: span(dst, a),
+        reads: vec![span(src, b, bytes)],
+        write: span(dst, a, written),
     };
     let vector = |op: VectorOp, sources: usize| Gen {
         instr: Instr::Vector(VectorInstr::unit_stride(
@@ -109,17 +125,81 @@ fn gen_instr((kind, a, b, c, blocks): (u8, usize, usize, usize, usize)) -> Gen {
             blocks as u16,
         )),
         pipe: 1,
-        reads: [span(Ub, b), span(Ub, c)][..sources].to_vec(),
-        write: span(Ub, a),
+        reads: [span(Ub, b, bytes), span(Ub, c, bytes)][..sources].to_vec(),
+        write: span(Ub, a, bytes),
     };
+    let geom = scu_geometry();
+    let plane = geom.src_plane_bytes();
+    let (c1, fractals) = (c % 2, 2 * blocks);
+    let im2col = |dst: BufferId| Gen {
+        instr: Instr::Im2Col(Im2Col {
+            geom,
+            src: addr(L1, b),
+            dst: addr(dst, a),
+            first_patch: 0,
+            k_off: (0, 0),
+            c1,
+            repeat: fractals as u16,
+            mode: RepeatMode::Mode1,
+        }),
+        pipe: 0,
+        reads: vec![(L1, SLOTS[b] + c1 * plane, SLOTS[b] + (c1 + 1) * plane)],
+        write: span(dst, a, fractals * FRACTAL_BYTES),
+    };
+    let fractal = 16 * 16;
     match kind {
-        0 => mv(Gm, Ub),
-        1 => mv(Ub, Gm),
-        2 => mv(Gm, L1),
-        3 => mv(L1, Ub),
+        0 => mv(Gm, Ub, bytes, bytes),
+        1 => mv(Ub, Gm, bytes, bytes),
+        2 => mv(Gm, L1, bytes, bytes),
+        3 => mv(L1, Ub, bytes, bytes),
         4 => vector(VectorOp::Add, 2),
         5 => vector(VectorOp::Copy, 1),
-        _ => vector(VectorOp::Dup(F16::ONE), 0),
+        6 => vector(VectorOp::Dup(F16::ONE), 0),
+        7 => mv(L1, [L0A, L0B][c % 2], bytes, bytes),
+        8 => im2col([Ub, L0A][c % 2]),
+        9 => mv(L0C, Ub, blocks * 2048, blocks * 1024),
+        10 => {
+            let (m, k, n, accumulate) = (blocks, 8, blocks, c % 2 == 1);
+            let acc = span(L0C, a, m * n * fractal * 4);
+            let mut reads = vec![
+                span(L0A, b, m * k * fractal * 2),
+                span(L0B, c, k * n * fractal * 2),
+            ];
+            if accumulate {
+                reads.push(acc);
+            }
+            Gen {
+                instr: Instr::Cube(CubeMatmul {
+                    a: addr(L0A, b),
+                    b: addr(L0B, c),
+                    c: addr(L0C, a),
+                    m_fractals: m,
+                    k_fractals: k,
+                    n_fractals: n,
+                    accumulate,
+                }),
+                pipe: 1,
+                reads,
+                write: acc,
+            }
+        }
+        _ => {
+            let dst_plane = (Ub, SLOTS[a] + c1 * plane, SLOTS[a] + (c1 + 1) * plane);
+            Gen {
+                instr: Instr::Col2Im(Col2Im {
+                    geom,
+                    src: addr(Ub, b),
+                    dst: addr(Ub, a),
+                    first_patch: 0,
+                    k_off: (0, 0),
+                    c1,
+                    repeat: fractals as u16,
+                }),
+                pipe: 1,
+                reads: vec![span(Ub, b, fractals * FRACTAL_BYTES), dst_plane],
+                write: dst_plane,
+            }
+        }
     }
 }
 
@@ -150,37 +230,65 @@ fn hazard_oracle(gens: &[Gen], cost: &CostModel) -> (Vec<(u64, u64)>, u64) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The dual-pipe scoreboard implements exactly one hazard rule: on
-    /// random straight-line programs of MTE moves and Vector ops over
-    /// overlapping spans, every traced issue cycle and stall, the stall
-    /// total and the makespan equal the reference model's.
+    /// random straight-line programs of up to 200 MTE, SCU, Vector and
+    /// Cube instructions over overlapping spans, every traced issue cycle
+    /// and stall, and the traced and untraced stall totals, per-pipe
+    /// stalls and makespan equal the reference model's. Each program
+    /// puts its own share (10-90%) of instructions on pipe 1, so one
+    /// pipe often runs far ahead of the other: in-flight queues of more
+    /// than 100 accesses occur.
     #[test]
     fn scoreboard_matches_the_hazard_reference_model(
-        ops in prop::collection::vec((0u8..7, 0usize..4, 0usize..4, 0usize..4, 1usize..=2), 1..=24),
+        pipe1_share in 1usize..10,
+        ops in prop::collection::vec(
+            (0usize..10, 0usize..35, 0usize..8, 0usize..8, 0usize..8, 1usize..=2),
+            1..=200,
+        ),
     ) {
-        let gens: Vec<Gen> = ops.into_iter().map(gen_instr).collect();
+        let gens: Vec<Gen> = ops
+            .into_iter()
+            .map(|(pick, kind, a, b, c, blocks)| {
+                let kind = if pick < pipe1_share {
+                    PIPE1_KINDS[kind % PIPE1_KINDS.len()]
+                } else {
+                    PIPE0_KINDS[kind % PIPE0_KINDS.len()]
+                };
+                gen_instr((kind, a, b, c, blocks))
+            })
+            .collect();
         let mut p = dv_isa::Program::new();
         for g in &gens {
             p.push(g.instr.clone()).unwrap();
         }
-        let mut core = core();
-        core.set_trace(TraceConfig::ON);
-        core.run(&p).unwrap();
+        let mut traced = core();
+        traced.set_trace(TraceConfig::ON);
+        traced.run(&p).unwrap();
+        let mut untraced = core();
+        untraced.run(&p).unwrap();
 
-        let (want, makespan) = hazard_oracle(&gens, core.cost());
-        let events = &core.trace().events;
+        let (want, makespan) = hazard_oracle(&gens, traced.cost());
+        let events = &traced.trace().events;
         prop_assert_eq!(events.len(), gens.len());
         for (i, (e, &(start, stall))) in events.iter().zip(&want).enumerate() {
             prop_assert_eq!((e.start, e.stall), (start, stall), "instruction {}", i);
         }
-        prop_assert_eq!(core.counters().cycles, makespan);
-        prop_assert_eq!(
-            core.counters().stall_cycles,
-            want.iter().map(|&(_, stall)| stall).sum::<u64>()
-        );
+        let mut pipe_stalls = [0u64; 2];
+        for (g, &(_, stall)) in gens.iter().zip(&want) {
+            pipe_stalls[g.pipe] += stall;
+        }
+        for counters in [traced.counters(), untraced.counters()] {
+            prop_assert_eq!(counters.cycles, makespan);
+            prop_assert_eq!(counters.stall_cycles, pipe_stalls[0] + pipe_stalls[1]);
+            prop_assert_eq!(counters.pipe_stalls, pipe_stalls);
+        }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Vector instructions with disjoint operands match the scalar model
     /// lane by lane; masked-off lanes never write.
